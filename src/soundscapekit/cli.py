@@ -27,7 +27,7 @@ from .decision import (
     dump_decisions,
     load_annotations,
 )
-from .errors import SoundscapeKitError
+from .errors import ConfigError, SoundscapeKitError
 from .evaluation import CASE_STUDY_FILTERS, correlate, curve, evaluate, stratify_errors, tune_thresholds
 from .features import stft_magnitude
 from .indices import IndexResult, aci, adi, ndsi
@@ -41,7 +41,10 @@ def _log(msg: str) -> None:
 
 
 def _load_config(path) -> RunConfig:
-    return RunConfig.load(path) if path else RunConfig()
+    try:
+        return RunConfig.load(path) if path else RunConfig()
+    except ConfigError as exc:
+        raise click.ClickException(str(exc)) from exc
 
 
 @click.group()
@@ -191,6 +194,16 @@ def _decisions_and_truth(scores_path, annotations_path, cfg, policy):
     return matrices, truths
 
 
+def _max_scores_and_truth(matrices, truths):
+    """Per-class max-window scores and truth flags, one entry per matrix in order."""
+    maxes = [aggregate(m) for m in matrices]
+    actives = [t.active_classes for t in truths]
+    return (
+        {cls: [mx[cls] for mx in maxes] for cls in CLASSES},
+        {cls: [cls in active for active in actives] for cls in CLASSES},
+    )
+
+
 @main.command("evaluate")
 @click.argument("scores_csv", type=click.Path(exists=True, dir_okay=False))
 @click.argument("annotations_csv", type=click.Path(exists=True, dir_okay=False))
@@ -231,11 +244,10 @@ def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed
         fh.write("\n")
     (out / "report.txt").write_text(report.to_table() + "\n")
 
-    truth_by_id = {t.recording_id: t for t in truths}
+    scores_by_class, truth_by_class = _max_scores_and_truth(matrices, truths)
     curve_rows = []
     for cls in CLASSES:
-        agg_scores = [aggregate(m)[cls] for m in matrices]
-        cls_truth = [cls in truth_by_id[m.recording_id].active_classes for m in matrices]
+        agg_scores, cls_truth = scores_by_class[cls], truth_by_class[cls]
         pr = curve(agg_scores, cls_truth, "PR")
         for pt in pr.points:
             curve_rows.append([cls, "PR", repr(pt.threshold), repr(pt.x), repr(pt.y)])
@@ -273,12 +285,7 @@ def cmd_tune(scores_csv, annotations_csv, objective, config_path, grid, out_path
     _log(f"tune: objective={objective} seed={cfg.seed}")
     try:
         matrices, truths = _decisions_and_truth(scores_csv, annotations_csv, cfg, None)
-        truth_by_id = {t.recording_id: t for t in truths}
-        scores_by_class = {}
-        truth_by_class = {}
-        for cls in CLASSES:
-            scores_by_class[cls] = [aggregate(m)[cls] for m in matrices]
-            truth_by_class[cls] = [cls in truth_by_id[m.recording_id].active_classes for m in matrices]
+        scores_by_class, truth_by_class = _max_scores_and_truth(matrices, truths)
         tuned = tune_thresholds(scores_by_class, truth_by_class, objective=objective,
                                 grid_step=0.001 if grid else None)
     except (SoundscapeKitError, ValueError) as exc:

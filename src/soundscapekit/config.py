@@ -63,18 +63,11 @@ class RunConfig:
     bootstrap_confidence: float = DEFAULT_CONFIDENCE
 
     def to_dict(self) -> dict:
-        thresholds: dict = {"mode": self.threshold_mode}
-        if self.threshold_mode == "global":
-            thresholds["global"] = self.thresholds.thresholds[CLASSES[0]]
-        else:
-            thresholds["per_class"] = dict(self.thresholds.thresholds)
-        if self.thresholds.counts is not None:
-            thresholds["counts"] = dict(self.thresholds.counts)
         return {
             "seed": self.seed,
             "recording_duration_s": self.recording_duration_s,
             "window": {"window_len_s": self.window.window_len_s, "step_s": self.window.step_s},
-            "thresholds": thresholds,
+            "thresholds": threshold_policy_to_dict(self.threshold_mode, self.thresholds),
             "pda": {c: self.pda.fractions.get(c) for c in CLASSES},
             "pda_measure": self.pda.measure,
             "indices": self.indices.to_dict(),
@@ -138,6 +131,10 @@ class RunConfig:
             if "bootstrap" in data:
                 cfg.bootstrap_resamples = int(data["bootstrap"].get("resamples", cfg.bootstrap_resamples))
                 cfg.bootstrap_confidence = float(data["bootstrap"].get("confidence", cfg.bootstrap_confidence))
+                if cfg.bootstrap_resamples < 1:
+                    raise ValueError(f"bootstrap resamples must be >= 1, got {cfg.bootstrap_resamples}")
+                if not 0 < cfg.bootstrap_confidence < 1:
+                    raise ValueError(f"bootstrap confidence must be in (0, 1), got {cfg.bootstrap_confidence}")
             return cfg
         except ConfigError:
             raise
@@ -179,6 +176,18 @@ def parse_threshold_policy(data: dict):
         raise ConfigError(f"invalid threshold policy: {exc}") from exc
 
 
+def threshold_policy_to_dict(mode: str, policy: ThresholdPolicy) -> dict:
+    """The thresholds section for mode and policy; inverse of parse_threshold_policy."""
+    data: dict = {"mode": mode}
+    if mode == "global":
+        data["global"] = policy.thresholds[CLASSES[0]]
+    else:
+        data["per_class"] = dict(policy.thresholds)
+    if policy.counts is not None:
+        data["counts"] = dict(policy.counts)
+    return data
+
+
 def load_threshold_fragment(path):
     """Read a thresholds-only JSON fragment, as written by the tune command."""
     try:
@@ -192,13 +201,6 @@ def load_threshold_fragment(path):
 
 
 def dump_threshold_fragment(mode: str, policy: ThresholdPolicy, path) -> None:
-    fragment: dict = {"mode": mode}
-    if mode == "global":
-        fragment["global"] = policy.thresholds[CLASSES[0]]
-    else:
-        fragment["per_class"] = dict(policy.thresholds)
-    if policy.counts is not None:
-        fragment["counts"] = dict(policy.counts)
     with open(path, "w") as fh:
-        json.dump({"thresholds": fragment}, fh, indent=2, sort_keys=True)
+        json.dump({"thresholds": threshold_policy_to_dict(mode, policy)}, fh, indent=2, sort_keys=True)
         fh.write("\n")

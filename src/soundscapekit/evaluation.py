@@ -220,21 +220,45 @@ class Curve:
     best_score: float  # best F1 (PR) or best Youden J (ROC)
 
 
-def _candidate_thresholds(scores: np.ndarray, grid_step: float | None = None) -> np.ndarray:
-    cands = set(np.unique(scores).tolist())
-    cands.add(0.0)  # sentinel: predicts everything with a positive score
+def _checked(scores, truth, both_labels: bool, name: str):
+    """scores and truth as arrays, equal-length and non-empty; both_labels also
+    requires at least one positive and one negative example."""
+    scores = np.asarray(scores, dtype=float)
+    truth = np.asarray(truth, dtype=bool)
+    if len(scores) != len(truth) or len(scores) == 0:
+        raise ValueError(f"{name}: scores and truth must be equal-length and non-empty")
+    if both_labels and (truth.all() or not truth.any()):
+        raise ValueError(f"{name}: needs at least one positive and one negative example")
+    return scores, truth
+
+
+def _sweep(scores: np.ndarray, truth: np.ndarray, objective: str, grid_step: float | None = None):
+    """Confusion counts and objective at every candidate threshold, from one sort.
+
+    Candidates are the distinct scores plus the 0.0 sentinel (and, with
+    grid_step, a grid rounded to 9 decimals), descending; a score is predicted
+    positive when it is > the threshold. The objective is F1 or Youden's J.
+    Returns (thresholds, (tp, fp, fn, tn), best index, best objective); the
+    best index is the first maximum, so ties go to the higher threshold.
+    """
+    parts = [scores, [0.0]]
     if grid_step is not None:
-        cands.update(np.round(np.arange(0.0, 1.0 + grid_step / 2, grid_step), 9).tolist())
-    return np.array(sorted(cands, reverse=True))
-
-
-def _confusion_at(scores: np.ndarray, truth: np.ndarray, thresholds: np.ndarray):
-    preds = scores[None, :] > thresholds[:, None]
-    tp = (preds & truth[None, :]).sum(axis=1)
-    fp = (preds & ~truth[None, :]).sum(axis=1)
-    fn = ((~preds) & truth[None, :]).sum(axis=1)
-    tn = len(scores) - tp - fp - fn
-    return tp, fp, fn, tn
+        parts.append(np.round(np.arange(0.0, 1.0 + grid_step / 2, grid_step), 9))
+    thresholds = np.unique(np.concatenate(parts))[::-1]
+    order = np.argsort(scores, kind="stable")
+    positives_below = np.concatenate(([0], np.cumsum(truth[order])))
+    below = np.searchsorted(scores[order], thresholds, side="right")  # scores <= threshold
+    n, n_pos = len(scores), int(positives_below[-1])
+    tp = n_pos - positives_below[below]
+    fp = n - below - tp
+    fn = n_pos - tp
+    tn = n - tp - fp - fn
+    if objective == "f1":
+        obj = np.where(tp > 0, 2.0 * tp / np.maximum(2.0 * tp + fp + fn, 1), 0.0)
+    else:
+        obj = tp / np.maximum(tp + fn, 1) - fp / np.maximum(fp + tn, 1)
+    best = int(np.argmax(obj))
+    return thresholds, (tp, fp, fn, tn), best, float(obj[best])
 
 
 def curve(scores, truth, kind: str) -> Curve:
@@ -244,36 +268,18 @@ def curve(scores, truth, kind: str) -> Curve:
     to the higher threshold. ROC requires at least one positive and one
     negative example.
     """
-    scores = np.asarray(scores, dtype=float)
-    truth = np.asarray(truth, dtype=bool)
     if kind not in ("PR", "ROC"):
         raise ValueError(f"kind must be 'PR' or 'ROC', got {kind!r}")
-    if len(scores) != len(truth) or len(scores) == 0:
-        raise ValueError("scores and truth must be equal-length and non-empty")
-    if kind == "ROC" and (truth.all() or not truth.any()):
-        raise ValueError("ROC needs at least one positive and one negative example")
-
-    thresholds = _candidate_thresholds(scores)
-    tp, fp, fn, tn = _confusion_at(scores, truth, thresholds)
-
+    scores, truth = _checked(scores, truth, kind == "ROC", kind)
+    thresholds, (tp, fp, fn, tn), best, best_score = _sweep(scores, truth, "f1" if kind == "PR" else "youden")
     if kind == "PR":
-        with np.errstate(invalid="ignore"):
-            precision = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 1.0)
-            recall = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
+        precision = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 1.0)
+        recall = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
         xs, ys = recall, precision
-        objective = np.where(tp > 0, 2.0 * tp / np.maximum(2.0 * tp + fp + fn, 1), 0.0)
     else:
-        tpr = tp / np.maximum(tp + fn, 1)
-        fpr = fp / np.maximum(fp + tn, 1)
-        xs, ys = fpr, tpr
-        objective = tpr - fpr
-
-    best_i = 0
-    for i in range(len(thresholds)):
-        if objective[i] > objective[best_i]:
-            best_i = i
+        xs, ys = fp / np.maximum(fp + tn, 1), tp / np.maximum(tp + fn, 1)
     points = [CurvePoint(float(t), float(x), float(y)) for t, x, y in zip(thresholds, xs, ys)]
-    return Curve(kind=kind, points=points, best_threshold=float(thresholds[best_i]), best_score=float(objective[best_i]))
+    return Curve(kind=kind, points=points, best_threshold=float(thresholds[best]), best_score=best_score)
 
 
 def tune_thresholds(scores_by_class: dict, truth_by_class: dict, objective: str = "f1", grid_step: float | None = None) -> dict:
@@ -286,24 +292,9 @@ def tune_thresholds(scores_by_class: dict, truth_by_class: dict, objective: str 
         raise ValueError(f"objective must be 'f1' or 'youden', got {objective!r}")
     tuned = {}
     for cls in scores_by_class:
-        scores = np.asarray(scores_by_class[cls], dtype=float)
-        truth = np.asarray(truth_by_class[cls], dtype=bool)
-        if len(scores) != len(truth) or len(scores) == 0:
-            raise ValueError(f"{cls}: scores and truth must be equal-length and non-empty")
-        if objective == "youden" and (truth.all() or not truth.any()):
-            raise ValueError(f"{cls}: Youden tuning needs both positive and negative examples")
-
-        thresholds = _candidate_thresholds(scores, grid_step=grid_step)
-        tp, fp, fn, tn = _confusion_at(scores, truth, thresholds)
-        if objective == "f1":
-            obj = np.where(tp > 0, 2.0 * tp / np.maximum(2.0 * tp + fp + fn, 1), 0.0)
-        else:
-            obj = tp / np.maximum(tp + fn, 1) - fp / np.maximum(fp + tn, 1)
-        best_i = 0
-        for i in range(len(thresholds)):
-            if obj[i] > obj[best_i]:
-                best_i = i
-        tuned[cls] = float(thresholds[best_i])
+        scores, truth = _checked(scores_by_class[cls], truth_by_class[cls], objective == "youden", cls)
+        thresholds, _, best, _ = _sweep(scores, truth, objective, grid_step)
+        tuned[cls] = float(thresholds[best])
     return tuned
 
 

@@ -201,6 +201,16 @@ class TestEvaluateCommand:
         assert result.exit_code == 1
         assert "exceeds" in result.output
 
+    def test_invalid_bootstrap_config_rejected_before_inputs(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bootstrap": {"confidence": 1.7}}))
+        result = runner.invoke(main, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                      "--config", str(cfg), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "bootstrap confidence" in result.output
+        assert not (tmp_path / "rep").exists()
+
     def test_annotations_without_scores_rejected(self, runner, tmp_path):
         scores = tmp_path / "scores.csv"
         anns = tmp_path / "annotations.csv"

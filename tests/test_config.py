@@ -68,8 +68,14 @@ def test_invalid_pda_fraction(tmp_path):
         RunConfig.load(p)
 
 
-def test_threshold_fragment_round_trip(tmp_path):
-    policy = ThresholdPolicy(thresholds={ANTHROPOPHONY: 0.722, BIOPHONY: 0.92, GEOPHONY: 0.571})
+FRAGMENT_COUNTS = pytest.mark.parametrize(
+    "counts", [None, {BIOPHONY: 2}, {ANTHROPOPHONY: 1, BIOPHONY: 5, GEOPHONY: 10}], ids=["none", "one", "all"]
+)
+
+
+@FRAGMENT_COUNTS
+def test_threshold_fragment_round_trip(tmp_path, counts):
+    policy = ThresholdPolicy(thresholds={ANTHROPOPHONY: 0.722, BIOPHONY: 0.92, GEOPHONY: 0.571}, counts=counts)
     p = tmp_path / "thresholds.json"
     dump_threshold_fragment("per-class", policy, p)
     mode, back = load_threshold_fragment(p)
@@ -77,12 +83,21 @@ def test_threshold_fragment_round_trip(tmp_path):
     assert back == policy
     data = json.loads(p.read_text())
     assert data["thresholds"]["per_class"][BIOPHONY] == 0.92
+    assert data["thresholds"].get("counts") == counts
 
 
-def test_global_fragment_round_trip(tmp_path):
-    policy = ThresholdPolicy.global_threshold(0.5, counts={BIOPHONY: 2})
+@FRAGMENT_COUNTS
+def test_global_fragment_round_trip(tmp_path, counts):
+    policy = ThresholdPolicy.global_threshold(0.5, counts=counts)
     p = tmp_path / "g.json"
     dump_threshold_fragment("global", policy, p)
     mode, back = load_threshold_fragment(p)
     assert mode == "global"
     assert back == policy
+    assert json.loads(p.read_text())["thresholds"].get("counts") == counts
+
+
+@pytest.mark.parametrize("bootstrap", [{"resamples": 0}, {"confidence": 1.7}, {"confidence": 0.0}, {"confidence": 1.0}])
+def test_invalid_bootstrap_rejected_on_load(bootstrap):
+    with pytest.raises(ConfigError, match="bootstrap"):
+        RunConfig.from_dict({"bootstrap": bootstrap})

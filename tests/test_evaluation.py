@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from soundscapekit.decision import AnnotationSet, Decision
 from soundscapekit.evaluation import (
@@ -114,18 +116,51 @@ def brute_force_curve(scores, truth, kind):
     return points
 
 
+def first_best(thresholds, scores, truth, objective):
+    """Brute-force tuning oracle: the first (highest) threshold with the best objective."""
+    thetas = np.array(sorted(thresholds, reverse=True))
+    truth = np.asarray(truth)
+    pred = np.asarray(scores)[None, :] > thetas[:, None]
+    tp = (pred & truth).sum(axis=1)
+    fp = (pred & ~truth).sum(axis=1)
+    fn = truth.sum() - tp
+    tn = len(truth) - tp - fp - fn
+    if objective == "f1":
+        obj = [2 * a / (2 * a + b + c) if a else 0.0 for a, b, c in zip(tp, fp, fn)]
+    else:
+        obj = tp / (tp + fn) - fp / (fp + tn)
+    return float(thetas[np.argmax(obj)])
+
+
+TOY = [(0.9, True), (0.8, True), (0.7, True), (0.3, True), (0.6, False), (0.4, False), (0.2, False)]
+# two-decimal scores force ties and reach both ends of [0, 1]
+SCORED_LABELS = st.lists(
+    st.tuples(st.integers(0, 100).map(lambda k: k / 100), st.booleans()), min_size=2, max_size=30
+).filter(lambda pairs: len({t for _, t in pairs}) == 2)
+
+
 class TestCurve:
-    def test_six_item_toy_matches_brute_force(self):
-        scores = [0.9, 0.8, 0.7, 0.3, 0.6, 0.4, 0.2]
-        truth = [True, True, True, True, False, False, False]
+    @given(SCORED_LABELS)
+    @example(TOY)
+    @example([(0.0, True), (1.0, False), (0.0, False), (1.0, True)])
+    def test_six_item_toy_matches_brute_force(self, pairs):
+        """Curves, plain tuning and grid tuning agree with brute force and each other."""
+        scores = [s for s, _ in pairs]
+        truth = [t for _, t in pairs]
+        curves = {}
         for kind in ("PR", "ROC"):
-            c = curve(scores, truth, kind)
+            c = curves[kind] = curve(scores, truth, kind)
             oracle = brute_force_curve(scores, truth, kind)
-            assert len(c.points) == len(oracle)
+            assert [pt.threshold for pt in c.points] == sorted(oracle, reverse=True)
             for pt in c.points:
-                ox, oy = oracle[pt.threshold]
-                assert pt.x == pytest.approx(ox, abs=1e-12)
-                assert pt.y == pytest.approx(oy, abs=1e-12)
+                assert (pt.x, pt.y) == oracle[pt.threshold]
+        by_class = ({BIOPHONY: scores}, {BIOPHONY: truth})
+        assert tune_thresholds(*by_class, "f1")[BIOPHONY] == curves["PR"].best_threshold
+        assert tune_thresholds(*by_class, "youden")[BIOPHONY] == curves["ROC"].best_threshold
+        grid_candidates = set(scores) | {k / 1000 for k in range(1001)}
+        for objective in ("f1", "youden"):
+            tuned = tune_thresholds(*by_class, objective, grid_step=0.001)[BIOPHONY]
+            assert tuned == first_best(grid_candidates, scores, truth, objective)
 
     def test_thresholds_descending(self):
         c = curve([0.1, 0.5, 0.9], [False, True, True], "PR")
