@@ -63,19 +63,24 @@ def decode_wav(path) -> AudioClip:
     if data.size == 0:
         raise AudioDecodeError(f"{path}: zero-length audio")
 
+    # one float64 array, scaled in place
     if data.dtype == np.uint8:
         # 8-bit WAV is offset-binary around 128
-        samples = (data.astype(np.float64) - 128.0) / 128.0
+        samples = data.astype(np.float64)
+        samples -= 128.0
+        samples /= 128.0
     elif data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
+        samples = data.astype(np.float64)
+        samples /= 32768.0
     elif data.dtype == np.int32:
         # 24-bit PCM arrives left-justified in int32, so one divisor covers both
-        samples = data.astype(np.float64) / 2147483648.0
+        samples = data.astype(np.float64)
+        samples /= 2147483648.0
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
         if not np.isfinite(samples).all():
             raise AudioDecodeError(f"{path}: non-finite float samples")
-        samples = np.clip(samples, -1.0, 1.0)
+        np.clip(samples, -1.0, 1.0, out=samples)
     else:
         raise AudioDecodeError(f"{path}: unsupported sample format {data.dtype}")
 
@@ -89,7 +94,10 @@ def decode_wav(path) -> AudioClip:
 
 def write_wav_pcm16(path, clip: AudioClip) -> None:
     """Write a clip as 16-bit PCM WAV (samples clipped to [-1, 1], rounded to nearest)."""
-    q = np.clip(np.rint(np.clip(clip.samples, -1.0, 1.0) * 32767.0), -32768, 32767)
+    q = np.clip(clip.samples, -1.0, 1.0)
+    q *= 32767.0
+    np.rint(q, out=q)
+    np.clip(q, -32768, 32767, out=q)
     wavfile.write(Path(path), clip.sample_rate_hz, q.astype(np.int16))
 
 

@@ -40,11 +40,18 @@ def _log(msg: str) -> None:
     click.echo(msg, err=True)
 
 
-def _load_config(path) -> RunConfig:
+def _load_config(path, thresholds_path=None) -> RunConfig:
+    """The run config, with the policy of a threshold fragment if one is given.
+
+    Any ConfigError ends the command with a one-line error and exit 1.
+    """
     try:
-        return RunConfig.load(path) if path else RunConfig()
+        cfg = RunConfig.load(path) if path else RunConfig()
+        if thresholds_path:
+            cfg.threshold_mode, cfg.thresholds = load_threshold_fragment(thresholds_path)
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
+    return cfg
 
 
 @click.group()
@@ -57,7 +64,7 @@ def main():
 @click.argument("audio_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default="-", help="Output CSV path ('-' for stdout).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel workers.")
 @click.option("--timing", is_flag=True, help="Add a wall_s column with per-file processing time.")
 def cmd_indices(audio_dir, out, config_path, jobs, timing):
     """Compute ACI, ADI, and NDSI for every WAV file in AUDIO_DIR."""
@@ -144,7 +151,7 @@ def _write_csv(out, header, rows, comments=()):
               help="Files to render per combination, e.g. --count A=10 --count BG=5 --count S=3.")
 @click.option("--seed", type=int, default=None, help="Master seed (overrides config).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_mix(pool_manifest, out_dir, counts, seed, config_path, jobs):
     """Render a synthetic labeled corpus from a source pool manifest."""
     cfg = _load_config(config_path)
@@ -153,9 +160,11 @@ def cmd_mix(pool_manifest, out_dir, counts, seed, config_path, jobs):
     parsed = {}
     for item in counts:
         combo, _, n = item.partition("=")
-        if not n:
-            raise click.BadParameter(f"expected COMBO=N, got {item!r}")
-        parsed[combo.strip().upper()] = int(n)
+        try:
+            parsed[combo.strip().upper()] = int(n)
+        except ValueError:
+            raise click.BadParameter(f"expected COMBO=N with an integer N, got {item!r}",
+                                     param_hint="'--count'") from None
     _log(f"mix: seed={cfg.seed} combos={parsed}")
 
     pool = SourcePool.from_manifest(pool_manifest)
@@ -214,9 +223,7 @@ def _max_scores_and_truth(matrices, truths):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed, out_dir):
     """Apply duration filtering and thresholds to scores, then write the evaluation report."""
-    cfg = _load_config(config_path)
-    if thresholds_path:
-        cfg.threshold_mode, cfg.thresholds = load_threshold_fragment(thresholds_path)
+    cfg = _load_config(config_path, thresholds_path)
     if seed is not None:
         cfg.seed = seed
     _log(f"evaluate: seed={cfg.seed} mode={cfg.threshold_mode}")

@@ -195,9 +195,12 @@ def load_threshold_fragment(path):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if "thresholds" not in data:
+    if not isinstance(data, dict) or "thresholds" not in data:
         raise ConfigError(f"{path}: missing 'thresholds' section")
-    return parse_threshold_policy(data["thresholds"])
+    try:
+        return parse_threshold_policy(data["thresholds"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def dump_threshold_fragment(mode: str, policy: ThresholdPolicy, path) -> None:

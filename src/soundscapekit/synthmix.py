@@ -16,8 +16,9 @@ byte-identically, serial or parallel.
 import csv
 import hashlib
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,11 @@ NORMALIZATION_MODES = ("peak", "rms")
 
 CROSSFADE_S = 0.010
 
+#: Bytes of decoded, resampled source audio one SourcePool keeps for reuse
+#: (32 kHz float64 is 0.25 MB per second of source). Sources that no longer
+#: fit are decoded again on every use, so memory stays bounded on large pools.
+SOURCE_CACHE_BYTES = 128 * 2**20
+
 #: File-count distributions keyed by the number of active classes. With one
 #: class the counts apply to the mixture total; otherwise per class.
 DEFAULT_COUNT_PMFS = {
@@ -76,12 +82,42 @@ def subseed(master_seed: int, index: int) -> int:
 
 @dataclass
 class SourcePool:
-    """Per-class lists of source WAV files, in a stable order."""
+    """Per-class lists of source WAV files, in a stable order.
+
+    The pool also keeps decoded sources, resampled to the rates asked for,
+    up to SOURCE_CACHE_BYTES in total; see :meth:`samples`.
+    """
 
     files: dict
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache_bytes: int = field(default=0, init=False, repr=False, compare=False)
+    _key_locks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.files = {c: tuple(Path(p) for p in paths) for c, paths in self.files.items()}
+
+    def samples(self, cls: str, index: int, rate_hz: int) -> np.ndarray:
+        """Samples of source ``files[cls][index]`` at rate_hz.
+
+        The first use decodes and resamples the file; while the cache has room
+        the result is kept, read-only, and returned to every later caller.
+        Threads asking for the same source wait for one decode.
+        """
+        key = (cls, index, rate_hz)
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            with self._lock:
+                x = self._cache.get(key)
+            if x is None:
+                x = resample(decode_wav(self.files[cls][index]), rate_hz).samples
+                with self._lock:
+                    if self._cache_bytes + x.nbytes <= SOURCE_CACHE_BYTES:
+                        x.flags.writeable = False
+                        self._cache[key] = x
+                        self._cache_bytes += x.nbytes
+        return x
 
     @classmethod
     def from_manifest(cls, path) -> "SourcePool":
@@ -280,7 +316,11 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _fit_length(x: np.ndarray, n: int, rate: int, rng: np.random.Generator) -> np.ndarray:
-    """Crop at a random offset, or loop with a short crossfade, to exactly n samples."""
+    """Crop at a random offset, or loop with a short crossfade, to exactly n samples.
+
+    Only reads x (which may be a read-only cached source) and always returns
+    a new array that the caller may scale in place.
+    """
     if len(x) == n:
         return x.copy()
     if len(x) > n:
@@ -329,14 +369,16 @@ def render_mix(recipe: MixRecipe, pool: SourcePool, keep_layers: bool = False, n
     n = round(recipe.target_len_s * recipe.target_rate_hz)
     prep_rng = _rng(recipe.seed, _STREAM_LAYER_PREP)
 
-    prepared = []
-    for (cls, idx), gain_db in zip(recipe.layers, recipe.per_file_gain_db):
-        clip = resample(decode_wav(pool.files[cls][idx]), recipe.target_rate_hz)
-        x = _fit_length(clip.samples, n, recipe.target_rate_hz, prep_rng)
-        prepared.append(x * 10.0 ** (gain_db / 20.0))
-    if recipe.noise is not None:
-        noise_rng = _rng(recipe.seed, _STREAM_MIX_NOISE)
-        prepared.append(synth_noise(recipe.noise.kind, n, noise_rng))
+    def prepared():
+        # one layer at a time; the layer and noise streams are separate,
+        # so preparing lazily draws the same numbers as preparing up front
+        for (cls, idx), gain_db in zip(recipe.layers, recipe.per_file_gain_db):
+            src = pool.samples(cls, idx, recipe.target_rate_hz)
+            x = _fit_length(src, n, recipe.target_rate_hz, prep_rng)
+            x *= 10.0 ** (gain_db / 20.0)
+            yield x
+        if recipe.noise is not None:
+            yield synth_noise(recipe.noise.kind, n, _rng(recipe.seed, _STREAM_MIX_NOISE))
 
     snrs = list(recipe.layer_snr_db)
     if recipe.noise is not None:
@@ -344,17 +386,14 @@ def render_mix(recipe: MixRecipe, pool: SourcePool, keep_layers: bool = False, n
 
     mix = np.zeros(n)
     layers = []
-    for k, x in enumerate(prepared):
-        if k == 0:
-            scaled = x
-        else:
+    for k, x in enumerate(prepared()):
+        if k > 0:
             mix_rms, x_rms = _rms(mix), _rms(x)
             if x_rms > 0 and mix_rms > 0:
-                scaled = x * (mix_rms / 10.0 ** (snrs[k - 1] / 20.0) / x_rms)
-            else:
-                scaled = x
-        mix = mix + scaled
-        layers.append(scaled.copy())
+                x *= mix_rms / 10.0 ** (snrs[k - 1] / 20.0) / x_rms
+        mix += x
+        if keep_layers:
+            layers.append(x)
         _normalize(mix, layers, normalization)
 
     mixed = MixedClip(

@@ -110,6 +110,26 @@ class TestMixCommand:
         result = runner.invoke(main, ["mix", str(manifest), str(tmp_path / "o"), "--count", "A"])
         assert result.exit_code != 0
 
+    def test_non_integer_count_is_one_line_error(self, runner, tmp_path):
+        manifest = tmp_path / "pool.csv"
+        manifest.write_text("file,class\n")
+        result = runner.invoke(main, ["mix", str(manifest), str(tmp_path / "o"), "--count", "B=x"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "'B=x'" in result.output
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["indices", "mix"])
+def test_jobs_below_one_rejected(runner, tmp_path, command, jobs):
+    manifest = tmp_path / "pool.csv"
+    manifest.write_text("file,class\n")
+    args = [str(tmp_path)] if command == "indices" else [str(manifest), str(tmp_path / "o")]
+    result = runner.invoke(main, [command, *args, "--jobs", jobs])
+    assert result.exit_code == 2
+    assert "--jobs" in result.output
+
 
 def write_weak_annotations(path, truth_by_id):
     with open(path, "w", newline="") as fh:
@@ -209,6 +229,16 @@ class TestEvaluateCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "bootstrap confidence" in result.output
+        assert not (tmp_path / "rep").exists()
+
+    def test_invalid_threshold_fragment_is_one_line_error(self, runner, tmp_path):
+        frag = tmp_path / "thresholds.json"
+        frag.write_text(json.dumps({"thresholds": {"mode": "bogus"}}))
+        result = runner.invoke(main, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                      "--thresholds", str(frag), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {frag}: invalid threshold policy: unknown threshold mode 'bogus'\n"
         assert not (tmp_path / "rep").exists()
 
     def test_annotations_without_scores_rejected(self, runner, tmp_path):

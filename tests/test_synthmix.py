@@ -1,11 +1,18 @@
 import hashlib
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soundscapekit.audio_io import AudioClip, decode_wav, write_wav_pcm16
-from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY
+from soundscapekit import synthmix
+from soundscapekit.audio_io import AudioClip, decode_wav, resample, write_wav_pcm16
+from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, COMBOS, GEOPHONY, SILENCE_COMBO, classes_for_combo
 from soundscapekit.synthmix import (
     MixRecipe,
     NoisePlan,
@@ -42,6 +49,44 @@ def pool(tmp_path_factory):
             write_wav_pcm16(p, AudioClip(samples=np.clip(x, -1, 1), sample_rate_hz=sr))
             files[cls].append(p)
     return SourcePool(files=files)
+
+
+def eager_render(recipe, pool, normalization):
+    """Reference mixer: decode every layer afresh, prepare all layers first, scale out of place."""
+    n = round(recipe.target_len_s * recipe.target_rate_hz)
+    prep_rng = synthmix._rng(recipe.seed, synthmix._STREAM_LAYER_PREP)
+    prepared = []
+    for (cls, idx), gain_db in zip(recipe.layers, recipe.per_file_gain_db):
+        clip = resample(decode_wav(pool.files[cls][idx]), recipe.target_rate_hz)
+        x = synthmix._fit_length(clip.samples, n, recipe.target_rate_hz, prep_rng)
+        prepared.append(x * 10.0 ** (gain_db / 20.0))
+    snrs = list(recipe.layer_snr_db)
+    if recipe.noise is not None:
+        noise_rng = synthmix._rng(recipe.seed, synthmix._STREAM_MIX_NOISE)
+        prepared.append(synth_noise(recipe.noise.kind, n, noise_rng))
+        snrs.append(recipe.noise.snr_db)
+    mix = np.zeros(n)
+    for k, x in enumerate(prepared):
+        mix_rms, x_rms = synthmix._rms(mix), synthmix._rms(x)
+        if k > 0 and x_rms > 0 and mix_rms > 0:
+            x = x * (mix_rms / 10.0 ** (snrs[k - 1] / 20.0) / x_rms)
+        mix = mix + x
+        synthmix._normalize(mix, [], normalization)
+    return mix
+
+
+def counting_decodes(monkeypatch):
+    """Count synthmix's decode_wav calls per path (thread-safe)."""
+    calls, lock = Counter(), threading.Lock()
+    real = synthmix.decode_wav
+
+    def counted(path):
+        with lock:
+            calls[Path(path)] += 1
+        return real(path)
+
+    monkeypatch.setattr(synthmix, "decode_wav", counted)
+    return calls
 
 
 class TestDrawRecipe:
@@ -146,6 +191,27 @@ class TestRenderMix:
         for k in range(1, len(layers)):
             achieved = 20 * np.log10(rms(np.sum(layers[:k], axis=0)) / rms(layers[k]))
             assert achieved == pytest.approx(requested[k - 1], abs=0.5)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        combo=st.sampled_from([c for c in COMBOS if c != SILENCE_COMBO]),
+        normalization=st.sampled_from(["peak", "rms"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_cache_state_does_not_change_output(self, pool, seed, combo, normalization):
+        recipe = draw_recipe(pool, classes_for_combo(combo), seed)
+        render = lambda p: render_mix(recipe, p, normalization=normalization).clip.samples.tobytes()
+        cold = render(SourcePool(files=pool.files))
+        render(pool)
+        warm = render(pool)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthmix, "SOURCE_CACHE_BYTES", 0)
+            uncached = render(SourcePool(files=pool.files))
+        assert warm == cold == uncached == eager_render(recipe, pool, normalization).tobytes()
+        mixed, layers = render_mix(recipe, pool, keep_layers=True, normalization=normalization)
+        assert mixed.clip.samples.tobytes() == warm
+        assert len(layers) == len(recipe.layers) + (recipe.noise is not None)
+        assert np.allclose(np.sum(layers, axis=0), mixed.clip.samples, atol=1e-12)
 
     def test_unknown_normalization_rejected(self, pool):
         recipe = draw_recipe(pool, {BIOPHONY}, 1)
@@ -293,6 +359,63 @@ class TestBuildCorpus:
     def test_unknown_combo_rejected(self, pool, tmp_path):
         with pytest.raises(ValueError):
             build_corpus(pool, {"AX": 1}, 0, tmp_path / "bad2")
+
+
+class TestSourceCache:
+    def test_cached_array_is_read_only_and_shared(self, pool):
+        fresh = SourcePool(files=pool.files)
+        x = fresh.samples(BIOPHONY, 0, 32000)  # 2 s at 48 kHz, resampled
+        assert len(x) == 64_000
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert fresh.samples(BIOPHONY, 0, 32000) is x
+
+    def test_over_budget_sources_decoded_per_use(self, pool, monkeypatch):
+        calls = counting_decodes(monkeypatch)
+        monkeypatch.setattr(synthmix, "SOURCE_CACHE_BYTES", 0)
+        fresh = SourcePool(files=pool.files)
+        a, b = fresh.samples(GEOPHONY, 2, 32000), fresh.samples(GEOPHONY, 2, 32000)
+        assert a is not b and np.array_equal(a, b)
+        assert calls[pool.files[GEOPHONY][2]] == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corpus_decodes_each_source_once(self, pool, tmp_path, monkeypatch, jobs):
+        calls = counting_decodes(monkeypatch)
+        fresh = SourcePool(files=pool.files)
+        # at least 3 + 3*2 + 4*3 = 21 layers drawn from 9 files, so sources repeat
+        build_corpus(fresh, {"A": 3, "BG": 3, "ABG": 4}, 2718, tmp_path / "c", jobs=jobs)
+        assert set(calls.values()) == {1}
+        assert fresh._cache_bytes == sum(x.nbytes for x in fresh._cache.values()) <= synthmix.SOURCE_CACHE_BYTES
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_small_budget_bounds_cache_and_keeps_output(self, pool, tmp_path, monkeypatch, jobs):
+        counts = {"AB": 3, "G": 3, "ABG": 3}
+        reference = build_corpus(SourcePool(files=pool.files), counts, 31, tmp_path / "ref").parent
+        budget = 1_200_000  # a 2 s source is 512 kB at 32 kHz; the pool needs 8.8 MB
+        monkeypatch.setattr(synthmix, "SOURCE_CACHE_BYTES", budget)
+        small = SourcePool(files=pool.files)
+        out = build_corpus(small, counts, 31, tmp_path / "small", jobs=jobs).parent
+        assert 0 < small._cache_bytes == sum(x.nbytes for x in small._cache.values()) <= budget
+        for f in sorted(reference.iterdir()):
+            assert f.read_bytes() == (out / f.name).read_bytes(), f.name
+
+    def test_concurrent_first_use_decodes_once(self, pool, monkeypatch):
+        calls = counting_decodes(monkeypatch)
+        fresh = SourcePool(files=pool.files)
+        keys = [(cls, i) for cls in CLASSES for i in range(3)] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                futures = [ex.submit(fresh.samples, cls, i, 32000) for cls, i in keys]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(calls.values()) == {1} and len(calls) == 9
+        for (cls, i), x in zip(keys, got):
+            assert x is fresh.samples(cls, i, 32000)
+        assert fresh._cache_bytes == sum(x.nbytes for x in fresh._cache.values())
 
 
 def test_recipe_digest_stable(pool):
