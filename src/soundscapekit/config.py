@@ -5,6 +5,7 @@ before any audio is touched. ``RunConfig()`` gives the documented defaults.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .decision import PdaPolicy, ThresholdPolicy
@@ -81,6 +82,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         try:
+            if not isinstance(data, dict):
+                raise ValueError(f"expected a JSON object, got {type(data).__name__}")
             cfg = cls()
             if "seed" in data:
                 cfg.seed = int(data["seed"])
@@ -101,24 +104,7 @@ class RunConfig:
                 }
                 cfg.pda = PdaPolicy(fractions=fractions, measure=data.get("pda_measure", "sum"))
             if "indices" in data:
-                idx = data["indices"]
-                params = IndexParams()
-                for name in (
-                    "stft_window",
-                    "stft_hop",
-                    "target_rate_hz",
-                    "aci_chunk_s",
-                    "adi_band_width_hz",
-                    "adi_max_freq_hz",
-                    "adi_db_threshold",
-                ):
-                    if name in idx:
-                        setattr(params, name, idx[name])
-                if "ndsi_anthro_hz" in idx:
-                    params.ndsi_anthro_hz = tuple(idx["ndsi_anthro_hz"])
-                if "ndsi_bio_hz" in idx:
-                    params.ndsi_bio_hz = tuple(idx["ndsi_bio_hz"])
-                cfg.indices = params
+                cfg.indices = _index_params(data["indices"])
             if "mixer" in data:
                 if "count_pmfs" in data["mixer"]:
                     cfg.mixer_count_pmfs = {
@@ -148,12 +134,50 @@ class RunConfig:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number that is finite (booleans are not numbers here)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _index_params(idx) -> IndexParams:
+    """Parse the indices section; values keep their JSON types, as the CSV header echoes them."""
+    if not isinstance(idx, dict):
+        raise ValueError(f"indices must be an object, got {idx!r}")
+    params = IndexParams()
+    for name in ("stft_window", "stft_hop", "target_rate_hz"):
+        if name in idx:
+            value = idx[name]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"indices {name} must be an integer >= 1, got {value!r}")
+            setattr(params, name, value)
+    for name in ("aci_chunk_s", "adi_band_width_hz", "adi_max_freq_hz", "adi_db_threshold"):
+        if name in idx:
+            value = idx[name]
+            if not (_is_number(value) or (name == "aci_chunk_s" and value is None)):
+                raise ValueError(f"indices {name} must be a finite number, got {value!r}")
+            setattr(params, name, value)
+    for name in ("ndsi_anthro_hz", "ndsi_bio_hz"):
+        if name in idx:
+            band = idx[name]
+            if not isinstance(band, (list, tuple)) or len(band) != 2 or not all(map(_is_number, band)):
+                raise ValueError(f"indices {name} must be a pair of numbers [lo, hi], got {band!r}")
+            setattr(params, name, tuple(band))
+    if params.stft_hop > params.stft_window:
+        raise ValueError(f"indices stft_hop {params.stft_hop} exceeds stft_window {params.stft_window}")
+    return params
 
 
 def parse_threshold_policy(data: dict):

@@ -4,9 +4,11 @@ Framing is centered: the signal is reflection-padded by half a window on
 each side, so the frame count is 1 + floor(num_samples / hop) regardless of
 content. The mel scale follows the Slaney formulation (linear below 1 kHz,
 logarithmic above).
+
+Framing, windowing and the FFT live in one kernel, :func:`framed_rfft`,
+which the STFT here and the Welch PSD behind ``indices.ndsi`` share.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +23,11 @@ SCALE_LOG_MEL = "log-mel-dB"
 #: Floor added before the log so silent cells map to a finite dB value.
 LOG_MEL_EPS = 1e-10
 
-_MAGIC = b"SSKSPEC1"
-_SCALE_TAGS = {SCALE_LINEAR: 0, SCALE_POWER: 1, SCALE_LOG_MEL: 2}
-_SCALE_FOR_TAG = {v: k for k, v in _SCALE_TAGS.items()}
+_SCALES = (SCALE_LINEAR, SCALE_POWER, SCALE_LOG_MEL)
+
+#: Frames per FFT block in framed_rfft. For a 1024-sample window a block's
+#: windowed frames and spectrum take about 1 MB, small enough to stay in cache.
+_BLOCK_FRAMES = 64
 
 
 @dataclass
@@ -45,7 +49,7 @@ class Spectrogram:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.bin_freqs_hz = np.asarray(self.bin_freqs_hz, dtype=float)
-        if self.scale not in _SCALE_TAGS:
+        if self.scale not in _SCALES:
             raise ValueError(f"unknown scale {self.scale!r}")
         if self.frame_hop_s <= 0:
             raise ValueError(f"frame_hop_s must be positive, got {self.frame_hop_s}")
@@ -71,6 +75,25 @@ class Spectrogram:
         return float(self.bin_freqs_hz[-1])
 
 
+def framed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, n_frames: int):
+    """Yield (first, spectra): the rfft of each windowed frame, a block of frames at a time.
+
+    Frame t is samples[t*hop : t*hop + len(window)] for t < n_frames, and
+    spectra[i] is np.fft.rfft(window * frame) of frame first + i. A block
+    holds _BLOCK_FRAMES frames (the last one may hold fewer), so neither the
+    windowed frames nor the spectra of the whole signal exist at once.
+    """
+    frames = np.lib.stride_tricks.sliding_window_view(samples, len(window))[::hop]
+    if n_frames > len(frames):
+        raise ValueError(f"{len(samples)} samples hold {len(frames)} frames, not {n_frames}")
+    windowed = np.empty((min(_BLOCK_FRAMES, n_frames), len(window)))
+    for first in range(0, n_frames, _BLOCK_FRAMES):
+        block = frames[first : min(first + _BLOCK_FRAMES, n_frames)]
+        buf = windowed[: len(block)]
+        np.multiply(block, window, out=buf)
+        yield first, np.fft.rfft(buf, axis=1)
+
+
 def stft_magnitude(clip: AudioClip, window_len: int = 1024, hop: int = 320) -> Spectrogram:
     """Centered Hann-windowed magnitude STFT with window_len/2 + 1 bins."""
     n = len(clip.samples)
@@ -85,8 +108,9 @@ def stft_magnitude(clip: AudioClip, window_len: int = 1024, hop: int = 320) -> S
 
     n_frames = 1 + n // hop
     window = get_window("hann", window_len, fftbins=True)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, window_len)[::hop][:n_frames]
-    mags = np.abs(np.fft.rfft(frames * window, axis=1))
+    mags = np.empty((n_frames, window_len // 2 + 1))
+    for first, spectra in framed_rfft(padded, window, hop, n_frames):
+        np.abs(spectra, out=mags[first : first + len(spectra)])
 
     freqs = np.fft.rfftfreq(window_len, d=1.0 / clip.sample_rate_hz)
     return Spectrogram(
@@ -158,27 +182,4 @@ def log_mel(
         frame_hop_s=spec.frame_hop_s,
         bin_freqs_hz=centers,
         scale=SCALE_LOG_MEL,
-    )
-
-
-def dump_spectrogram(spec: Spectrogram, path) -> None:
-    """Write a spectrogram to the little-endian debug container (see FORMATS.md)."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIdB", spec.n_frames, spec.n_bins, spec.frame_hop_s, _SCALE_TAGS[spec.scale]))
-        fh.write(np.ascontiguousarray(spec.bin_freqs_hz, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(spec.values, dtype="<f8").tobytes())
-
-
-def load_spectrogram(path) -> Spectrogram:
-    """Read a spectrogram written by :func:`dump_spectrogram`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a spectrogram container")
-        frames, bins, hop_s, tag = struct.unpack("<IIdB", fh.read(struct.calcsize("<IIdB")))
-        freqs = np.frombuffer(fh.read(8 * bins), dtype="<f8")
-        values = np.frombuffer(fh.read(8 * frames * bins), dtype="<f8").reshape(frames, bins)
-    return Spectrogram(
-        values=values.copy(), frame_hop_s=hop_s, bin_freqs_hz=freqs.copy(), scale=_SCALE_FOR_TAG[tag]
     )

@@ -3,16 +3,17 @@
 ACI sums the normalized frame-to-frame magnitude fluctuation per frequency
 bin and temporal chunk. ADI is the Shannon entropy of per-band spectrogram
 occupancy above a dBFS threshold. NDSI is the normalized band-power
-difference (bio - anthro) / (bio + anthro) from a Welch PSD.
+difference (bio - anthro) / (bio + anthro) from a Welch PSD, which is
+built on the same framed-FFT kernel as the STFT.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import welch
+from scipy.signal import get_window
 
 from .audio_io import AudioClip
-from .features import SCALE_LINEAR, Spectrogram
+from .features import SCALE_LINEAR, Spectrogram, framed_rfft
 
 #: Band powers below this fraction of the total PSD power count as zero, so a
 #: signal with no real energy in either NDSI band yields "undefined" instead
@@ -84,6 +85,8 @@ def adi(
     giving dBFS. Band i covers frequencies in (i*w, (i+1)*w]. Occupancy is
     the fraction of cells above db_threshold; occupancies are normalized to
     a distribution whose entropy is returned (0 if nothing is occupied).
+    Cells are compared as magnitudes against the threshold's level,
+    full_scale * 10**(db_threshold/20), rather than converted to dB.
     """
     if spec.scale != SCALE_LINEAR:
         raise ValueError(f"adi expects a {SCALE_LINEAR} spectrogram, got {spec.scale}")
@@ -93,16 +96,13 @@ def adi(
     if n_bands < 2 or abs(n_bands * band_width_hz - max_freq_hz) > 1e-6 * max_freq_hz:
         raise ValueError(f"band width {band_width_hz} must split (0, {max_freq_hz}] into >= 2 bands")
 
-    full_scale = (spec.n_bins - 1) / 2.0
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(spec.values / full_scale)
-
+    level = (spec.n_bins - 1) / 2.0 * 10.0 ** (db_threshold / 20.0)
+    # bins are ascending, so the bins in (lo, hi] are one column slice
+    edges = np.searchsorted(spec.bin_freqs_hz, np.arange(n_bands + 1) * band_width_hz, side="right")
     occupancy = np.zeros(n_bands)
-    for i in range(n_bands):
-        lo, hi = i * band_width_hz, (i + 1) * band_width_hz
-        mask = (spec.bin_freqs_hz > lo) & (spec.bin_freqs_hz <= hi)
-        if mask.any():
-            occupancy[i] = float((db[:, mask] > db_threshold).mean())
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if hi > lo:
+            occupancy[i] = np.count_nonzero(spec.values[:, lo:hi] > level) / (spec.n_frames * (hi - lo))
 
     total = occupancy.sum()
     if total == 0:
@@ -118,6 +118,26 @@ def band_power(freqs: np.ndarray, psd: np.ndarray, band_hz) -> float:
     df = freqs[1] - freqs[0]
     mask = (freqs >= lo) & (freqs < hi)
     return float(psd[mask].sum() * df)
+
+
+def welch_psd(samples: np.ndarray, sample_rate_hz: float):
+    """One-sided Welch PSD (density) as (freqs, psd).
+
+    Hann window, min(1024, n)-sample segments, 50% overlap, no padding and
+    no detrending: the parameters of scipy.signal.welch(samples, fs,
+    window="hann", nperseg=min(1024, n), detrend=False), whose result this
+    matches to within 1e-12 of the largest PSD value.
+    """
+    nperseg = min(1024, len(samples))
+    hop = nperseg - nperseg // 2
+    n_segments = (len(samples) - nperseg) // hop + 1
+    window = get_window("hann", nperseg, fftbins=True)
+    power = np.zeros(nperseg // 2 + 1)
+    for _, spectra in framed_rfft(samples, window, hop, n_segments):
+        power += (spectra.real**2 + spectra.imag**2).sum(axis=0)
+    psd = power / (sample_rate_hz * float((window * window).sum()) * n_segments)
+    psd[1 : None if nperseg % 2 else -1] *= 2  # one-sided: fold in the negative frequencies
+    return np.fft.rfftfreq(nperseg, d=1.0 / sample_rate_hz), psd
 
 
 def ndsi_from_powers(anthro_power: float, bio_power: float) -> float | None:
@@ -148,14 +168,7 @@ def ndsi(
     if max(a_lo, b_lo) < min(a_hi, b_hi):
         raise ValueError(f"bands {anthro_band_hz} and {bio_band_hz} overlap")
 
-    freqs, psd = welch(
-        clip.samples,
-        fs=clip.sample_rate_hz,
-        window="hann",
-        nperseg=min(1024, len(clip.samples)),
-        noverlap=None,  # scipy default: 50%
-        detrend=False,
-    )
+    freqs, psd = welch_psd(clip.samples, clip.sample_rate_hz)
     total = float(psd.sum() * (freqs[1] - freqs[0]))
     floor = NDSI_POWER_FLOOR * total
     a = band_power(freqs, psd, anthro_band_hz)

@@ -25,6 +25,29 @@ def invoke(runner, args):
 
 
 class TestIndicesCommand:
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ({"stft_window": "big"}, "indices stft_window must be an integer >= 1, got 'big'"),
+            ({"stft_window": 1024.0}, "indices stft_window must be an integer >= 1, got 1024.0"),
+            ({"stft_window": 512, "stft_hop": 1024}, "indices stft_hop 1024 exceeds stft_window 512"),
+            ({"adi_db_threshold": "-50"}, "indices adi_db_threshold must be a finite number, got '-50'"),
+            ({"ndsi_bio_hz": [2000.0]}, "indices ndsi_bio_hz must be a pair of numbers [lo, hi], got [2000.0]"),
+        ],
+    )
+    def test_invalid_indices_config_is_one_line_error(self, runner, tmp_path, indices, message):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        write_wav_pcm16(audio / "a.wav", AudioClip(samples=tone(4000, 1.0, 32000), sample_rate_hz=32000))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"indices": indices}))
+        out = tmp_path / "idx.csv"
+        result = runner.invoke(main, ["indices", str(audio), "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {cfg}: invalid configuration: {message}\n"
+        assert not out.exists()
+
     def test_empty_directory(self, runner, tmp_path):
         out = tmp_path / "idx.csv"
         (tmp_path / "sub").mkdir()
@@ -230,6 +253,16 @@ class TestEvaluateCommand:
         assert isinstance(result.exception, SystemExit)
         assert "bootstrap confidence" in result.output
         assert not (tmp_path / "rep").exists()
+
+    def test_config_error_names_the_file(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bootstrap": {"confidence": 1.7}}))
+        result = runner.invoke(main, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                      "--config", str(cfg), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {cfg}: invalid configuration: bootstrap confidence must be in (0, 1), got 1.7\n"
+        )
 
     def test_invalid_threshold_fragment_is_one_line_error(self, runner, tmp_path):
         frag = tmp_path / "thresholds.json"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -101,3 +102,49 @@ def test_global_fragment_round_trip(tmp_path, counts):
 def test_invalid_bootstrap_rejected_on_load(bootstrap):
     with pytest.raises(ConfigError, match="bootstrap"):
         RunConfig.from_dict({"bootstrap": bootstrap})
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [
+        {"stft_window": "big"},
+        {"stft_window": 1024.0},
+        {"stft_window": 0},
+        {"stft_hop": True},
+        {"stft_hop": -320},
+        {"target_rate_hz": 32000.5},
+        {"stft_window": 256},  # default hop 320 exceeds it
+        {"stft_window": 512, "stft_hop": 513},
+        {"aci_chunk_s": "5"},
+        {"aci_chunk_s": float("nan")},
+        {"adi_band_width_hz": float("inf")},
+        {"adi_max_freq_hz": None},
+        {"adi_db_threshold": [-50]},
+        {"ndsi_anthro_hz": [1000.0]},
+        {"ndsi_bio_hz": [2000.0, 8000.0, 9000.0]},
+        {"ndsi_bio_hz": ["2000", 8000.0]},
+        {"ndsi_bio_hz": "2000-8000"},
+        "not an object",
+    ],
+)
+def test_invalid_indices_rejected_on_load(indices):
+    with pytest.raises(ConfigError, match="indices"):
+        RunConfig.from_dict({"indices": indices})
+
+
+def test_valid_indices_keep_their_json_values():
+    idx = {"stft_window": 512, "stft_hop": 512, "target_rate_hz": 16000, "aci_chunk_s": 5,
+           "adi_band_width_hz": 500, "adi_max_freq_hz": 5000.0, "adi_db_threshold": -40,
+           "ndsi_anthro_hz": [500, 1500], "ndsi_bio_hz": [1500.0, 6000.0]}
+    assert RunConfig.from_dict({"indices": idx}).indices.to_dict() == idx
+
+
+def test_load_errors_name_the_file(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"bootstrap": {"confidence": 1.7}}))
+    with pytest.raises(ConfigError) as err:
+        RunConfig.load(p)
+    assert str(err.value) == f"{p}: invalid configuration: bootstrap confidence must be in (0, 1), got 1.7"
+    p.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: invalid configuration: expected a JSON object"):
+        RunConfig.load(p)

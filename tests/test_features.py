@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import get_window
 
 from soundscapekit.audio_io import AudioClip
 from soundscapekit.features import (
+    _BLOCK_FRAMES,
     LOG_MEL_EPS,
     SCALE_LINEAR,
     SCALE_LOG_MEL,
     Spectrogram,
-    dump_spectrogram,
-    load_spectrogram,
+    framed_rfft,
     log_mel,
     mel_filterbank,
     stft_magnitude,
@@ -28,6 +29,40 @@ def reference_stft(samples, rate, window_len, hop):
         frame = padded[t * hop : t * hop + window_len]
         out[t] = np.abs(np.fft.rfft(frame * w))
     return out
+
+
+def per_frame_rfft(samples, window, hop, n_frames):
+    """Bit-level oracle for framed_rfft: one np.fft.rfft call per frame."""
+    n = len(window)
+    return np.array([np.fft.rfft(samples[t * hop : t * hop + n] * window) for t in range(n_frames)])
+
+
+# frame counts around the block size, where the blocked kernel changes shape
+BLOCK_EDGE_FRAMES = st.sampled_from([1, 2, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES + 5])
+
+
+class TestFramedRfft:
+    @given(
+        n_frames=BLOCK_EDGE_FRAMES | st.integers(1, 4 * _BLOCK_FRAMES),
+        window_len=st.integers(1, 300),
+        hop=st.integers(1, 400),
+        extra=st.integers(0, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_per_frame_rfft(self, n_frames, window_len, hop, extra, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=(n_frames - 1) * hop + window_len + extra)
+        window = get_window("hann", window_len, fftbins=True)
+        blocks = list(framed_rfft(samples, window, hop, n_frames))
+        assert [first for first, _ in blocks] == list(range(0, n_frames, _BLOCK_FRAMES))
+        assert all(len(spectra) <= _BLOCK_FRAMES for _, spectra in blocks)
+        got = np.concatenate([spectra for _, spectra in blocks])
+        np.testing.assert_array_equal(got, per_frame_rfft(samples, window, hop, n_frames))
+
+    def test_too_many_frames_rejected(self):
+        with pytest.raises(ValueError, match="frames"):
+            list(framed_rfft(np.zeros(100), np.ones(50), 25, 4))
 
 
 class TestStft:
@@ -80,6 +115,26 @@ class TestStft:
         clip = AudioClip(samples=np.zeros(4000), sample_rate_hz=16000)
         with pytest.raises(ValueError):
             stft_magnitude(clip, 1024, 2048)
+
+    @given(
+        n_frames=BLOCK_EDGE_FRAMES.filter(lambda f: f >= 2) | st.integers(2, 4 * _BLOCK_FRAMES),
+        window_len=st.sampled_from([1023, 1024]) | st.integers(2, 400),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_frame_rfft_bit_for_bit(self, n_frames, window_len, data):
+        # pick hop and length so that the clip has exactly n_frames frames
+        hop = data.draw(st.integers(-(-(window_len + 1) // n_frames), window_len), label="hop")
+        n = (n_frames - 1) * hop + data.draw(
+            st.integers(max(0, window_len - (n_frames - 1) * hop), hop - 1), label="extra"
+        )
+        samples = np.random.default_rng(n_frames * 1000 + window_len).normal(size=n) * 0.3
+        spec = stft_magnitude(AudioClip(samples=samples, sample_rate_hz=16000), window_len, hop)
+        assert spec.n_frames == n_frames
+        pad_l = window_len // 2
+        padded = np.pad(samples, (pad_l, window_len - pad_l), mode="reflect")
+        window = get_window("hann", window_len, fftbins=True)
+        np.testing.assert_array_equal(spec.values, np.abs(per_frame_rfft(padded, window, hop, n_frames)))
 
     @given(
         n=st.integers(min_value=1024, max_value=20_000),
@@ -169,15 +224,3 @@ class TestSpectrogramValidation:
     def test_log_mel_values_may_be_negative(self):
         spec = Spectrogram(np.array([[-80.0]]), 0.01, np.array([1.0]), SCALE_LOG_MEL)
         assert spec.n_bins == 1
-
-
-def test_dump_load_round_trip(tmp_path):
-    clip = AudioClip(samples=np.random.default_rng(5).normal(size=8000) * 0.1, sample_rate_hz=16000)
-    spec = stft_magnitude(clip, 256, 128)
-    p = tmp_path / "spec.bin"
-    dump_spectrogram(spec, p)
-    back = load_spectrogram(p)
-    assert back.scale == spec.scale
-    assert back.frame_hop_s == spec.frame_hop_s
-    np.testing.assert_array_equal(back.values, spec.values)
-    np.testing.assert_array_equal(back.bin_freqs_hz, spec.bin_freqs_hz)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import welch
 
 from soundscapekit.audio_io import AudioClip
 from soundscapekit.features import SCALE_LINEAR, Spectrogram
-from soundscapekit.indices import adi, aci, band_power, ndsi, ndsi_from_powers
+from soundscapekit.indices import adi, aci, band_power, ndsi, ndsi_from_powers, welch_psd
 
 from conftest import tone
 
@@ -81,7 +82,47 @@ def occupancy_spec(fractions, n_frames=10, band_width=1000.0):
     return make_spec(values, bin_freqs=bins)
 
 
+def adi_db_oracle(spec, band_width_hz, max_freq_hz, db_threshold):
+    """The dB definition of ADI: 20*log10 of every cell against the threshold, boolean band masks."""
+    with np.errstate(divide="ignore"):
+        db = 20.0 * np.log10(spec.values / ((spec.n_bins - 1) / 2.0))
+    n_bands = round(max_freq_hz / band_width_hz)
+    occupancy = np.zeros(n_bands)
+    for i in range(n_bands):
+        mask = (spec.bin_freqs_hz > i * band_width_hz) & (spec.bin_freqs_hz <= (i + 1) * band_width_hz)
+        if mask.any():
+            occupancy[i] = float((db[:, mask] > db_threshold).mean())
+    if occupancy.sum() == 0:
+        return 0.0
+    p = occupancy / occupancy.sum()
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum()) + 0.0
+
+
 class TestAdi:
+    @given(
+        n_frames=st.integers(1, 40),
+        n_bins=st.integers(3, 300),
+        nyquist=st.sampled_from([4000.0, 8000.0, 11025.0, 16000.0, 24000.0]),
+        n_bands=st.integers(2, 12),
+        db_threshold=st.floats(-120.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_db_definition(self, n_frames, n_bins, nyquist, n_bands, db_threshold, seed):
+        rng = np.random.default_rng(seed)
+        full_scale = (n_bins - 1) / 2.0
+        level = full_scale * 10.0 ** (db_threshold / 20.0)
+        values = full_scale * 10.0 ** (rng.uniform(-140.0, 20.0, size=(n_frames, n_bins)) / 20.0)
+        values[rng.random(values.shape) < 0.1] = 0.0
+        # the two definitions may round differently within an ulp of the level
+        near = np.abs(values - level) <= 1e-9 * level
+        values[near] = 2.0 * level
+        spec = make_spec(values, bin_freqs=np.linspace(0.0, nyquist, n_bins))
+        max_freq = nyquist * rng.uniform(0.3, 1.0)
+        band_width = max_freq / n_bands
+        assert adi(spec, band_width, max_freq, db_threshold) == adi_db_oracle(spec, band_width, max_freq, db_threshold)
+
     def test_uniform_ten_bands(self):
         spec = occupancy_spec([0.2] * 10)
         assert adi(spec, 1000, 10_000, -50) == pytest.approx(np.log(10), abs=1e-9)
@@ -160,6 +201,27 @@ class TestNdsi:
             ndsi(clip, (1000.0, 3000.0), (2000.0, 8000.0))
         with pytest.raises(ValueError, match="invalid"):
             ndsi(clip, (1000.0, 2000.0), (2000.0, 20_000.0))
+
+    @given(
+        n=st.integers(8, 6000),
+        rate=st.sampled_from([8000, 16000, 32000, 44100]),
+        tone_hz=st.floats(0.0, 3900.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1023, rate=32000, tone_hz=1500.0, seed=0)
+    @example(n=1024, rate=32000, tone_hz=4000.0, seed=1)
+    @example(n=1025, rate=32000, tone_hz=0.0, seed=2)
+    @example(n=2047, rate=16000, tone_hz=440.0, seed=3)
+    @settings(max_examples=80, deadline=None)
+    def test_welch_psd_matches_scipy(self, n, rate, tone_hz, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) / rate
+        x = 0.5 * np.sin(2 * np.pi * tone_hz * t) + rng.normal(size=n) * rng.choice([0.0, 1e-4, 0.1])
+        freqs, psd = welch_psd(x, rate)
+        ref_freqs, ref = welch(x, fs=rate, window="hann", nperseg=min(1024, n), detrend=False)
+        np.testing.assert_array_equal(freqs, ref_freqs)
+        # scipy scales the window before the FFT, this PSD after it: rounding differs
+        assert np.max(np.abs(psd - ref)) <= 1e-12 * np.max(ref)
 
     def test_band_power_integration(self):
         freqs = np.array([0.0, 10.0, 20.0, 30.0])
