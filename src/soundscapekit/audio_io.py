@@ -122,30 +122,3 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     elif len(out) < n_expected:
         out = np.pad(out, (0, n_expected - len(out)))
     return AudioClip(samples=out, sample_rate_hz=target_hz, source_id=clip.source_id)
-
-
-def slice_clip(clip: AudioClip, start_s: float, dur_s: float) -> AudioClip:
-    """Extract exactly round(dur_s * rate) samples starting at round(start_s * rate).
-
-    The requested range may overshoot the clip end by at most one sample
-    period; anything further raises ValueError.
-    """
-    eps = 1.0 / clip.sample_rate_hz
-    if start_s < 0 or dur_s < 0:
-        raise ValueError(f"negative slice bounds: start={start_s}, dur={dur_s}")
-    if start_s + dur_s > clip.duration_s + eps:
-        raise ValueError(
-            f"slice [{start_s}, {start_s + dur_s}) s exceeds clip duration {clip.duration_s} s"
-        )
-
-    start = round(start_s * clip.sample_rate_hz)
-    n = round(dur_s * clip.sample_rate_hz)
-    if start + n > len(clip.samples):
-        start = len(clip.samples) - n  # rounding overhang of <= 1 sample
-    if start < 0:
-        raise ValueError("slice longer than clip")
-    return AudioClip(
-        samples=clip.samples[start : start + n].copy(),
-        sample_rate_hz=clip.sample_rate_hz,
-        source_id=clip.source_id,
-    )

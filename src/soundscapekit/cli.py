@@ -26,14 +26,19 @@ from .decision import (
     decide,
     dump_decisions,
     load_annotations,
+    load_decisions,
 )
-from .errors import ConfigError, SoundscapeKitError
+from ._table import Table
+from .errors import ConfigError, SchemaError, SoundscapeKitError
 from .evaluation import CASE_STUDY_FILTERS, correlate, curve, evaluate, stratify_errors, tune_thresholds
 from .features import stft_magnitude
 from .indices import IndexResult, aci, adi, ndsi
 from .labels import CLASSES
 from .scores import load_scores
 from .synthmix import SourcePool, build_corpus
+
+
+_INDICES_HEADER = ["recording_id", "aci", "adi", "ndsi"]
 
 
 def _log(msg: str) -> None:
@@ -52,6 +57,12 @@ def _load_config(path, thresholds_path=None) -> RunConfig:
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
     return cfg
+
+
+def _fail(command, exc):
+    """End the command with exit 1; a schema error already starts with path:line."""
+    _log(str(exc) if isinstance(exc, SchemaError) else f"{command}: FAILED: {exc}")
+    sys.exit(1)
 
 
 @click.group()
@@ -118,7 +129,7 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
             row.append(f"{wall:.6f}")
         rows.append(row)
 
-    header = ["recording_id", "aci", "adi", "ndsi"] + (["wall_s"] if timing else [])
+    header = _INDICES_HEADER + (["wall_s"] if timing else [])
     comments = [
         f"# stft_window={p.stft_window} stft_hop={p.stft_hop} target_rate_hz={p.target_rate_hz}",
         f"# aci_chunk_s={p.aci_chunk_s} adi_band_width_hz={p.adi_band_width_hz} "
@@ -167,15 +178,14 @@ def cmd_mix(pool_manifest, out_dir, counts, seed, config_path, jobs):
                                      param_hint="'--count'") from None
     _log(f"mix: seed={cfg.seed} combos={parsed}")
 
-    pool = SourcePool.from_manifest(pool_manifest)
     try:
+        pool = SourcePool.from_manifest(pool_manifest)
         manifest = build_corpus(
             pool, parsed, cfg.seed, out_dir,
             jobs=jobs, count_pmfs=cfg.mixer_count_pmfs, normalization=cfg.mixer_normalization,
         )
     except (SoundscapeKitError, ValueError) as exc:
-        _log(f"mix: FAILED: {exc}")
-        sys.exit(1)
+        _fail("mix", exc)
     _log(f"mix: wrote {manifest}")
 
 
@@ -240,8 +250,7 @@ def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed
         )
         stratified = stratify_errors(decisions, truths)
     except (SoundscapeKitError, ValueError) as exc:
-        _log(f"evaluate: FAILED: {exc}")
-        sys.exit(1)
+        _fail("evaluate", exc)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -296,8 +305,7 @@ def cmd_tune(scores_csv, annotations_csv, objective, config_path, grid, out_path
         tuned = tune_thresholds(scores_by_class, truth_by_class, objective=objective,
                                 grid_step=0.001 if grid else None)
     except (SoundscapeKitError, ValueError) as exc:
-        _log(f"tune: FAILED: {exc}")
-        sys.exit(1)
+        _fail("tune", exc)
 
     policy = ThresholdPolicy(thresholds=tuned)
     dump_threshold_fragment("per-class", policy, out_path)
@@ -307,43 +315,17 @@ def cmd_tune(scores_csv, annotations_csv, objective, config_path, grid, out_path
 
 
 def _read_indices_csv(path):
-    results = {}
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    for row in reader:
-        ndsi_val = row.get("ndsi", "")
-        results[row["recording_id"]] = IndexResult(
-            recording_id=row["recording_id"],
-            aci=float(row["aci"]),
-            adi=float(row["adi"]),
-            ndsi=float(ndsi_val) if ndsi_val else None,
-        )
-    return results
+    table = Table(path, [_INDICES_HEADER, _INDICES_HEADER + ["wall_s"]], comments=True)
+    out = {}
+    for line, (rec_id, aci_cell, adi_cell, ndsi_cell, *_) in table.keyed():
+        ndsi_val = table.number(ndsi_cell, line) if ndsi_cell else None
+        out[rec_id] = IndexResult(rec_id, table.number(aci_cell, line), table.number(adi_cell, line), ndsi_val)
+    return out
 
 
 def _read_diversity_csv(path):
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["recording_id", "species_count"]:
-            raise SoundscapeKitError(f"{path}: expected header recording_id,species_count")
-        for row in reader:
-            out[row["recording_id"]] = float(row["species_count"])
-    return out
-
-
-def _read_label_sets(path):
-    """Weak-label or decisions CSV -> {recording_id: set of active classes}."""
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if not {"recording_id", *CLASSES} <= set(fields):
-            raise SoundscapeKitError(f"{path}: expected recording_id plus per-class flag columns")
-        for row in reader:
-            out[row["recording_id"]] = frozenset(c for c in CLASSES if row[c] == "1")
-    return out
+    table = Table(path, [["recording_id", "species_count"]])
+    return {rec_id: table.number(count, line) for line, (rec_id, count) in table.keyed()}
 
 
 @main.command("case-study")
@@ -360,12 +342,10 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
     try:
         index_by_id = _read_indices_csv(indices_csv)
         diversity = _read_diversity_csv(diversity_csv)
-        sources = {"truth": _read_label_sets(labels_csv)}
-        if model_labels_csv:
-            sources["model"] = _read_label_sets(model_labels_csv)
+        label_files = {"truth": labels_csv, "model": model_labels_csv}
+        sources = {s: {d.recording_id: d.active for d in load_decisions(p)} for s, p in label_files.items() if p}
     except SoundscapeKitError as exc:
-        _log(f"case-study: FAILED: {exc}")
-        sys.exit(1)
+        _fail("case-study", exc)
 
     filter_names = [f.strip() for f in filters.split(",") if f.strip()]
     for name in filter_names:

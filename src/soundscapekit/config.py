@@ -16,6 +16,7 @@ from .indices import (
     DEFAULT_ADI_MAX_FREQ_HZ,
     DEFAULT_ANTHRO_BAND_HZ,
     DEFAULT_BIO_BAND_HZ,
+    check_bands,
 )
 from .evaluation import DEFAULT_BOOTSTRAP_RESAMPLES, DEFAULT_CONFIDENCE
 from .labels import CLASSES
@@ -85,6 +86,7 @@ class RunConfig:
             if not isinstance(data, dict):
                 raise ValueError(f"expected a JSON object, got {type(data).__name__}")
             cfg = cls()
+            _check_keys(data, cfg.to_dict())
             if "seed" in data:
                 cfg.seed = int(data["seed"])
             if "recording_duration_s" in data:
@@ -92,31 +94,30 @@ class RunConfig:
                 if cfg.recording_duration_s <= 0:
                     raise ValueError("recording_duration_s must be positive")
             if "window" in data:
-                cfg.window = WindowSpec(
-                    window_len_s=float(data["window"]["window_len_s"]),
-                    step_s=float(data["window"]["step_s"]),
-                )
+                window = _check_keys(data["window"], ("window_len_s", "step_s"), "window")
+                cfg.window = WindowSpec(window_len_s=float(window["window_len_s"]), step_s=float(window["step_s"]))
             if "thresholds" in data:
                 cfg.threshold_mode, cfg.thresholds = parse_threshold_policy(data["thresholds"])
             if "pda" in data or "pda_measure" in data:
-                fractions = {
-                    c: (None if v is None else float(v)) for c, v in data.get("pda", {}).items()
-                }
+                pda = _check_keys(data.get("pda", {}), CLASSES, "pda")
+                fractions = {c: (None if v is None else float(v)) for c, v in pda.items()}
                 cfg.pda = PdaPolicy(fractions=fractions, measure=data.get("pda_measure", "sum"))
             if "indices" in data:
                 cfg.indices = _index_params(data["indices"])
             if "mixer" in data:
-                if "count_pmfs" in data["mixer"]:
+                mixer = _check_keys(data["mixer"], ("count_pmfs", "normalization"), "mixer")
+                if "count_pmfs" in mixer:
                     cfg.mixer_count_pmfs = {
                         int(k): {int(n): float(p) for n, p in v.items()}
-                        for k, v in data["mixer"]["count_pmfs"].items()
+                        for k, v in mixer["count_pmfs"].items()
                     }
-                cfg.mixer_normalization = data["mixer"].get("normalization", cfg.mixer_normalization)
+                cfg.mixer_normalization = mixer.get("normalization", cfg.mixer_normalization)
                 if cfg.mixer_normalization not in ("peak", "rms"):
                     raise ValueError(f"unknown mixer normalization {cfg.mixer_normalization!r}")
             if "bootstrap" in data:
-                cfg.bootstrap_resamples = int(data["bootstrap"].get("resamples", cfg.bootstrap_resamples))
-                cfg.bootstrap_confidence = float(data["bootstrap"].get("confidence", cfg.bootstrap_confidence))
+                bootstrap = _check_keys(data["bootstrap"], ("resamples", "confidence"), "bootstrap")
+                cfg.bootstrap_resamples = int(bootstrap.get("resamples", cfg.bootstrap_resamples))
+                cfg.bootstrap_confidence = float(bootstrap.get("confidence", cfg.bootstrap_confidence))
                 if cfg.bootstrap_resamples < 1:
                     raise ValueError(f"bootstrap resamples must be >= 1, got {cfg.bootstrap_resamples}")
                 if not 0 < cfg.bootstrap_confidence < 1:
@@ -124,7 +125,7 @@ class RunConfig:
             return cfg
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
     @classmethod
@@ -152,11 +153,20 @@ def _is_number(value) -> bool:
     return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
 
 
+def _check_keys(section, allowed, name=None):
+    """The section, once checked to be an object whose keys are all in allowed."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be an object, got {section!r}")
+    for key in section:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r}" + (f" in {name}" if name else ""))
+    return section
+
+
 def _index_params(idx) -> IndexParams:
     """Parse the indices section; values keep their JSON types, as the CSV header echoes them."""
-    if not isinstance(idx, dict):
-        raise ValueError(f"indices must be an object, got {idx!r}")
     params = IndexParams()
+    _check_keys(idx, params.to_dict(), "indices")
     for name in ("stft_window", "stft_hop", "target_rate_hz"):
         if name in idx:
             value = idx[name]
@@ -177,12 +187,15 @@ def _index_params(idx) -> IndexParams:
             setattr(params, name, tuple(band))
     if params.stft_hop > params.stft_window:
         raise ValueError(f"indices stft_hop {params.stft_hop} exceeds stft_window {params.stft_window}")
+    check_bands(params.target_rate_hz / 2.0, (params.adi_band_width_hz, params.adi_max_freq_hz),
+                (params.ndsi_anthro_hz, params.ndsi_bio_hz))
     return params
 
 
 def parse_threshold_policy(data: dict):
     """Parse the thresholds section (also emitted standalone by the tune command)."""
     try:
+        _check_keys(data, ("mode", "global", "per_class", "counts"), "thresholds")
         mode = data["mode"]
         counts = data.get("counts")
         if counts is not None:
@@ -196,7 +209,7 @@ def parse_threshold_policy(data: dict):
         else:
             raise ValueError(f"unknown threshold mode {mode!r}")
         return mode, policy
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid threshold policy: {exc}") from exc
 
 

@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 
+from ._table import Table
 from .errors import SchemaError
 from .labels import CLASSES, SILENCE
 from .scores import ScoreMatrix
@@ -195,6 +196,10 @@ def count_for_fraction(p: float, w: int) -> int:
     return max(1, math.floor(p * w))
 
 
+_FLAGS_HEADER = ["recording_id", *CLASSES]
+_DECISIONS_HEADER = _FLAGS_HEADER + [SILENCE]
+
+
 def load_annotations(path, duration_s: float) -> dict:
     """Load an annotation CSV (strong or weak schema) into {recording_id: AnnotationSet}.
 
@@ -202,83 +207,45 @@ def load_annotations(path, duration_s: float) -> dict:
     Weak schema: recording_id,anthropophony,biophony,geophony (0/1 flags).
     Recordings absent from a strong file simply have no annotated segments.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    table = Table(path, [["recording_id", "class", "start_s", "end_s"], _FLAGS_HEADER])
+    if table.header == _FLAGS_HEADER:
+        return {rid: AnnotationSet.from_weak_labels(rid, duration_s, active) for rid, active in _active_sets(table)}
+
+    segments: dict = {}
+    for line, (rec_id, cls, start, end) in table:
+        if cls not in CLASSES:
+            raise table.error(f"unknown class {cls!r}", line)
+        segs = segments.setdefault(rec_id, {c: [] for c in CLASSES})
+        segs[cls].append((table.number(start, line), table.number(end, line)))
+    out = {}
+    for rec_id, segs in segments.items():
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty annotation file", path=path) from None
+            out[rec_id] = AnnotationSet(recording_id=rec_id, duration_s=duration_s, segments=segs)
+        except ValueError as exc:
+            raise SchemaError(str(exc), path=path) from None
+    return out
 
-        if header == ["recording_id", "class", "start_s", "end_s"]:
-            segments: dict = {}
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise SchemaError(f"expected 4 fields, got {len(row)}", path=path, line=line_no)
-                rec_id, cls = row[0], row[1]
-                if cls not in CLASSES:
-                    raise SchemaError(f"unknown class {cls!r}", path=path, line=line_no)
-                try:
-                    start, end = float(row[2]), float(row[3])
-                except ValueError as exc:
-                    raise SchemaError(f"malformed number ({exc})", path=path, line=line_no) from None
-                segments.setdefault(rec_id, {c: [] for c in CLASSES})[cls].append((start, end))
-            out = {}
-            for rec_id, segs in segments.items():
-                try:
-                    out[rec_id] = AnnotationSet(recording_id=rec_id, duration_s=duration_s, segments=segs)
-                except ValueError as exc:
-                    raise SchemaError(str(exc), path=path) from None
-            return out
 
-        if header == ["recording_id", *CLASSES]:
-            out = {}
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise SchemaError(f"expected 4 fields, got {len(row)}", path=path, line=line_no)
-                if row[0] in out:
-                    raise SchemaError(f"duplicate recording_id {row[0]!r}", path=path, line=line_no)
-                flags = []
-                for cls, v in zip(CLASSES, row[1:]):
-                    if v not in ("0", "1"):
-                        raise SchemaError(f"flag for {cls} must be 0 or 1, got {v!r}", path=path, line=line_no)
-                    flags.append(v == "1")
-                active = [c for c, f in zip(CLASSES, flags) if f]
-                out[row[0]] = AnnotationSet.from_weak_labels(row[0], duration_s, active)
-            return out
-
-    raise SchemaError(f"unexpected header {header}", path=path, line=1)
+def _active_sets(table):
+    """(recording_id, active classes) per row of a flag table; a silence flag must agree."""
+    for line, fields in table.keyed():
+        active = frozenset(c for c, v in zip(CLASSES, fields[1:4]) if table.flag(v, line))
+        if len(fields) == len(_DECISIONS_HEADER) and table.flag(fields[4], line) == bool(active):
+            raise table.error("silence flag inconsistent with active classes", line)
+        yield fields[0], active
 
 
 def dump_decisions(decisions, path) -> None:
     """Write decisions as CSV with 0/1 flags per class plus the silence flag."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["recording_id", *CLASSES, SILENCE])
+        writer.writerow(_DECISIONS_HEADER)
         for d in decisions:
             flags = [1 if c in d.active else 0 for c in CLASSES]
             writer.writerow([d.recording_id, *flags, 1 if d.silence else 0])
 
 
 def load_decisions(path) -> list:
-    """Read a decisions CSV written by :func:`dump_decisions`."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["recording_id", *CLASSES, SILENCE]:
-            raise SchemaError(f"unexpected header {header}", path=path, line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise SchemaError(f"expected 5 fields, got {len(row)}", path=path, line=line_no)
-            active = frozenset(c for c, v in zip(CLASSES, row[1:4]) if v == "1")
-            d = Decision(recording_id=row[0], active=active)
-            if (row[4] == "1") != d.silence:
-                raise SchemaError("silence flag inconsistent with active classes", path=path, line=line_no)
-            out.append(d)
-    return out
+    """Read a decisions CSV (see :func:`dump_decisions`), or the same without silence: weak labels."""
+    table = Table(path, [_FLAGS_HEADER, _DECISIONS_HEADER])
+    return [Decision(rec_id, active) for rec_id, active in _active_sets(table)]

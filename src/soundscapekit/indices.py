@@ -39,6 +39,31 @@ class IndexResult:
     ndsi: float | None
 
 
+def check_bands(nyquist_hz: float, adi_bands=None, ndsi_bands=None) -> int | None:
+    """Raise ValueError unless the bands fit below nyquist_hz; return the ADI band count.
+
+    adi_bands (band_width_hz, max_freq_hz) must split (0, max_freq <= Nyquist]
+    into >= 2 equal bands; ndsi_bands (anthro_band_hz, bio_band_hz) must be
+    disjoint [lo, hi) ranges within [0, Nyquist]. RunConfig checks these too.
+    """
+    if ndsi_bands is not None:
+        for name, (lo, hi) in zip(("anthro", "bio"), ndsi_bands):
+            if not 0 <= lo < hi <= nyquist_hz:
+                raise ValueError(f"{name} band [{lo}, {hi}) invalid for Nyquist {nyquist_hz} Hz")
+        (a_lo, a_hi), (b_lo, b_hi) = ndsi_bands
+        if max(a_lo, b_lo) < min(a_hi, b_hi):
+            raise ValueError(f"bands {ndsi_bands[0]} and {ndsi_bands[1]} overlap")
+    if adi_bands is None:
+        return None
+    band_width_hz, max_freq_hz = adi_bands
+    if max_freq_hz > nyquist_hz * (1 + 1e-9):
+        raise ValueError(f"max_freq {max_freq_hz} Hz exceeds Nyquist {nyquist_hz} Hz")
+    n_bands = round(max_freq_hz / band_width_hz) if band_width_hz > 0 else 0
+    if n_bands < 2 or abs(n_bands * band_width_hz - max_freq_hz) > 1e-6 * max_freq_hz:
+        raise ValueError(f"band width {band_width_hz} must split (0, {max_freq_hz}] into >= 2 bands")
+    return n_bands
+
+
 def aci(spec: Spectrogram, chunk_s: float | None = None) -> float:
     """Acoustic Complexity Index over non-overlapping temporal chunks.
 
@@ -90,11 +115,7 @@ def adi(
     """
     if spec.scale != SCALE_LINEAR:
         raise ValueError(f"adi expects a {SCALE_LINEAR} spectrogram, got {spec.scale}")
-    if max_freq_hz > spec.nyquist_hz * (1 + 1e-9):
-        raise ValueError(f"max_freq {max_freq_hz} Hz exceeds Nyquist {spec.nyquist_hz} Hz")
-    n_bands = round(max_freq_hz / band_width_hz)
-    if n_bands < 2 or abs(n_bands * band_width_hz - max_freq_hz) > 1e-6 * max_freq_hz:
-        raise ValueError(f"band width {band_width_hz} must split (0, {max_freq_hz}] into >= 2 bands")
+    n_bands = check_bands(spec.nyquist_hz, adi_bands=(band_width_hz, max_freq_hz))
 
     level = (spec.n_bins - 1) / 2.0 * 10.0 ** (db_threshold / 20.0)
     # bins are ascending, so the bins in (lo, hi] are one column slice
@@ -159,14 +180,7 @@ def ndsi(
     NDSI_POWER_FLOOR of the total power are treated as zero; if both bands
     are empty the index is undefined and None is returned.
     """
-    nyquist = clip.sample_rate_hz / 2.0
-    for name, (lo, hi) in (("anthro", anthro_band_hz), ("bio", bio_band_hz)):
-        if not 0 <= lo < hi <= nyquist:
-            raise ValueError(f"{name} band [{lo}, {hi}) invalid for Nyquist {nyquist} Hz")
-    a_lo, a_hi = anthro_band_hz
-    b_lo, b_hi = bio_band_hz
-    if max(a_lo, b_lo) < min(a_hi, b_hi):
-        raise ValueError(f"bands {anthro_band_hz} and {bio_band_hz} overlap")
+    check_bands(clip.sample_rate_hz / 2.0, ndsi_bands=(anthro_band_hz, bio_band_hz))
 
     freqs, psd = welch_psd(clip.samples, clip.sample_rate_hz)
     total = float(psd.sum() * (freqs[1] - freqs[0]))

@@ -5,11 +5,11 @@ immutable per-recording matrices. Nothing here runs a model; any command
 that produces the documented CSV can feed the decision layer.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import Table
 from .errors import SchemaError
 from .labels import CLASSES, SILENCE
 
@@ -98,45 +98,22 @@ def load_scores(path, window_len_s: float = 10.0) -> list:
     with an optional trailing silence column. Rows for a recording may be
     interleaved with other recordings; they are grouped and sorted by start.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty score file", path=path) from None
-
-        base = ["recording_id", "window_start_s", *CLASSES]
-        if header == base:
-            class_order = CLASSES
-        elif header == base + [SILENCE]:
-            class_order = CLASSES + (SILENCE,)
-        else:
-            raise SchemaError(f"unexpected header {header}", path=path, line=1)
-
-        by_id: dict = {}
-        order: list = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"expected {len(header)} fields, got {len(row)}", path=path, line=line_no)
-            rec_id = row[0]
-            try:
-                start = float(row[1])
-                scores = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise SchemaError(f"malformed number ({exc})", path=path, line=line_no) from None
-            for s in scores:
-                if not 0.0 <= s <= 1.0:
-                    raise SchemaError(f"score {s} outside [0, 1]", path=path, line=line_no)
-            if rec_id not in by_id:
-                by_id[rec_id] = []
-                order.append(rec_id)
-            by_id[rec_id].append((start, scores))
+    base = ["recording_id", "window_start_s", *CLASSES]
+    table = Table(path, [base, base + [SILENCE]])
+    class_order = tuple(table.header[2:])
+    by_id: dict = {}
+    for line, fields in table:
+        start, *scores = table.numbers(fields[1:], line)
+        if start < 0:
+            raise table.error(f"window_start_s must be >= 0, got {fields[1]!r}", line)
+        for s in scores:
+            if not 0.0 <= s <= 1.0:
+                raise table.error(f"score {s} outside [0, 1]", line)
+        by_id.setdefault(fields[0], []).append((start, scores))
 
     matrices = []
-    for rec_id in order:
-        rows = sorted(by_id[rec_id], key=lambda r: r[0])
+    for rec_id, rows in by_id.items():
+        rows.sort(key=lambda r: r[0])
         try:
             matrices.append(
                 ScoreMatrix(
@@ -150,18 +127,3 @@ def load_scores(path, window_len_s: float = 10.0) -> list:
         except ValueError as exc:
             raise SchemaError(str(exc), path=path) from None
     return matrices
-
-
-def dump_scores(matrices, path) -> None:
-    """Serialize matrices to the score CSV format; load_scores inverts this exactly."""
-    if not matrices:
-        raise ValueError("nothing to dump")
-    class_order = matrices[0].class_order
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["recording_id", "window_start_s", *class_order])
-        for m in matrices:
-            if m.class_order != class_order:
-                raise ValueError("matrices disagree on class order")
-            for start, row in zip(m.window_starts_s, m.class_scores):
-                writer.writerow([m.recording_id, repr(float(start)), *(repr(float(v)) for v in row)])

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import Table
 from .audio_io import AudioClip, decode_wav, resample, write_wav_pcm16
 from .labels import CLASSES, COMBOS, SILENCE, SILENCE_COMBO, classes_for_combo
 
@@ -124,15 +125,11 @@ class SourcePool:
         """Load a pool manifest CSV with header ``file,class``."""
         files = {c: [] for c in CLASSES}
         base = Path(path).parent
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"file", "class"} <= set(reader.fieldnames):
-                raise ValueError(f"{path}: pool manifest needs columns file,class")
-            for row in reader:
-                if row["class"] not in files:
-                    raise ValueError(f"{path}: unknown class {row['class']!r}")
-                p = Path(row["file"])
-                files[row["class"]].append(p if p.is_absolute() else base / p)
+        table = Table(path, [["file", "class"]])
+        for line, (name, class_name) in table:
+            if class_name not in files:
+                raise table.error(f"unknown class {class_name!r}", line)
+            files[class_name].append(base / name)  # an absolute name replaces base
         return cls(files=files)
 
 

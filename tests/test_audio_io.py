@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soundscapekit.audio_io import AudioClip, decode_wav, resample, slice_clip, write_wav_pcm16
+from soundscapekit.audio_io import AudioClip, decode_wav, resample, write_wav_pcm16
 from soundscapekit.errors import AudioDecodeError
 
 from conftest import tone, write_wav, write_wav_24bit, write_wav_float
@@ -112,29 +112,6 @@ class TestResample:
         clip = AudioClip(samples=np.zeros(10), sample_rate_hz=48000)
         with pytest.raises(ValueError):
             resample(clip, 0)
-
-
-class TestSlice:
-    @pytest.fixture
-    def minute(self):
-        return AudioClip(samples=np.arange(60 * 1000, dtype=float) / 1e6, sample_rate_hz=1000)
-
-    def test_head(self, minute):
-        out = slice_clip(minute, 0, 10)
-        assert len(out.samples) == 10_000
-        assert np.array_equal(out.samples, minute.samples[:10_000])
-
-    def test_tail(self, minute):
-        out = slice_clip(minute, 50, 10)
-        assert np.array_equal(out.samples, minute.samples[50_000:])
-
-    def test_out_of_range(self, minute):
-        with pytest.raises(ValueError):
-            slice_clip(minute, 55, 10)
-
-    def test_full_slice_is_identity(self, minute):
-        out = slice_clip(minute, 0, minute.duration_s)
-        assert np.array_equal(out.samples, minute.samples)
 
 
 def test_write_read_round_trip(tmp_path):

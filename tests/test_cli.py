@@ -33,6 +33,8 @@ class TestIndicesCommand:
             ({"stft_window": 512, "stft_hop": 1024}, "indices stft_hop 1024 exceeds stft_window 512"),
             ({"adi_db_threshold": "-50"}, "indices adi_db_threshold must be a finite number, got '-50'"),
             ({"ndsi_bio_hz": [2000.0]}, "indices ndsi_bio_hz must be a pair of numbers [lo, hi], got [2000.0]"),
+            ({"adi_band_width_hz": 3000}, "band width 3000 must split (0, 10000.0] into >= 2 bands"),
+            ({"stft_windw": 2048}, "unknown key 'stft_windw' in indices"),
         ],
     )
     def test_invalid_indices_config_is_one_line_error(self, runner, tmp_path, indices, message):
@@ -331,26 +333,27 @@ class TestTuneCommand:
         assert result.exit_code == 1
 
 
-class TestCaseStudyCommand:
-    def write_inputs(self, tmp_path, n=6):
-        indices = tmp_path / "indices.csv"
-        diversity = tmp_path / "diversity.csv"
-        labels = tmp_path / "labels.csv"
-        with open(indices, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["recording_id", "aci", "adi", "ndsi"])
-            for i in range(n):
-                w.writerow([f"r{i}", float(i + 1), float(2 * i + 1), 0.1 * i])
-        with open(diversity, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["recording_id", "species_count"])
-            for i in range(n):
-                w.writerow([f"r{i}", 2 * (i + 1)])
-        write_weak_annotations(labels, {f"r{i}": {"biophony"} for i in range(n)})
-        return indices, diversity, labels
+def write_case_study_inputs(tmp_path, n=6):
+    indices = tmp_path / "indices.csv"
+    diversity = tmp_path / "diversity.csv"
+    labels = tmp_path / "labels.csv"
+    with open(indices, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["recording_id", "aci", "adi", "ndsi"])
+        for i in range(n):
+            w.writerow([f"r{i}", float(i + 1), float(2 * i + 1), 0.1 * i])
+    with open(diversity, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["recording_id", "species_count"])
+        for i in range(n):
+            w.writerow([f"r{i}", 2 * (i + 1)])
+    write_weak_annotations(labels, {f"r{i}": {"biophony"} for i in range(n)})
+    return indices, diversity, labels
 
+
+class TestCaseStudyCommand:
     def test_linear_fixture_r_one(self, runner, tmp_path):
-        indices, diversity, labels = self.write_inputs(tmp_path)
+        indices, diversity, labels = write_case_study_inputs(tmp_path)
         out = tmp_path / "corr.csv"
         result = invoke(runner, ["case-study", str(indices), str(diversity), str(labels),
                                  "--filters", "all,B", "--out", str(out)])
@@ -361,7 +364,7 @@ class TestCaseStudyCommand:
         assert int(aci_all["n"]) == 6
 
     def test_degenerate_filter_flagged_others_computed(self, runner, tmp_path):
-        indices, diversity, labels = self.write_inputs(tmp_path)
+        indices, diversity, labels = write_case_study_inputs(tmp_path)
         # relabel one recording as geophony-only: BG filter keeps 7? no - make
         # exactly one recording pass the AB filter so that row errors out
         write_weak_annotations(
@@ -379,7 +382,7 @@ class TestCaseStudyCommand:
         assert all(not r["note"] for r in all_rows)
 
     def test_truth_and_model_sources(self, runner, tmp_path):
-        indices, diversity, labels = self.write_inputs(tmp_path)
+        indices, diversity, labels = write_case_study_inputs(tmp_path)
         model = tmp_path / "model.csv"
         with open(model, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -396,9 +399,88 @@ class TestCaseStudyCommand:
         assert truth_r["r"] == model_r["r"]
 
     def test_join_failure_aborts(self, runner, tmp_path):
-        indices, diversity, labels = self.write_inputs(tmp_path)
+        indices, diversity, labels = write_case_study_inputs(tmp_path)
         diversity.write_text("recording_id,species_count\nr0,3\n")
         result = runner.invoke(main, ["case-study", str(indices), str(diversity), str(labels),
                                       "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 1
         assert "missing" in result.output
+
+
+def assert_table_error(result, path, line):
+    """One `path:line: message` line, exit 1, and no exception escaping the command."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    errors = [ln for ln in result.output.splitlines() if ln.startswith(f"{path}:")]
+    assert len(errors) == 1, result.output
+    assert errors[0].startswith(f"{path}:{line}: "), errors[0]
+
+
+class TestBadInputTables:
+    """Every bad input table ends in one `path:line: message` line and exit 1."""
+
+    @staticmethod
+    def case_study(tmp_path, indices=None, diversity=None, labels=None, model=None):
+        paths = dict(zip(("indices", "diversity", "labels"), write_case_study_inputs(tmp_path)))
+        for name, text in (("indices", indices), ("diversity", diversity), ("labels", labels)):
+            if text is not None:
+                paths[name].write_text(text)
+        args = ["case-study", str(paths["indices"]), str(paths["diversity"]), str(paths["labels"]),
+                "--out", str(tmp_path / "corr.csv")]
+        if model is not None:
+            paths["model"] = tmp_path / "model.csv"
+            paths["model"].write_text(model)
+            args += ["--model-labels", str(paths["model"])]
+        return args, paths
+
+    def test_species_count_not_a_number(self, runner, tmp_path):
+        args, paths = self.case_study(tmp_path, diversity="recording_id,species_count\nr0,2\nr1,x\n")
+        assert_table_error(runner.invoke(main, args), paths["diversity"], 3)
+
+    def test_aci_not_a_number(self, runner, tmp_path):
+        args, paths = self.case_study(tmp_path, indices="recording_id,aci,adi,ndsi\nr0,abc,1.0,0.1\n")
+        assert_table_error(runner.invoke(main, args), paths["indices"], 2)
+
+    def test_indices_column_missing_after_comment_lines(self, runner, tmp_path):
+        text = "# stft_window=1024\n# aci_chunk_s=None\n# ndsi_bio_hz=[2000.0, 8000.0]\nrecording_id,aci,ndsi\n"
+        args, paths = self.case_study(tmp_path, indices=text + "r0,1.0,0.1\n")
+        assert_table_error(runner.invoke(main, args), paths["indices"], 4)
+
+    def test_label_flag_yes(self, runner, tmp_path):
+        text = "recording_id,anthropophony,biophony,geophony\nr0,0,yes,0\n"
+        args, paths = self.case_study(tmp_path, labels=text)
+        assert_table_error(runner.invoke(main, args), paths["labels"], 2)
+
+    def test_decisions_flag_x(self, runner, tmp_path):
+        text = "recording_id,anthropophony,biophony,geophony,silence\n\nr0,0,1,0,0\nr1,0,x,0,0\n"
+        args, paths = self.case_study(tmp_path, model=text)
+        assert_table_error(runner.invoke(main, args), paths["model"], 4)
+
+    def test_duplicate_recording_id(self, runner, tmp_path):
+        args, paths = self.case_study(tmp_path, diversity="recording_id,species_count\nr0,2\nr0,3\n")
+        assert_table_error(runner.invoke(main, args), paths["diversity"], 3)
+
+    @pytest.mark.parametrize("text, line", [("file,class\na.wav,traffic\n", 2), ("path,label\na.wav,biophony\n", 1)],
+                             ids=["unknown-class", "wrong-header"])
+    def test_pool_manifest(self, runner, tmp_path, text, line):
+        manifest = tmp_path / "pool.csv"
+        manifest.write_text(text)
+        out_dir = tmp_path / "corpus"
+        result = runner.invoke(main, ["mix", str(manifest), str(out_dir), "--count", "A=1"])
+        assert_table_error(result, manifest, line)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("start", ["nan", "-5", "inf", "x"])
+    @pytest.mark.parametrize("command", ["evaluate", "tune"])
+    def test_bad_window_start(self, runner, tmp_path, command, start):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "recording_id,window_start_s,anthropophony,biophony,geophony\n"
+            f"r0,0.0,0.1,0.9,0.1\nr0,{start},0.1,0.9,0.1\n"
+        )
+        anns = tmp_path / "annotations.csv"
+        write_weak_annotations(anns, {"r0": {"biophony"}})
+        out = ["--out", str(tmp_path / ("rep" if command == "evaluate" else "t.json"))]
+        result = runner.invoke(main, [command, str(scores), str(anns), *out])
+        assert_table_error(result, scores, 3)

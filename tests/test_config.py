@@ -125,10 +125,31 @@ def test_invalid_bootstrap_rejected_on_load(bootstrap):
         {"ndsi_bio_hz": ["2000", 8000.0]},
         {"ndsi_bio_hz": "2000-8000"},
         "not an object",
+        {"stft_windw": 1024},
     ],
 )
 def test_invalid_indices_rejected_on_load(indices):
     with pytest.raises(ConfigError, match="indices"):
+        RunConfig.from_dict({"indices": indices})
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ({"adi_band_width_hz": 3000}, "band width 3000 must split (0, 10000.0] into >= 2 bands"),
+        ({"adi_band_width_hz": 10000}, "band width 10000 must split"),
+        ({"adi_band_width_hz": 0}, "band width 0 must split"),
+        ({"adi_max_freq_hz": 20000.0}, "max_freq 20000.0 Hz exceeds Nyquist 16000.0 Hz"),
+        ({"target_rate_hz": 16000}, "max_freq 10000.0 Hz exceeds Nyquist 8000.0 Hz"),
+        ({"ndsi_bio_hz": [2000.0, 17000.0]}, "bio band [2000.0, 17000.0) invalid for Nyquist 16000.0 Hz"),
+        ({"ndsi_anthro_hz": [-1.0, 1000.0]}, "anthro band [-1.0, 1000.0) invalid"),
+        ({"ndsi_anthro_hz": [2000.0, 1000.0]}, "anthro band [2000.0, 1000.0) invalid"),
+        ({"ndsi_anthro_hz": [1000.0, 3000.0]}, "bands (1000.0, 3000.0) and (2000.0, 8000.0) overlap"),
+    ],
+)
+def test_invalid_bands_rejected_on_load(indices, message):
+    """The band rules of indices.check_bands, against the Nyquist of target_rate_hz, at load time."""
+    with pytest.raises(ConfigError, match=re.escape(f"invalid configuration: {message}")):
         RunConfig.from_dict({"indices": indices})
 
 
@@ -148,3 +169,43 @@ def test_load_errors_name_the_file(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: invalid configuration: expected a JSON object"):
         RunConfig.load(p)
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"windw": {"window_len_s": 10.0, "step_s": 10.0}}, "'windw'"),
+        ({"window": {"window_len_s": 10.0, "step_s": 10.0, "stp_s": 1.0}}, "'stp_s' in window"),
+        ({"indices": {"stft_windw": 2048}}, "'stft_windw' in indices"),
+        ({"mixer": {"normalisation": "rms"}}, "'normalisation' in mixer"),
+        ({"bootstrap": {"resample": 10}}, "'resample' in bootstrap"),
+        ({"thresholds": {"mode": "global", "global": 0.5, "count": {"biophony": 2}}}, "'count' in thresholds"),
+        ({"pda": {"birds": 0.1}}, "'birds' in pda"),
+    ],
+)
+def test_unknown_keys_rejected_on_load(tmp_path, data, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: .*unknown key {re.escape(key)}$"):
+        RunConfig.load(p)
+
+
+@pytest.mark.parametrize("indices", [{"target_rate_hz": 20000}, {"adi_max_freq_hz": 16000, "adi_band_width_hz": 4000}])
+def test_bands_at_nyquist_accepted(indices):
+    RunConfig.from_dict({"indices": indices})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"window": [10.0, 10.0]},
+        {"pda": [0.1]},
+        {"mixer": {"count_pmfs": [0.5, 0.5]}},
+        {"mixer": {"count_pmfs": {"1": [1.0]}}},
+        {"thresholds": {"mode": "per-class", "per_class": [0.5, 0.5, 0.5]}},
+        {"thresholds": {"mode": "global", "global": 0.5, "counts": [2]}},
+    ],
+)
+def test_sections_that_are_not_objects_rejected(data):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(data)

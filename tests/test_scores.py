@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soundscapekit.errors import SchemaError
-from soundscapekit.scores import ScoreMatrix, WindowSpec, dump_scores, enumerate_windows, load_scores
+from soundscapekit.scores import ScoreMatrix, WindowSpec, enumerate_windows, load_scores
 
 
 class TestEnumerateWindows:
@@ -150,18 +150,3 @@ class TestLoadScores:
         with pytest.raises(SchemaError, match="spacing"):
             load_scores(p)
 
-
-def test_dump_load_identity(tmp_path):
-    rng = np.random.default_rng(42)
-    mats = [
-        ScoreMatrix(f"rec{i}", np.arange(6) * 10.0, 10.0, rng.uniform(size=(6, 3)))
-        for i in range(3)
-    ]
-    p = tmp_path / "dumped.csv"
-    dump_scores(mats, p)
-    back = load_scores(p, window_len_s=10.0)
-    assert len(back) == len(mats)
-    for a, b in zip(mats, back):
-        assert a.recording_id == b.recording_id
-        assert np.array_equal(a.window_starts_s, b.window_starts_s)
-        assert np.array_equal(a.class_scores, b.class_scores)
