@@ -76,14 +76,8 @@ class Table:
         return value
 
     def numbers(self, cells, line) -> list:
-        """:meth:`number` of each cell, at one call per row."""
-        try:
-            values = list(map(float, cells))
-            if all(map(math.isfinite, values)):
-                return values
-        except ValueError:
-            pass
-        return [self.number(text, line) for text in cells]  # raises at the first bad cell
+        """:meth:`number` of each cell; the first bad cell raises."""
+        return [self.number(text, line) for text in cells]
 
     def flag(self, text, line) -> bool:
         """A cell holding a 0/1 flag."""

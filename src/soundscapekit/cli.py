@@ -21,12 +21,13 @@ from .config import RunConfig, dump_threshold_fragment, load_threshold_fragment
 from .decision import (
     AnnotationSet,
     ThresholdPolicy,
-    aggregate,
     apply_pda,
-    decide,
+    decisions_from_flags,
     dump_decisions,
     load_annotations,
     load_decisions,
+    window_active,
+    window_max,
 )
 from ._table import Table
 from .errors import ConfigError, SchemaError, SoundscapeKitError
@@ -189,36 +190,38 @@ def cmd_mix(pool_manifest, out_dir, counts, seed, config_path, jobs):
     _log(f"mix: wrote {manifest}")
 
 
-def _decisions_and_truth(scores_path, annotations_path, cfg, policy):
-    matrices = load_scores(scores_path, window_len_s=cfg.window.window_len_s)
-    anns = load_annotations(annotations_path, duration_s=cfg.recording_duration_s)
-    unknown = set(anns) - {m.recording_id for m in matrices}
+def _scores_and_truth(scores_path, annotations_path, cfg, policy):
+    """The score table and, per recording in its order, the PDA-filtered truth."""
+    duration = cfg.recording_duration_s
+    scores = load_scores(scores_path, window_len_s=cfg.window.window_len_s, duration_s=duration)
+    anns = load_annotations(annotations_path, duration_s=duration)
+    unknown = set(anns).difference(scores.recording_ids)
     if unknown:
         raise SoundscapeKitError(f"annotations for recordings without scores: {sorted(unknown)[:5]}")
 
     truths = []
-    for m in matrices:
-        ann = anns.get(m.recording_id)
+    for rid in scores.recording_ids:
+        ann = anns.get(rid)
         if ann is None:
-            ann = AnnotationSet(recording_id=m.recording_id, duration_s=cfg.recording_duration_s)
+            ann = AnnotationSet(recording_id=rid, duration_s=duration)
         truths.append(apply_pda(ann, cfg.pda))
 
-    if policy is not None and policy.counts:
-        min_windows = min(m.n_windows for m in matrices)
+    if policy is not None and policy.counts and len(scores):
+        min_windows = int(scores.n_windows.min())
         for cls, c in policy.counts.items():
             if c > min_windows:
                 raise SoundscapeKitError(
                     f"count {c} for {cls} exceeds the {min_windows} windows of the shortest recording"
                 )
-    return matrices, truths
+    return scores, truths
 
 
-def _max_scores_and_truth(matrices, truths):
-    """Per-class max-window scores and truth flags, one entry per matrix in order."""
-    maxes = [aggregate(m) for m in matrices]
+def _max_scores_and_truth(scores, truths):
+    """Per-class max-window scores and truth flags, one entry per recording in order."""
+    maxes = window_max(scores)
     actives = [t.active_classes for t in truths]
     return (
-        {cls: [mx[cls] for mx in maxes] for cls in CLASSES},
+        {cls: maxes[:, scores.class_order.index(cls)] for cls in CLASSES},
         {cls: [cls in active for active in actives] for cls in CLASSES},
     )
 
@@ -239,8 +242,8 @@ def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed
     _log(f"evaluate: seed={cfg.seed} mode={cfg.threshold_mode}")
 
     try:
-        matrices, truths = _decisions_and_truth(scores_csv, annotations_csv, cfg, cfg.thresholds)
-        decisions = [decide(m, cfg.thresholds) for m in matrices]
+        scores, truths = _scores_and_truth(scores_csv, annotations_csv, cfg, cfg.thresholds)
+        decisions = decisions_from_flags(scores.recording_ids, window_active(scores, cfg.thresholds))
         report = evaluate(
             decisions,
             truths,
@@ -260,7 +263,7 @@ def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed
         fh.write("\n")
     (out / "report.txt").write_text(report.to_table() + "\n")
 
-    scores_by_class, truth_by_class = _max_scores_and_truth(matrices, truths)
+    scores_by_class, truth_by_class = _max_scores_and_truth(scores, truths)
     curve_rows = []
     for cls in CLASSES:
         agg_scores, cls_truth = scores_by_class[cls], truth_by_class[cls]
@@ -300,8 +303,8 @@ def cmd_tune(scores_csv, annotations_csv, objective, config_path, grid, out_path
     cfg = _load_config(config_path)
     _log(f"tune: objective={objective} seed={cfg.seed}")
     try:
-        matrices, truths = _decisions_and_truth(scores_csv, annotations_csv, cfg, None)
-        scores_by_class, truth_by_class = _max_scores_and_truth(matrices, truths)
+        scores, truths = _scores_and_truth(scores_csv, annotations_csv, cfg, None)
+        scores_by_class, truth_by_class = _max_scores_and_truth(scores, truths)
         tuned = tune_thresholds(scores_by_class, truth_by_class, objective=objective,
                                 grid_step=0.001 if grid else None)
     except (SoundscapeKitError, ValueError) as exc:

@@ -11,9 +11,11 @@ threshold does not activate a class.
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
+
+import numpy as np
 
 from ._table import Table
-from .errors import SchemaError
 from .labels import CLASSES, SILENCE
 from .scores import ScoreMatrix
 
@@ -39,10 +41,8 @@ class AnnotationSet:
         for cls in CLASSES:
             segs = sorted(self.segments.get(cls, ()))
             for start, end in segs:
-                if not (0 <= start < end <= self.duration_s + _DUR_TOL):
-                    raise ValueError(
-                        f"{self.recording_id}: segment ({start}, {end}) outside [0, {self.duration_s}]"
-                    )
+                if not _inside(start, end, self.duration_s):
+                    raise ValueError(f"{self.recording_id}: {_outside(start, end, self.duration_s)}")
             merged[cls] = tuple(_merge(segs))
         object.__setattr__(self, "segments", merged)
 
@@ -61,6 +61,14 @@ class AnnotationSet:
             duration_s=duration_s,
             segments={c: [(0.0, duration_s)] for c in active},
         )
+
+
+def _inside(start, end, duration_s) -> bool:
+    return 0 <= start < end <= duration_s + _DUR_TOL
+
+
+def _outside(start, end, duration_s) -> str:
+    return f"segment ({start}, {end}) outside [0, {duration_s}]"
 
 
 def _merge(segs):
@@ -164,27 +172,45 @@ class Decision:
         return not self.active
 
 
+def window_max(scores) -> np.ndarray:
+    """Max window score per recording, [recordings x classes] in scores.class_order.
+
+    scores is a ScoreTable, or a ScoreMatrix as a table of one recording.
+    """
+    return np.maximum.reduceat(scores.class_scores, scores.offsets, axis=0)
+
+
+def window_active(scores, policy: ThresholdPolicy) -> np.ndarray:
+    """Active flags per recording, [recordings x CLASSES]: at least
+    policy.count_for(cls) windows score strictly above the class threshold."""
+    columns = [scores.class_order.index(cls) for cls in CLASSES]
+    above = scores.class_scores[:, columns] > [policy.thresholds[cls] for cls in CLASSES]
+    counts = np.add.reduceat(above, scores.offsets, axis=0, dtype=np.intp)
+    return counts >= [policy.count_for(cls) for cls in CLASSES]
+
+
+def decisions_from_flags(recording_ids, flags: np.ndarray) -> list:
+    """One Decision per recording from [recordings x CLASSES] active flags."""
+    return [Decision(rid, frozenset(compress(CLASSES, row))) for rid, row in zip(recording_ids, flags.tolist())]
+
+
 def aggregate(matrix: ScoreMatrix) -> dict:
     """Max confidence per class across all windows."""
     if matrix.n_windows < 1:
         raise ValueError(f"{matrix.recording_id}: no windows to aggregate")
-    maxes = matrix.class_scores.max(axis=0)
+    maxes = window_max(matrix)[0]
     return {cls: float(maxes[i]) for i, cls in enumerate(matrix.class_order)}
 
 
 def decide(matrix: ScoreMatrix, policy: ThresholdPolicy) -> Decision:
     """Apply thresholds (and optional counts) to one recording's scores."""
-    active = set()
     for cls in CLASSES:
-        theta = policy.thresholds[cls]
         c = policy.count_for(cls)
         if c > matrix.n_windows:
             raise ValueError(
                 f"{matrix.recording_id}: count {c} for {cls} exceeds {matrix.n_windows} windows"
             )
-        if int((matrix.scores_for(cls) > theta).sum()) >= c:
-            active.add(cls)
-    return Decision(recording_id=matrix.recording_id, active=frozenset(active))
+    return decisions_from_flags([matrix.recording_id], window_active(matrix, policy))[0]
 
 
 def count_for_fraction(p: float, w: int) -> int:
@@ -215,15 +241,14 @@ def load_annotations(path, duration_s: float) -> dict:
     for line, (rec_id, cls, start, end) in table:
         if cls not in CLASSES:
             raise table.error(f"unknown class {cls!r}", line)
-        segs = segments.setdefault(rec_id, {c: [] for c in CLASSES})
-        segs[cls].append((table.number(start, line), table.number(end, line)))
-    out = {}
-    for rec_id, segs in segments.items():
-        try:
-            out[rec_id] = AnnotationSet(recording_id=rec_id, duration_s=duration_s, segments=segs)
-        except ValueError as exc:
-            raise SchemaError(str(exc), path=path) from None
-    return out
+        start, end = table.number(start, line), table.number(end, line)
+        if not _inside(start, end, duration_s):
+            raise table.error(_outside(start, end, duration_s), line)
+        segments.setdefault(rec_id, {c: [] for c in CLASSES})[cls].append((start, end))
+    return {
+        rec_id: AnnotationSet(recording_id=rec_id, duration_s=duration_s, segments=segs)
+        for rec_id, segs in segments.items()
+    }
 
 
 def _active_sets(table):

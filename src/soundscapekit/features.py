@@ -17,13 +17,12 @@ from scipy.signal import get_window
 from .audio_io import AudioClip
 
 SCALE_LINEAR = "linear-magnitude"
-SCALE_POWER = "power"
 SCALE_LOG_MEL = "log-mel-dB"
 
 #: Floor added before the log so silent cells map to a finite dB value.
 LOG_MEL_EPS = 1e-10
 
-_SCALES = (SCALE_LINEAR, SCALE_POWER, SCALE_LOG_MEL)
+_SCALES = (SCALE_LINEAR, SCALE_LOG_MEL)
 
 #: Frames per FFT block in framed_rfft. For a 1024-sample window a block's
 #: windowed frames and spectrum take about 1 MB, small enough to stay in cache.
@@ -38,7 +37,7 @@ class Spectrogram:
         values: non-negative magnitudes (or dB values for log-mel scale).
         frame_hop_s: time step between frames, seconds.
         bin_freqs_hz: strictly ascending bin center frequencies.
-        scale: one of SCALE_LINEAR, SCALE_POWER, SCALE_LOG_MEL.
+        scale: SCALE_LINEAR or SCALE_LOG_MEL.
     """
 
     values: np.ndarray

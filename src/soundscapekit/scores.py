@@ -1,10 +1,13 @@
 """Per-window confidence scores: the boundary to any external classifier.
 
-Scores enter the toolkit as CSV (one row per window) and are grouped into
-immutable per-recording matrices. Nothing here runs a model; any command
+Scores enter the toolkit as CSV (one row per window) and are held as one
+table of columns, grouped by recording, which also reads as a sequence of
+per-recording matrices. Nothing here runs a model; any command
 that produces the documented CSV can feed the decision layer.
 """
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +70,27 @@ class ScoreMatrix:
         if len(diffs) > 1 and np.any(np.abs(diffs - diffs[0]) > _SPACING_TOL):
             raise ValueError(f"{self.recording_id}: non-uniform window spacing")
 
+    @classmethod
+    def _view(cls, recording_id, window_starts_s, window_len_s, class_scores, class_order) -> "ScoreMatrix":
+        """A matrix over arrays a ScoreTable has already checked; skips __post_init__."""
+        m = cls.__new__(cls)
+        m.__dict__.update(
+            recording_id=recording_id,
+            window_starts_s=window_starts_s,
+            window_len_s=window_len_s,
+            class_scores=class_scores,
+            class_order=class_order,
+        )
+        return m
+
     @property
     def n_windows(self) -> int:
         return len(self.window_starts_s)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """First row of each recording, as in ScoreTable: the one recording starts at row 0."""
+        return np.zeros(1, dtype=np.intp)
 
     def scores_for(self, class_name: str) -> np.ndarray:
         return self.class_scores[:, self.class_order.index(class_name)]
@@ -91,39 +112,121 @@ def enumerate_windows(duration_s: float, spec: WindowSpec, pad_last: bool = Fals
     return [i * spec.step_s for i in range(count)]
 
 
-def load_scores(path, window_len_s: float = 10.0) -> list:
-    """Parse a score CSV into one validated ScoreMatrix per recording.
+def load_scores(path, window_len_s: float = 10.0, duration_s: float | None = None) -> "ScoreTable":
+    """Parse a score CSV into a validated ScoreTable (a sequence of per-recording ScoreMatrix views).
 
     Expected header: recording_id,window_start_s,anthropophony,biophony,geophony
     with an optional trailing silence column. Rows for a recording may be
-    interleaved with other recordings; they are grouped and sorted by start.
+    interleaved with other recordings; they are grouped (recordings in order
+    of first appearance) and sorted by start. With duration_s, every window
+    start must lie inside [0, duration_s).
+
+    The rows are checked in bulk; when a check fails, the file is checked
+    again row by row (or recording by recording) so the error is the first
+    one in file order, with its line.
     """
     base = ["recording_id", "window_start_s", *CLASSES]
     table = Table(path, [base, base + [SILENCE]])
     class_order = tuple(table.header[2:])
-    by_id: dict = {}
-    for line, fields in table:
-        start, *scores = table.numbers(fields[1:], line)
-        if start < 0:
-            raise table.error(f"window_start_s must be >= 0, got {fields[1]!r}", line)
-        for s in scores:
-            if not 0.0 <= s <= 1.0:
-                raise table.error(f"score {s} outside [0, 1]", line)
-        by_id.setdefault(fields[0], []).append((start, scores))
+    codes: dict = {}  # recording_id -> index in order of first appearance
+    rec, values = array("q"), array("d")  # per row: recording index; start and scores, flat
+    try:
+        for _, fields in table:
+            rec.append(codes.setdefault(fields[0], len(codes)))
+            values.extend(map(float, fields[1:]))
+    except (SchemaError, ValueError):
+        _raise_first_bad_row(table, duration_s)
 
-    matrices = []
-    for rec_id, rows in by_id.items():
-        rows.sort(key=lambda r: r[0])
-        try:
-            matrices.append(
-                ScoreMatrix(
-                    recording_id=rec_id,
-                    window_starts_s=np.array([r[0] for r in rows]),
-                    window_len_s=window_len_s,
-                    class_scores=np.array([r[1] for r in rows]),
-                    class_order=class_order,
-                )
-            )
-        except ValueError as exc:
-            raise SchemaError(str(exc), path=path) from None
-    return matrices
+    rows = np.array(values).reshape(-1, 1 + len(class_order))
+    starts, scores = rows[:, 0], rows[:, 1:]
+    if not (
+        np.isfinite(starts).all()
+        and (starts >= 0).all()
+        and (duration_s is None or (starts < duration_s).all())
+        and (scores >= 0).all()
+        and (scores <= 1).all()
+    ):
+        _raise_first_bad_row(table, duration_s)
+
+    rec = np.array(rec)
+    order = np.lexsort((starts, rec))
+    counts = np.bincount(rec, minlength=len(codes))
+    loaded = ScoreTable(
+        recording_ids=list(codes),
+        window_starts_s=starts[order],
+        window_len_s=window_len_s,
+        class_scores=scores[order],
+        class_order=class_order,
+        offsets=np.cumsum(counts) - counts,
+    )
+    loaded._check_windows(path)
+    return loaded
+
+
+def _check_row(table, line, fields, duration_s):
+    start, *scores = table.numbers(fields[1:], line)
+    if start < 0:
+        raise table.error(f"window_start_s must be >= 0, got {fields[1]!r}", line)
+    if duration_s is not None and start >= duration_s:
+        raise table.error(f"window_start_s {fields[1]} is not inside the {duration_s} s recording", line)
+    for s in scores:
+        if not 0.0 <= s <= 1.0:
+            raise table.error(f"score {s} outside [0, 1]", line)
+
+
+def _raise_first_bad_row(table, duration_s):
+    """Raise the SchemaError of the first row that breaks a rule, with its line."""
+    for line, fields in table:
+        _check_row(table, line, fields, duration_s)
+    raise SchemaError("file changed while it was read", path=table.path)
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable(Sequence):
+    """Every recording's window scores as columns, rows grouped by recording.
+
+    Recording i owns rows offsets[i] up to offsets[i + 1] (or the end) of
+    window_starts_s and class_scores [rows x classes], its windows in
+    ascending order. As a sequence it yields one ScoreMatrix view per
+    recording; the decision kernels work on the columns directly.
+    """
+
+    recording_ids: list
+    window_starts_s: np.ndarray
+    window_len_s: float
+    class_scores: np.ndarray
+    class_order: tuple
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.recording_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        a = self.offsets[i]
+        b = self.offsets[i + 1] if i + 1 < len(self) else len(self.window_starts_s)
+        return ScoreMatrix._view(
+            self.recording_ids[i], self.window_starts_s[a:b], self.window_len_s, self.class_scores[a:b], self.class_order
+        )
+
+    @property
+    def n_windows(self) -> np.ndarray:
+        """Windows per recording."""
+        return np.diff(self.offsets, append=len(self.window_starts_s))
+
+    def _check_windows(self, path) -> None:
+        """Raise the first recording's ScoreMatrix error if its starts do not
+        ascend strictly with uniform spacing."""
+        diffs = np.diff(self.window_starts_s)
+        first = np.repeat(np.append(diffs, 0.0)[self.offsets], self.n_windows)[:-1]
+        bad = (diffs <= 0) | (np.abs(diffs - first) > _SPACING_TOL)
+        bad[self.offsets[1:] - 1] = False  # differences across recordings
+        if bad.any():
+            i = int(np.searchsorted(self.offsets, np.argmax(bad), side="right")) - 1
+            m = self[i]
+            try:
+                ScoreMatrix(m.recording_id, m.window_starts_s, m.window_len_s, m.class_scores, m.class_order)
+            except ValueError as exc:
+                raise SchemaError(str(exc), path=path) from None

@@ -484,3 +484,29 @@ class TestBadInputTables:
         out = ["--out", str(tmp_path / ("rep" if command == "evaluate" else "t.json"))]
         result = runner.invoke(main, [command, str(scores), str(anns), *out])
         assert_table_error(result, scores, 3)
+
+    @pytest.mark.parametrize("start", ["1e9", "60", "60.0"])
+    @pytest.mark.parametrize("command", ["evaluate", "tune"])
+    def test_window_start_past_the_recording(self, runner, tmp_path, command, start):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "recording_id,window_start_s,anthropophony,biophony,geophony\n"
+            f"r0,0.0,0.1,0.9,0.1\nr1,0.0,0.1,0.9,0.1\nr1,{start},0.1,0.9,0.1\n"
+        )
+        anns = tmp_path / "annotations.csv"
+        write_weak_annotations(anns, {"r0": {"biophony"}, "r1": set()})
+        out = ["--out", str(tmp_path / ("rep" if command == "evaluate" else "t.json"))]
+        result = runner.invoke(main, [command, str(scores), str(anns), *out])
+        assert_table_error(result, scores, 4)
+        assert f"{scores}:4: window_start_s {start} is not inside the 60.0 s recording" in result.output
+
+    @pytest.mark.parametrize("command", ["evaluate", "tune"])
+    def test_strong_segment_outside_the_recording(self, runner, tmp_path, command):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("recording_id,window_start_s,anthropophony,biophony,geophony\nr0,0.0,0.1,0.9,0.1\n")
+        anns = tmp_path / "seg.csv"
+        anns.write_text("recording_id,class,start_s,end_s\nr0,biophony,0,10\nr0,biophony,50,70\n")
+        out = ["--out", str(tmp_path / ("rep" if command == "evaluate" else "t.json"))]
+        result = runner.invoke(main, [command, str(scores), str(anns), *out])
+        assert_table_error(result, anns, 3)
+        assert f"{anns}:3: segment (50.0, 70.0) outside [0, 60.0]" in result.output

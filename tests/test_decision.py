@@ -16,10 +16,12 @@ from soundscapekit.decision import (
     dump_decisions,
     load_annotations,
     load_decisions,
+    window_active,
+    window_max,
 )
 from soundscapekit.errors import SchemaError
-from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY
-from soundscapekit.scores import ScoreMatrix
+from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY, SILENCE
+from soundscapekit.scores import ScoreMatrix, ScoreTable
 
 
 def matrix(rows, rec_id="r"):
@@ -196,6 +198,53 @@ class TestDecide:
         assert a == b
 
 
+@st.composite
+def score_tables(draw):
+    """1-6 recordings of 1-12 windows each as matrices and as one ScoreTable,
+    with or without the silence column."""
+    order = draw(st.sampled_from([CLASSES, CLASSES + (SILENCE,)]))
+    scores = st.floats(0, 1, allow_nan=False) | st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    blocks = draw(st.lists(arrays(float, st.tuples(st.integers(1, 12), st.just(len(order))), elements=scores),
+                           min_size=1, max_size=6))
+    matrices = [ScoreMatrix(f"r{i}", np.arange(len(b)) * 10.0, 10.0, b, order) for i, b in enumerate(blocks)]
+    lengths = [len(b) for b in blocks]
+    table = ScoreTable(
+        recording_ids=[m.recording_id for m in matrices],
+        window_starts_s=np.concatenate([m.window_starts_s for m in matrices]),
+        window_len_s=10.0,
+        class_scores=np.concatenate(blocks),
+        class_order=order,
+        offsets=np.cumsum(lengths) - lengths,
+    )
+    return matrices, table
+
+
+class TestTableKernels:
+    """window_max / window_active over a whole table equal per-matrix brute force."""
+
+    @given(score_tables(), st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.99]) | st.floats(0, 1), min_size=3, max_size=3),
+           st.lists(st.integers(1, 12), min_size=3, max_size=3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_brute_force(self, tables, thetas, counts, with_counts):
+        matrices, table = tables
+        policy = ThresholdPolicy(dict(zip(CLASSES, thetas)), dict(zip(CLASSES, counts)) if with_counts else None)
+        maxes, active = window_max(table), window_active(table, policy)
+        assert maxes.shape == (len(matrices), len(table.class_order))
+        assert active.shape == (len(matrices), len(CLASSES))
+        for i, m in enumerate(matrices):
+            assert maxes[i].tolist() == [max(col) for col in m.class_scores.T.tolist()]
+            above = [sum(s > policy.thresholds[c] for s in m.scores_for(c).tolist()) for c in CLASSES]
+            expected = [n >= policy.count_for(c) for n, c in zip(above, CLASSES)]
+            assert active[i].tolist() == expected
+            assert aggregate(m) == dict(zip(m.class_order, maxes[i].tolist()))
+            if max(policy.count_for(c) for c in CLASSES) <= m.n_windows:
+                assert decide(m, policy).active == frozenset(c for c, a in zip(CLASSES, expected) if a)
+            view = table[i]
+            assert view.recording_id == m.recording_id
+            assert np.array_equal(view.class_scores, m.class_scores)
+            assert np.array_equal(view.window_starts_s, m.window_starts_s)
+
+
 class TestDecisionInvariant:
     @pytest.mark.parametrize("combo", range(8))
     def test_silence_iff_empty(self, combo):
@@ -246,6 +295,13 @@ class TestAnnotationIO:
         p.write_text("recording_id,class,start_s,end_s\nr1,traffic,0,10\n")
         with pytest.raises(SchemaError, match=r"bad\.csv:2"):
             load_annotations(p, 60.0)
+
+    def test_strong_segment_outside_recording_names_its_line(self, tmp_path):
+        p = tmp_path / "seg.csv"
+        p.write_text("recording_id,class,start_s,end_s\nr0,biophony,0,10\nr0,biophony,50,70\n")
+        with pytest.raises(SchemaError) as err:
+            load_annotations(p, 60.0)
+        assert str(err.value) == f"{p}:3: segment (50.0, 70.0) outside [0, 60.0]"
 
     def test_weak_flag_validation(self, tmp_path):
         p = tmp_path / "flags.csv"

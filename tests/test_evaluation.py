@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from soundscapekit.decision import AnnotationSet, Decision
 from soundscapekit.evaluation import (
     CASE_STUDY_FILTERS,
+    _bootstrap_macros,
     correlate,
     curve,
     evaluate,
@@ -96,6 +98,44 @@ class TestEvaluate:
     def test_empty(self):
         with pytest.raises(ValueError):
             evaluate([], [])
+
+
+def fancy_index_macros(tp_i, fp_i, fn_i, resamples, seed):
+    """The bootstrap as first written: three fancy-indexed sums per resample."""
+    n = tp_i.shape[0]
+    macros = np.empty(resamples)
+    for r in range(resamples):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
+        idx = rng.integers(0, n, size=n)
+        tp = tp_i[idx].sum(axis=0).astype(float)
+        fp = fp_i[idx].sum(axis=0).astype(float)
+        fn = fn_i[idx].sum(axis=0).astype(float)
+        denom = 2.0 * tp + fp + fn
+        f1 = np.where(tp > 0, 2.0 * tp / np.where(denom > 0, denom, 1.0), 0.0)
+        macros[r] = f1.mean()
+    return macros
+
+
+@st.composite
+def outcome_matrices(draw):
+    """tp/fp/fn flags of n recordings x 3 classes, some columns forced to all zero."""
+    n = draw(st.integers(1, 300))
+    pred, true = draw(arrays(bool, (n, 3))), draw(arrays(bool, (n, 3)))
+    pred[:, draw(st.lists(st.integers(0, 2), max_size=3))] = False  # classes never predicted: tp = fp = 0
+    true[:, draw(st.lists(st.integers(0, 2), max_size=3))] = False  # classes never present: tp = fn = 0
+    return pred & true, pred & ~true, ~pred & true
+
+
+class TestBootstrap:
+    @settings(max_examples=150, deadline=None)
+    @given(outcome_matrices(), st.integers(1, 40), st.integers(0, 2**63 - 1))
+    def test_bincount_equals_fancy_index_bit_for_bit(self, outcomes, resamples, seed):
+        got = _bootstrap_macros(*outcomes, resamples, seed)
+        assert np.array_equal(got, fancy_index_macros(*outcomes, resamples, seed))
+
+    def test_all_zero_outcomes(self):
+        zeros = np.zeros((5, 3), dtype=bool)
+        assert np.array_equal(_bootstrap_macros(zeros, zeros, zeros, 3, 1), np.zeros(3))
 
 
 def brute_force_curve(scores, truth, kind):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,3 +152,93 @@ class TestLoadScores:
         with pytest.raises(SchemaError, match="spacing"):
             load_scores(p)
 
+
+
+HEADER = "recording_id,window_start_s,anthropophony,biophony,geophony"
+
+
+def reference_load(path):
+    """Row by row: recordings in order of first appearance, each one's rows sorted by start."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        by_id = {}
+        for row in reader:
+            by_id.setdefault(row[0], []).append([float(x) for x in row[1:]])
+    return {rid: sorted(rows, key=lambda r: r[0]) for rid, rows in by_id.items()}
+
+
+@st.composite
+def shuffled_score_files(draw):
+    """Rows of 1-6 recordings with uniform spacing, interleaved in a random order."""
+    silence = draw(st.booleans())
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        first, step = draw(st.sampled_from([0.0, 0.5, 3.0])), draw(st.sampled_from([0.5, 1.0, 2.5, 10.0]))
+        for k in range(draw(st.integers(1, 8))):
+            scores = draw(st.lists(st.floats(0, 1), min_size=3 + silence, max_size=3 + silence))
+            rows.append(",".join([f"rec{i}", repr(first + k * step), *map(repr, scores)]))
+    rows = draw(st.permutations(rows))
+    return HEADER + (",silence" if silence else "") + "\n" + "\n".join(rows) + "\n"
+
+
+class TestLoadScoresColumns:
+    @given(text=shuffled_score_files())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_row_by_row_reference(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("scores") / "scores.csv"
+        p.write_text(text)
+        table = load_scores(p, window_len_s=10.0, duration_s=100.0)
+        expected = reference_load(p)
+        assert table.recording_ids == list(expected)
+        rows = [row for rid in expected for row in expected[rid]]
+        assert table.window_starts_s.tolist() == [row[0] for row in rows]
+        assert table.class_scores.tolist() == [row[1:] for row in rows]
+        assert table.n_windows.tolist() == [len(expected[rid]) for rid in expected]
+        assert table.class_order == tuple(text.splitlines()[0].split(",")[2:])
+        for m, (rid, rid_rows) in zip(table, expected.items()):
+            assert m.recording_id == rid
+            assert m.n_windows == len(rid_rows)
+            assert m.class_scores.tolist() == [row[1:] for row in rid_rows]
+
+    BAD_ROWS = ["x,zero,0.1,0.2,0.3", "x,0,nan,0.2,0.3", "x,0,0.1,1.5,0.3", "x,-1,0.1,0.2,0.3",
+                "x,60,0.1,0.2,0.3", "x,inf,0.1,0.2,0.3", "x,0,0.1", "x,0,0.1,0.2,0.3,0.4"]
+
+    @given(good=st.integers(0, 12), bad=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(BAD_ROWS)),
+                                                min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path_factory, good, bad):
+        rows = [f"g{i},0.0,0.1,0.2,0.3" for i in range(good)]
+        for pos, row in sorted(bad, reverse=True):
+            rows.insert(min(pos, len(rows)), row)
+        first = next(i for i, row in enumerate(rows) if row in self.BAD_ROWS)
+        d = tmp_path_factory.mktemp("bad")
+        (d / "s.csv").write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        (d / "one.csv").write_text(HEADER + "\n" + rows[first] + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_scores(d / "s.csv", duration_s=60.0)
+        with pytest.raises(SchemaError) as alone:
+            load_scores(d / "one.csv", duration_s=60.0)
+        assert err.value.line == first + 2
+        assert str(err.value).split(": ", 1)[1] == str(alone.value).split(": ", 1)[1]
+
+    def test_start_past_the_recording_names_its_line(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text(f"{HEADER}\nr0,0.0,0.1,0.2,0.3\nr0,1e9,0.1,0.2,0.3\n")
+        with pytest.raises(SchemaError) as err:
+            load_scores(p, duration_s=60.0)
+        assert str(err.value) == f"{p}:3: window_start_s 1e9 is not inside the 60.0 s recording"
+        assert load_scores(p).n_windows.tolist() == [2]  # no duration, no bound
+
+    def test_start_just_inside_accepted(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text(f"{HEADER}\nr0,0.0,0.1,0.2,0.3\nr0,59.5,0.1,0.2,0.3\n")
+        assert load_scores(p, duration_s=60.0).window_starts_s.tolist() == [0.0, 59.5]
+
+    def test_spacing_error_names_the_first_bad_recording(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text(f"{HEADER}\nb,0,0.1,0.2,0.3\na,0,0.1,0.2,0.3\na,10,0.1,0.2,0.3\na,10,0.1,0.2,0.3\n"
+                     "b,10,0.1,0.2,0.3\nb,25,0.1,0.2,0.3\n")
+        with pytest.raises(SchemaError) as err:
+            load_scores(p)
+        assert str(err.value) == f"{p}: b: non-uniform window spacing"
