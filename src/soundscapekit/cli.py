@@ -14,15 +14,14 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .audio_io import decode_wav, resample
 from .config import RunConfig, dump_threshold_fragment, load_threshold_fragment
 from .decision import (
-    AnnotationSet,
     ThresholdPolicy,
     apply_pda,
-    decisions_from_flags,
     dump_decisions,
     load_annotations,
     load_decisions,
@@ -137,7 +136,10 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
         f"adi_max_freq_hz={p.adi_max_freq_hz} adi_db_threshold={p.adi_db_threshold}",
         f"# ndsi_anthro_hz={list(p.ndsi_anthro_hz)} ndsi_bio_hz={list(p.ndsi_bio_hz)}",
     ]
-    _write_csv(out, header, rows, comments=comments)
+    try:
+        _write_csv(out, header, rows, comments=comments)
+    except OSError as exc:
+        _fail("indices", exc)
     if failures:
         _log(f"indices: {failures} file(s) failed")
         sys.exit(1)
@@ -185,13 +187,13 @@ def cmd_mix(pool_manifest, out_dir, counts, seed, config_path, jobs):
             pool, parsed, cfg.seed, out_dir,
             jobs=jobs, count_pmfs=cfg.mixer_count_pmfs, normalization=cfg.mixer_normalization,
         )
-    except (SoundscapeKitError, ValueError) as exc:
+    except (SoundscapeKitError, ValueError, OSError) as exc:
         _fail("mix", exc)
     _log(f"mix: wrote {manifest}")
 
 
 def _scores_and_truth(scores_path, annotations_path, cfg, policy):
-    """The score table and, per recording in its order, the PDA-filtered truth."""
+    """The score table and its PDA-filtered truth, [recordings x CLASSES] flags in table row order."""
     duration = cfg.recording_duration_s
     scores = load_scores(scores_path, window_len_s=cfg.window.window_len_s, duration_s=duration)
     anns = load_annotations(annotations_path, duration_s=duration)
@@ -199,12 +201,11 @@ def _scores_and_truth(scores_path, annotations_path, cfg, policy):
     if unknown:
         raise SoundscapeKitError(f"annotations for recordings without scores: {sorted(unknown)[:5]}")
 
-    truths = []
-    for rid in scores.recording_ids:
-        ann = anns.get(rid)
-        if ann is None:
-            ann = AnnotationSet(recording_id=rid, duration_s=duration)
-        truths.append(apply_pda(ann, cfg.pda))
+    true = np.zeros((len(scores), len(CLASSES)), dtype=bool)
+    for i, rid in enumerate(scores.recording_ids):
+        if rid in anns:
+            active = apply_pda(anns[rid], cfg.pda).active_classes
+            true[i] = [cls in active for cls in CLASSES]
 
     if policy is not None and policy.counts and len(scores):
         min_windows = int(scores.n_windows.min())
@@ -213,17 +214,7 @@ def _scores_and_truth(scores_path, annotations_path, cfg, policy):
                 raise SoundscapeKitError(
                     f"count {c} for {cls} exceeds the {min_windows} windows of the shortest recording"
                 )
-    return scores, truths
-
-
-def _max_scores_and_truth(scores, truths):
-    """Per-class max-window scores and truth flags, one entry per recording in order."""
-    maxes = window_max(scores)
-    actives = [t.active_classes for t in truths]
-    return (
-        {cls: maxes[:, scores.class_order.index(cls)] for cls in CLASSES},
-        {cls: [cls in active for active in actives] for cls in CLASSES},
-    )
+    return scores, true
 
 
 @main.command("evaluate")
@@ -241,54 +232,55 @@ def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed
         cfg.seed = seed
     _log(f"evaluate: seed={cfg.seed} mode={cfg.threshold_mode}")
 
+    out = Path(out_dir)
     try:
-        scores, truths = _scores_and_truth(scores_csv, annotations_csv, cfg, cfg.thresholds)
-        decisions = decisions_from_flags(scores.recording_ids, window_active(scores, cfg.thresholds))
+        scores, true = _scores_and_truth(scores_csv, annotations_csv, cfg, cfg.thresholds)
+        pred = window_active(scores, cfg.thresholds)
         report = evaluate(
-            decisions,
-            truths,
+            pred,
+            true,
             bootstrap_resamples=cfg.bootstrap_resamples,
             confidence=cfg.bootstrap_confidence,
             bootstrap_seed=cfg.seed,
         )
-        stratified = stratify_errors(decisions, truths)
-    except (SoundscapeKitError, ValueError) as exc:
+        stratified = stratify_errors(pred, true)
+        _write_evaluation(out, scores, pred, true, report, stratified)
+    except (SoundscapeKitError, ValueError, OSError) as exc:
         _fail("evaluate", exc)
+    _log(
+        f"evaluate: macro_f1={report.macro_f1:.3f} "
+        f"ci=[{report.macro_f1_ci[0]:.3f}, {report.macro_f1_ci[1]:.3f}] -> {out}"
+    )
 
-    out = Path(out_dir)
+
+def _write_evaluation(out, scores, pred, true, report, stratified):
+    """report.json, report.txt, curves.csv, stratified.csv and decisions.csv in the directory out."""
     out.mkdir(parents=True, exist_ok=True)
-
     with open(out / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     (out / "report.txt").write_text(report.to_table() + "\n")
-
-    scores_by_class, truth_by_class = _max_scores_and_truth(scores, truths)
-    curve_rows = []
-    for cls in CLASSES:
-        agg_scores, cls_truth = scores_by_class[cls], truth_by_class[cls]
-        pr = curve(agg_scores, cls_truth, "PR")
-        for pt in pr.points:
-            curve_rows.append([cls, "PR", repr(pt.threshold), repr(pt.x), repr(pt.y)])
-        if any(cls_truth) and not all(cls_truth):
-            roc = curve(agg_scores, cls_truth, "ROC")
-            for pt in roc.points:
-                curve_rows.append([cls, "ROC", repr(pt.threshold), repr(pt.x), repr(pt.y)])
-        else:
-            _log(f"evaluate: skipping ROC for {cls} (degenerate labels)")
-    _write_csv(out / "curves.csv", ["class", "kind", "threshold", "x", "y"], curve_rows)
-
+    _write_csv(out / "curves.csv", ["class", "kind", "threshold", "x", "y"], _curve_rows(scores, true))
     strat_rows = [
         [cls, combo, kind, count, "" if rate is None else repr(rate)]
         for cls, combo, kind, count, rate in stratified.to_rows()
     ]
     _write_csv(out / "stratified.csv", ["target", "combination", "kind", "count", "rate"], strat_rows)
+    dump_decisions(scores.recording_ids, pred, out / "decisions.csv")
 
-    dump_decisions(decisions, out / "decisions.csv")
-    _log(
-        f"evaluate: macro_f1={report.macro_f1:.3f} "
-        f"ci=[{report.macro_f1_ci[0]:.3f}, {report.macro_f1_ci[1]:.3f}] -> {out}"
-    )
+
+def _curve_rows(scores, true):
+    """curves.csv rows, one curve at a time: PR per class, and ROC where both labels occur."""
+    maxes = window_max(scores)
+    for j, cls in enumerate(CLASSES):
+        kinds = ["PR"]
+        if true[:, j].any() and not true[:, j].all():
+            kinds.append("ROC")
+        else:
+            _log(f"evaluate: skipping ROC for {cls} (degenerate labels)")
+        for kind in kinds:
+            for threshold, x, y in curve(maxes[:, j], true[:, j], kind).points.tolist():
+                yield [cls, kind, repr(threshold), repr(x), repr(y)]
 
 
 @main.command("tune")
@@ -303,15 +295,15 @@ def cmd_tune(scores_csv, annotations_csv, objective, config_path, grid, out_path
     cfg = _load_config(config_path)
     _log(f"tune: objective={objective} seed={cfg.seed}")
     try:
-        scores, truths = _scores_and_truth(scores_csv, annotations_csv, cfg, None)
-        scores_by_class, truth_by_class = _max_scores_and_truth(scores, truths)
-        tuned = tune_thresholds(scores_by_class, truth_by_class, objective=objective,
-                                grid_step=0.001 if grid else None)
-    except (SoundscapeKitError, ValueError) as exc:
+        scores, true = _scores_and_truth(scores_csv, annotations_csv, cfg, None)
+        maxes = window_max(scores)
+        tuned = tune_thresholds({cls: maxes[:, j] for j, cls in enumerate(CLASSES)},
+                                {cls: true[:, j] for j, cls in enumerate(CLASSES)},
+                                objective=objective, grid_step=0.001 if grid else None)
+        dump_threshold_fragment("per-class", ThresholdPolicy(thresholds=tuned), out_path)
+    except (SoundscapeKitError, ValueError, OSError) as exc:
         _fail("tune", exc)
 
-    policy = ThresholdPolicy(thresholds=tuned)
-    dump_threshold_fragment("per-class", policy, out_path)
     for cls in CLASSES:
         _log(f"tune: {cls} -> {tuned[cls]:.6g}")
     _log(f"tune: wrote {out_path}")
@@ -377,7 +369,10 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
                 except ValueError as exc:
                     failures += 1
                     rows.append([index_name, fname, source, "", "", str(exc)])
-    _write_csv(out, ["index", "filter", "source", "n", "r", "note"], rows)
+    try:
+        _write_csv(out, ["index", "filter", "source", "n", "r", "note"], rows)
+    except OSError as exc:
+        _fail("case-study", exc)
     if failures:
         _log(f"case-study: {failures} correlation(s) could not be computed")
         sys.exit(1)

@@ -189,11 +189,6 @@ def window_active(scores, policy: ThresholdPolicy) -> np.ndarray:
     return counts >= [policy.count_for(cls) for cls in CLASSES]
 
 
-def decisions_from_flags(recording_ids, flags: np.ndarray) -> list:
-    """One Decision per recording from [recordings x CLASSES] active flags."""
-    return [Decision(rid, frozenset(compress(CLASSES, row))) for rid, row in zip(recording_ids, flags.tolist())]
-
-
 def aggregate(matrix: ScoreMatrix) -> dict:
     """Max confidence per class across all windows."""
     if matrix.n_windows < 1:
@@ -210,7 +205,7 @@ def decide(matrix: ScoreMatrix, policy: ThresholdPolicy) -> Decision:
             raise ValueError(
                 f"{matrix.recording_id}: count {c} for {cls} exceeds {matrix.n_windows} windows"
             )
-    return decisions_from_flags([matrix.recording_id], window_active(matrix, policy))[0]
+    return Decision(matrix.recording_id, frozenset(compress(CLASSES, window_active(matrix, policy)[0])))
 
 
 def count_for_fraction(p: float, w: int) -> int:
@@ -260,14 +255,14 @@ def _active_sets(table):
         yield fields[0], active
 
 
-def dump_decisions(decisions, path) -> None:
-    """Write decisions as CSV with 0/1 flags per class plus the silence flag."""
+def dump_decisions(recording_ids, flags, path) -> None:
+    """Write [recordings x CLASSES] active flags as CSV: 0/1 per class plus the silence flag."""
+    flags = np.asarray(flags, dtype=bool)
+    rows = np.column_stack((flags, ~flags.any(axis=1))).astype(int).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_DECISIONS_HEADER)
-        for d in decisions:
-            flags = [1 if c in d.active else 0 for c in CLASSES]
-            writer.writerow([d.recording_id, *flags, 1 if d.silence else 0])
+        writer.writerows([rid, *row] for rid, row in zip(recording_ids, rows, strict=True))
 
 
 def load_decisions(path) -> list:

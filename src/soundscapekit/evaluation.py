@@ -108,52 +108,35 @@ def macro_f1(per_class_f1) -> float:
     return float(sum(vals) / len(vals))
 
 
-def _align(decisions, truth):
-    truth_by_id = {t.recording_id: t for t in truth}
-    if len(truth_by_id) != len(truth):
-        raise ValueError("duplicate recording_id in truth")
-    seen = set()
-    pairs = []
-    for d in decisions:
-        if d.recording_id not in truth_by_id:
-            raise ValueError(f"no ground truth for recording {d.recording_id!r}")
-        if d.recording_id in seen:
-            raise ValueError(f"duplicate decision for recording {d.recording_id!r}")
-        seen.add(d.recording_id)
-        pairs.append((d, truth_by_id[d.recording_id]))
-    missing = set(truth_by_id) - seen
-    if missing:
-        raise ValueError(f"no decision for recordings: {sorted(missing)[:5]}")
-    return pairs
+def _flag_arrays(pred, true):
+    """pred and true as bool arrays of one [recordings x CLASSES] shape, with at least one row."""
+    pred, true = np.asarray(pred, dtype=bool), np.asarray(true, dtype=bool)
+    if pred.shape != true.shape or pred.ndim != 2 or pred.shape[1] != len(CLASSES):
+        raise ValueError(
+            f"pred and true must share one [recordings x {len(CLASSES)}] shape, got {pred.shape} and {true.shape}"
+        )
+    if not len(pred):
+        raise ValueError("nothing to evaluate")
+    return pred, true
 
 
 def evaluate(
-    decisions,
-    truth,
+    pred,
+    true,
     bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
     confidence: float = DEFAULT_CONFIDENCE,
     bootstrap_seed: int = 0,
 ) -> EvalReport:
     """Per-class precision/recall/F1, macro F1, and its bootstrap CI.
 
-    decisions and truth must cover the same recording ids. truth entries are
-    AnnotationSets; class presence is their (possibly PDA-filtered) weak flag.
+    pred and true are [recordings x CLASSES] flags with rows aligned: the
+    decided classes and the (possibly PDA-filtered) annotated classes.
     """
-    pairs = _align(decisions, truth)
-    if not pairs:
-        raise ValueError("nothing to evaluate")
+    pred, true = _flag_arrays(pred, true)
     if bootstrap_resamples < 1:
         raise ValueError(f"need at least 1 bootstrap resample, got {bootstrap_resamples}")
 
-    n = len(pairs)
-    pred = np.zeros((n, len(CLASSES)), dtype=bool)
-    true = np.zeros((n, len(CLASSES)), dtype=bool)
-    for i, (d, t) in enumerate(pairs):
-        active = t.active_classes
-        for j, cls in enumerate(CLASSES):
-            pred[i, j] = cls in d.active
-            true[i, j] = cls in active
-
+    n = len(pred)
     tp_i = pred & true
     fp_i = pred & ~true
     fn_i = ~pred & true
@@ -172,7 +155,7 @@ def evaluate(
     point = macro_f1(f1s)
     ci = _bootstrap_macro_ci(tp_i, fp_i, fn_i, point, bootstrap_resamples, confidence, bootstrap_seed)
 
-    silence_rate = sum(1 for d, _ in pairs if d.silence) / n
+    silence_rate = int((~pred.any(axis=1)).sum()) / n
     return EvalReport(
         per_class=per_class,
         macro_f1=point,
@@ -210,19 +193,12 @@ def _bootstrap_macros(tp_i, fp_i, fn_i, resamples, seed) -> np.ndarray:
     return macros
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    threshold: float
-    x: float
-    y: float
-
-
 @dataclass
 class Curve:
-    """PR or ROC curve with one point per candidate threshold (descending)."""
+    """PR or ROC curve with one (threshold, x, y) row per candidate threshold (descending)."""
 
     kind: str  # "PR" or "ROC"
-    points: list
+    points: np.ndarray  # [thresholds x 3]
     best_threshold: float
     best_score: float  # best F1 (PR) or best Youden J (ROC)
 
@@ -285,7 +261,7 @@ def curve(scores, truth, kind: str) -> Curve:
         xs, ys = recall, precision
     else:
         xs, ys = fp / np.maximum(fp + tn, 1), tp / np.maximum(tp + fn, 1)
-    points = [CurvePoint(float(t), float(x), float(y)) for t, x, y in zip(thresholds, xs, ys)]
+    points = np.column_stack((thresholds, xs, ys))
     return Curve(kind=kind, points=points, best_threshold=float(thresholds[best]), best_score=best_score)
 
 
@@ -349,24 +325,26 @@ class StratifiedErrors:
         return rows
 
 
-def stratify_errors(decisions, truth) -> StratifiedErrors:
-    """Tally FP/FN per class, stratified by which other labels are annotated."""
-    pairs = _align(decisions, truth)
-    out = StratifiedErrors(per_class={cls: {} for cls in CLASSES})
-    for d, t in pairs:
-        truth_active = t.active_classes
-        for cls in CLASSES:
-            others = truth_active - {cls}
-            combo = combo_string(others)
-            tally = out.per_class[cls].setdefault(combo, ComboTally())
-            if cls in truth_active:
-                tally.fn_denominator += 1
-                if cls not in d.active:
-                    tally.fn_count += 1
-            else:
-                tally.fp_denominator += 1
-                if cls in d.active:
-                    tally.fp_count += 1
+def stratify_errors(pred, true) -> StratifiedErrors:
+    """Tally FP/FN per class, stratified by which other labels are annotated.
+
+    pred and true are [recordings x CLASSES] flags with rows aligned, as for
+    :func:`evaluate`.
+    """
+    pred, true = _flag_arrays(pred, true)
+    bits = true << np.arange(len(CLASSES))  # class k annotated sets bit k
+    codes = bits.sum(axis=1)
+    combos = [combo_string({c for k, c in enumerate(CLASSES) if code >> k & 1}) for code in range(1 << len(CLASSES))]
+    out = StratifiedErrors()
+    for j, cls in enumerate(CLASSES):
+        # one bin per (code of the other annotated classes, outcome 0 tn / 1 fp / 2 tp / 3 fn)
+        outcome = 2 * true[:, j] + (pred[:, j] != true[:, j])
+        tallies = np.bincount(4 * (codes - bits[:, j]) + outcome, minlength=4 << len(CLASSES)).reshape(-1, 4)
+        out.per_class[cls] = {
+            combos[code]: ComboTally(fp_count=fp, fn_count=fn, fp_denominator=tn + fp, fn_denominator=tp + fn)
+            for code, (tn, fp, tp, fn) in enumerate(tallies.tolist())
+            if tn + fp + tp + fn
+        }
     return out
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from soundscapekit.labels import CLASSES
+
 
 def write_wav(path, samples, rate, dtype=np.int16):
     """Write raw sample data (already in the target dtype's range) to a WAV file."""
@@ -26,6 +28,11 @@ def write_wav_24bit(path, values, rate):
 def tone(freq_hz, dur_s, rate, amp=0.5, phase=0.0):
     t = np.arange(int(round(dur_s * rate))) / rate
     return amp * np.sin(2 * np.pi * freq_hz * t + phase)
+
+
+def flags(label_sets):
+    """[len(label_sets) x CLASSES] bool array; row i flags the classes in label_sets[i]."""
+    return np.array([[c in labels for c in CLASSES] for labels in label_sets], dtype=bool).reshape(-1, len(CLASSES))
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY
 from soundscapekit.scores import ScoreMatrix, WindowSpec, enumerate_windows
 from soundscapekit.synthmix import SourcePool, draw_recipe, render_mix, build_corpus
 
-from conftest import tone
+from conftest import flags, tone
 
 FIXTURES = Path(__file__).parent / "data" / "cst_fixture"
 
@@ -292,16 +292,11 @@ def test_criterion_10_evaluation_plumbing():
         ({"anthropophony", "biophony"}, {"anthropophony"}, 2),   # B FN under A
         (set(), set(), 2),
     ]
-    decisions, truth = [], []
-    i = 0
-    for true_set, pred_set, n in blocks:
-        for _ in range(n):
-            decisions.append(Decision(f"r{i}", frozenset(pred_set)))
-            truth.append(AnnotationSet.from_weak_labels(f"r{i}", 60.0, true_set))
-            i += 1
-    assert i == 20
+    pred = flags(pred_set for _, pred_set, n in blocks for _ in range(n))
+    true = flags(true_set for true_set, _, n in blocks for _ in range(n))
+    assert len(pred) == len(true) == 20
 
-    strat = stratify_errors(decisions, truth)
+    strat = stratify_errors(pred, true)
     expected = {
         ANTHROPOPHONY: {"fp": {"B": 4}, "fn": {"BG": 2}},
         BIOPHONY: {"fp": {"G": 2}, "fn": {"A": 2}},
@@ -317,7 +312,7 @@ def test_criterion_10_evaluation_plumbing():
 
     bracket_ok = True
     for seed in range(10):
-        report = evaluate(decisions, truth, bootstrap_resamples=300, bootstrap_seed=seed)
+        report = evaluate(pred, true, bootstrap_resamples=300, bootstrap_seed=seed)
         lo, hi = report.macro_f1_ci
         bracket_ok &= lo <= report.macro_f1 <= hi
 

@@ -277,13 +277,19 @@ class TestEvaluateCommand:
         assert not (tmp_path / "rep").exists()
 
     def test_annotations_without_scores_rejected(self, runner, tmp_path):
+        """The one check that an annotated recording has scores; tune makes it too."""
         scores = tmp_path / "scores.csv"
         anns = tmp_path / "annotations.csv"
         write_single_window_scores(scores, {"r0": set()})
         write_weak_annotations(anns, {"r0": set(), "ghost": {"biophony"}})
-        result = runner.invoke(main, ["evaluate", str(scores), str(anns), "--out", str(tmp_path / "rep")])
-        assert result.exit_code == 1
-        assert "ghost" in result.output
+        for command, out in (("evaluate", tmp_path / "rep"), ("tune", tmp_path / "t.json")):
+            result = runner.invoke(main, [command, str(scores), str(anns), "--out", str(out)])
+            assert result.exit_code == 1
+            assert "ghost" in result.output
+            assert failed_lines(result, command) == [
+                f"{command}: FAILED: annotations for recordings without scores: ['ghost']"
+            ]
+            assert not out.exists()
 
 
 class TestTuneCommand:
@@ -405,6 +411,37 @@ class TestCaseStudyCommand:
                                       "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 1
         assert "missing" in result.output
+
+
+def failed_lines(result, command):
+    """The `<command>: FAILED: ...` lines of a run, once it is checked to exit 1 without a traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    return [ln for ln in result.output.splitlines() if ln.startswith(f"{command}: FAILED: ")]
+
+
+@pytest.mark.parametrize("command", ["indices", "mix", "tune", "evaluate", "case-study"])
+def test_unwritable_output_is_one_line_error(runner, tmp_path, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    missing_dir = tmp_path / "missing"
+    fixture = [str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv")]
+    if command == "indices":
+        (tmp_path / "audio").mkdir()
+        args = [str(tmp_path / "audio"), "--out", str(missing_dir / "x.csv")]
+    elif command == "mix":
+        manifest = tmp_path / "pool.csv"
+        manifest.write_text("file,class\n")
+        args = [str(manifest), str(afile / "sub")]
+    elif command == "tune":
+        args = [*fixture, "--out", str(missing_dir / "t.json")]
+    elif command == "evaluate":
+        args = [*fixture, "--out", str(afile / "sub")]
+    else:
+        args = [*map(str, write_case_study_inputs(tmp_path)), "--out", str(missing_dir / "c.csv")]
+    result = runner.invoke(main, [command, *args])
+    assert len(failed_lines(result, command)) == 1, result.output
 
 
 def assert_table_error(result, path, line):

@@ -23,6 +23,8 @@ from soundscapekit.errors import SchemaError
 from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY, SILENCE
 from soundscapekit.scores import ScoreMatrix, ScoreTable
 
+from conftest import flags
+
 
 def matrix(rows, rec_id="r"):
     rows = np.asarray(rows, dtype=float)
@@ -311,13 +313,10 @@ class TestAnnotationIO:
 
 
 def test_decisions_round_trip(tmp_path):
-    decisions = [
-        Decision("a", frozenset({BIOPHONY})),
-        Decision("b", frozenset()),
-        Decision("c", frozenset(CLASSES)),
-    ]
+    label_sets = [{BIOPHONY}, set(), set(CLASSES)]
+    decisions = [Decision(rid, frozenset(labels)) for rid, labels in zip("abc", label_sets)]
     p = tmp_path / "d.csv"
-    dump_decisions(decisions, p)
+    dump_decisions("abc", flags(label_sets), p)
     assert load_decisions(p) == decisions
     text = p.read_text().splitlines()
     assert text[0] == "recording_id,anthropophony,biophony,geophony,silence"

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from soundscapekit.decision import AnnotationSet, Decision
 from soundscapekit.evaluation import (
     CASE_STUDY_FILTERS,
     _bootstrap_macros,
@@ -20,9 +19,7 @@ from soundscapekit.evaluation import (
 from soundscapekit.indices import IndexResult
 from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY
 
-
-def weak_truth(rec_id, active):
-    return AnnotationSet.from_weak_labels(rec_id, 60.0, active)
+from conftest import flags
 
 
 class TestMacroF1:
@@ -38,11 +35,8 @@ class TestMacroF1:
 
 class TestEvaluate:
     def test_perfect_predictions(self):
-        decisions, truth = [], []
-        for i, active in enumerate([{ANTHROPOPHONY}, {BIOPHONY}, {GEOPHONY}, set(CLASSES), set()]):
-            decisions.append(Decision(f"r{i}", frozenset(active)))
-            truth.append(weak_truth(f"r{i}", active))
-        report = evaluate(decisions, truth, bootstrap_resamples=100)
+        label_sets = [{ANTHROPOPHONY}, {BIOPHONY}, {GEOPHONY}, set(CLASSES), set()]
+        report = evaluate(flags(label_sets), flags(label_sets), bootstrap_resamples=100)
         assert report.macro_f1 == 1.0
         for cls in CLASSES:
             assert report.per_class[cls].f1 == 1.0
@@ -53,17 +47,9 @@ class TestEvaluate:
         assert report.predicted_silence_rate == 0.2
 
     def test_confusion_counts(self):
-        decisions = [
-            Decision("a", frozenset({BIOPHONY})),
-            Decision("b", frozenset({BIOPHONY, GEOPHONY})),
-            Decision("c", frozenset()),
-        ]
-        truth = [
-            weak_truth("a", {BIOPHONY}),
-            weak_truth("b", {BIOPHONY}),
-            weak_truth("c", {GEOPHONY}),
-        ]
-        report = evaluate(decisions, truth, bootstrap_resamples=10)
+        pred = flags([{BIOPHONY}, {BIOPHONY, GEOPHONY}, set()])
+        true = flags([{BIOPHONY}, {BIOPHONY}, {GEOPHONY}])
+        report = evaluate(pred, true, bootstrap_resamples=10)
         bio = report.per_class[BIOPHONY]
         assert (bio.tp, bio.fp, bio.fn, bio.tn) == (2, 0, 0, 1)
         geo = report.per_class[GEOPHONY]
@@ -71,33 +57,40 @@ class TestEvaluate:
 
     def test_ci_brackets_point_and_stays_bracketing_with_more_resamples(self):
         rng = np.random.default_rng(17)
-        decisions, truth = [], []
+        pred_sets, true_sets = [], []
         for i in range(40):
             true_set = {c for c in CLASSES if rng.random() < 0.5}
             pred_set = {c for c in true_set if rng.random() < 0.8} | {
                 c for c in CLASSES if rng.random() < 0.1
             }
-            decisions.append(Decision(f"r{i}", frozenset(pred_set)))
-            truth.append(weak_truth(f"r{i}", true_set))
+            pred_sets.append(pred_set)
+            true_sets.append(true_set)
         for resamples in (100, 400, 1600):
-            report = evaluate(decisions, truth, bootstrap_resamples=resamples, bootstrap_seed=5)
+            report = evaluate(flags(pred_sets), flags(true_sets), bootstrap_resamples=resamples, bootstrap_seed=5)
             lo, hi = report.macro_f1_ci
             assert lo <= report.macro_f1 <= hi
 
     def test_bootstrap_seeded(self):
-        decisions = [Decision(f"r{i}", frozenset({BIOPHONY} if i % 2 else set())) for i in range(10)]
-        truth = [weak_truth(f"r{i}", {BIOPHONY} if i % 3 else set()) for i in range(10)]
-        a = evaluate(decisions, truth, bootstrap_resamples=50, bootstrap_seed=7)
-        b = evaluate(decisions, truth, bootstrap_resamples=50, bootstrap_seed=7)
+        pred = flags({BIOPHONY} if i % 2 else set() for i in range(10))
+        true = flags({BIOPHONY} if i % 3 else set() for i in range(10))
+        a = evaluate(pred, true, bootstrap_resamples=50, bootstrap_seed=7)
+        b = evaluate(pred, true, bootstrap_resamples=50, bootstrap_seed=7)
         assert a.macro_f1_ci == b.macro_f1_ci
 
     def test_id_mismatch(self):
-        with pytest.raises(ValueError, match="no ground truth"):
-            evaluate([Decision("x", frozenset())], [weak_truth("y", set())])
+        one_by_two_rows = (flags([set()]), flags([set(), set()]))
+        two_columns = (np.zeros((2, 2), bool), np.zeros((2, 2), bool))
+        for pred, true in (one_by_two_rows, two_columns):
+            with pytest.raises(ValueError, match="shape"):
+                evaluate(pred, true)
+            with pytest.raises(ValueError, match="shape"):
+                stratify_errors(pred, true)
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            evaluate([], [])
+            evaluate(flags([]), flags([]))
+        with pytest.raises(ValueError, match="nothing to evaluate"):
+            stratify_errors(flags([]), flags([]))
 
 
 def fancy_index_macros(tp_i, fp_i, fn_i, resamples, seed):
@@ -191,9 +184,9 @@ class TestCurve:
         for kind in ("PR", "ROC"):
             c = curves[kind] = curve(scores, truth, kind)
             oracle = brute_force_curve(scores, truth, kind)
-            assert [pt.threshold for pt in c.points] == sorted(oracle, reverse=True)
-            for pt in c.points:
-                assert (pt.x, pt.y) == oracle[pt.threshold]
+            assert c.points[:, 0].tolist() == sorted(oracle, reverse=True)
+            for threshold, x, y in c.points.tolist():
+                assert (x, y) == oracle[threshold]
         by_class = ({BIOPHONY: scores}, {BIOPHONY: truth})
         assert tune_thresholds(*by_class, "f1")[BIOPHONY] == curves["PR"].best_threshold
         assert tune_thresholds(*by_class, "youden")[BIOPHONY] == curves["ROC"].best_threshold
@@ -204,21 +197,21 @@ class TestCurve:
 
     def test_thresholds_descending(self):
         c = curve([0.1, 0.5, 0.9], [False, True, True], "PR")
-        ts = [p.threshold for p in c.points]
+        ts = c.points[:, 0].tolist()
         assert ts == sorted(ts, reverse=True)
 
     def test_perfect_separation_roc(self):
         c = curve([0.9, 0.8, 0.2, 0.1], [True, True, False, False], "ROC")
         assert c.best_score == 1.0
-        assert any(p.x == 0.0 and p.y == 1.0 for p in c.points)
+        assert any(x == 0.0 and y == 1.0 for _, x, y in c.points.tolist())
 
     def test_roc_monotone_in_both_axes(self):
         rng = np.random.default_rng(2)
         scores = rng.uniform(size=50)
         truth = rng.random(50) < 0.4
         c = curve(scores, truth, "ROC")
-        xs = [p.x for p in c.points]
-        ys = [p.y for p in c.points]
+        xs = c.points[:, 1].tolist()
+        ys = c.points[:, 2].tolist()
         assert all(a <= b + 1e-12 for a, b in zip(xs, xs[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(ys, ys[1:]))
 
@@ -293,88 +286,106 @@ class TestTuneThresholds:
             tune_thresholds({BIOPHONY: [0.1]}, {BIOPHONY: [True]}, objective="accuracy")
 
 
+#: (predicted, annotated) -> outcome name
+OUTCOME = {(True, True): "tp", (True, False): "fp", (False, True): "fn", (False, False): "tn"}
+
+
+def labels_of(row):
+    return {c for c, flag in zip(CLASSES, row) if flag}
+
+
+def twenty_recording_fixture():
+    rng = np.random.default_rng(77)
+    pred_sets, true_sets = [], []
+    for i in range(20):
+        true_sets.append({c for c in CLASSES if rng.random() < 0.5})
+        pred_sets.append({c for c in CLASSES if rng.random() < 0.5})
+    return flags(pred_sets), flags(true_sets)
+
+
+@st.composite
+def flag_pairs(draw):
+    """pred and true flags of n recordings, some columns forced all-true or all-false."""
+    n = draw(st.integers(1, 200))
+    pred, true = draw(arrays(bool, (n, 3))), draw(arrays(bool, (n, 3)))
+    for array in (pred, true):
+        for j in draw(st.lists(st.integers(0, 2), max_size=3, unique=True)):
+            array[:, j] = draw(st.booleans())
+    return pred, true
+
+
 class TestStratifyErrors:
     def test_single_recording_fp_combination(self):
-        decisions = [Decision("r", frozenset(CLASSES))]
-        truth = [weak_truth("r", {BIOPHONY, GEOPHONY})]
-        strat = stratify_errors(decisions, truth)
+        strat = stratify_errors(flags([set(CLASSES)]), flags([{BIOPHONY, GEOPHONY}]))
         assert strat.per_class[ANTHROPOPHONY]["BG"].fp_count == 1
         assert strat.per_class[ANTHROPOPHONY]["BG"].fp_denominator == 1
 
     def test_no_errors_zero_tallies(self):
-        decisions = [Decision("r", frozenset({BIOPHONY}))]
-        truth = [weak_truth("r", {BIOPHONY})]
-        strat = stratify_errors(decisions, truth)
+        strat = stratify_errors(flags([{BIOPHONY}]), flags([{BIOPHONY}]))
         for cls in CLASSES:
             assert strat.total_fp(cls) == 0
             assert strat.total_fn(cls) == 0
 
     def test_silence_combination_name(self):
-        decisions = [Decision("r", frozenset({GEOPHONY}))]
-        truth = [weak_truth("r", set())]
-        strat = stratify_errors(decisions, truth)
+        strat = stratify_errors(flags([{GEOPHONY}]), flags([set()]))
         assert strat.per_class[GEOPHONY]["S"].fp_count == 1
 
-    def test_twenty_recording_fixture_matches_enumeration(self):
-        rng = np.random.default_rng(77)
-        decisions, truth = [], []
-        for i in range(20):
-            t = {c for c in CLASSES if rng.random() < 0.5}
-            p = {c for c in CLASSES if rng.random() < 0.5}
-            decisions.append(Decision(f"r{i}", frozenset(p)))
-            truth.append(weak_truth(f"r{i}", t))
-        strat = stratify_errors(decisions, truth)
+    @settings(max_examples=150, deadline=None)
+    @given(flag_pairs())
+    @example(twenty_recording_fixture())
+    def test_twenty_recording_fixture_matches_enumeration(self, pair):
+        pred, true = pair
+        strat = stratify_errors(pred, true)
+        report = evaluate(pred, true, bootstrap_resamples=1)
 
         # independent enumeration with plain dict arithmetic
         expected_fp = {cls: {} for cls in CLASSES}
         expected_fn = {cls: {} for cls in CLASSES}
+        confusion = {cls: dict.fromkeys(("tp", "fp", "fn", "tn"), 0) for cls in CLASSES}
+        silent = 0
         letter = {ANTHROPOPHONY: "A", BIOPHONY: "B", GEOPHONY: "G"}
-        for d, t in zip(decisions, truth):
+        for p_row, t_row in zip(pred.tolist(), true.tolist()):
+            p, t = labels_of(p_row), labels_of(t_row)
+            silent += not p
             for cls in CLASSES:
-                others = "".join(letter[c] for c in CLASSES if c in t.active_classes and c != cls)
+                others = "".join(letter[c] for c in CLASSES if c in t and c != cls)
                 combo = others or "S"
-                if cls in d.active and cls not in t.active_classes:
+                if cls in p and cls not in t:
                     expected_fp[cls][combo] = expected_fp[cls].get(combo, 0) + 1
-                if cls not in d.active and cls in t.active_classes:
+                if cls not in p and cls in t:
                     expected_fn[cls][combo] = expected_fn[cls].get(combo, 0) + 1
+                confusion[cls][OUTCOME[cls in p, cls in t]] += 1
 
         for cls in CLASSES:
             got_fp = {k: v.fp_count for k, v in strat.per_class[cls].items() if v.fp_count}
             got_fn = {k: v.fn_count for k, v in strat.per_class[cls].items() if v.fn_count}
             assert got_fp == expected_fp[cls]
             assert got_fn == expected_fn[cls]
+            m = report.per_class[cls]
+            assert {"tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn} == confusion[cls]
+        assert report.predicted_silence_rate == silent / len(pred)
 
     def test_partition_invariant(self):
         rng = np.random.default_rng(123)
-        decisions, truth = [], []
+        pred_sets, true_sets = [], []
         for i in range(60):
-            t = {c for c in CLASSES if rng.random() < 0.4}
-            p = {c for c in CLASSES if rng.random() < 0.4}
-            decisions.append(Decision(f"r{i}", frozenset(p)))
-            truth.append(weak_truth(f"r{i}", t))
-        strat = stratify_errors(decisions, truth)
+            true_sets.append({c for c in CLASSES if rng.random() < 0.4})
+            pred_sets.append({c for c in CLASSES if rng.random() < 0.4})
+        strat = stratify_errors(flags(pred_sets), flags(true_sets))
         total_fp = {cls: 0 for cls in CLASSES}
         total_fn = {cls: 0 for cls in CLASSES}
-        for d, t in zip(decisions, truth):
+        for p, t in zip(pred_sets, true_sets):
             for cls in CLASSES:
-                total_fp[cls] += int(cls in d.active and cls not in t.active_classes)
-                total_fn[cls] += int(cls not in d.active and cls in t.active_classes)
+                total_fp[cls] += int(cls in p and cls not in t)
+                total_fn[cls] += int(cls not in p and cls in t)
         for cls in CLASSES:
             assert strat.total_fp(cls) == total_fp[cls]
             assert strat.total_fn(cls) == total_fn[cls]
 
     def test_rate_denominators(self):
-        decisions = [
-            Decision("a", frozenset({ANTHROPOPHONY})),
-            Decision("b", frozenset()),
-            Decision("c", frozenset({ANTHROPOPHONY})),
-        ]
-        truth = [
-            weak_truth("a", {BIOPHONY}),
-            weak_truth("b", {BIOPHONY}),
-            weak_truth("c", {ANTHROPOPHONY, BIOPHONY}),
-        ]
-        strat = stratify_errors(decisions, truth)
+        pred = flags([{ANTHROPOPHONY}, set(), {ANTHROPOPHONY}])
+        true = flags([{BIOPHONY}, {BIOPHONY}, {ANTHROPOPHONY, BIOPHONY}])
+        strat = stratify_errors(pred, true)
         tally = strat.per_class[ANTHROPOPHONY]["B"]
         assert tally.fp_count == 1 and tally.fp_denominator == 2
         assert tally.fp_rate == 0.5

@@ -14,6 +14,8 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
 - ``mix`` serial and ``--jobs 2``, with ``peak`` and with ``rms`` normalisation;
 - ``tune`` with ``f1`` and ``youden``, each with and without ``--grid``;
 - ``evaluate`` with the config's policy and with the tuned ``f1`` fragment;
+- ``evaluate`` of the bench scores against weak (flag) labels, under a
+  per-class policy that needs 2 windows above the biophony threshold;
 - ``case-study`` with and without ``--model-labels``.
 
 Each output line is ``<sha256>  <variant>/<file>``, sorted, after one
@@ -97,6 +99,18 @@ def variants(seed: int, work: Path):
             out / f"evaluate-{name}-config"
         yield f"evaluate-{name}-tuned", ["evaluate", scores, anns, *config, "--thresholds", out / f"tune-{name}-f1.json",
                                          "--out", out / f"evaluate-{name}-tuned"], out / f"evaluate-{name}-tuned"
+
+    bench = tune_sets["bench"]
+    weak, weak_cfg = work / "in" / "weak-labels.csv", work / "in" / "weak-counts.json"
+    annotated = ["".join(letter for letter, cls in zip("ABG", inputs.CLASSES) if cls in segs)
+                 for segs in bench.raw_segments]
+    write_flags(weak, bench.recording_ids, annotated, silence=False)
+    cfg = json.loads(bench.config.read_text())
+    cfg["thresholds"] = {"mode": "per-class", "per_class": dict(zip(inputs.CLASSES, (0.6, 0.55, 0.65))),
+                         "counts": {"biophony": 2}}
+    weak_cfg.write_text(json.dumps(cfg))
+    yield "evaluate-bench-weak-counts", ["evaluate", bench.scores, weak, "--config", weak_cfg,
+                                         "--out", out / "evaluate-bench-weak-counts"], out / "evaluate-bench-weak-counts"
 
     ids = [p.stem for p in ind.files]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
