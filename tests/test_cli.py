@@ -423,6 +423,7 @@ def failed_lines(result, command):
 
 @pytest.mark.parametrize("command", ["indices", "mix", "tune", "evaluate", "case-study"])
 def test_unwritable_output_is_one_line_error(runner, tmp_path, command):
+    """A file output in a missing directory, or a directory output under a regular file."""
     afile = tmp_path / "afile"
     afile.write_text("")
     missing_dir = tmp_path / "missing"
