@@ -1,8 +1,13 @@
-"""The one reader of every input CSV table (FORMATS.md, "Reading rules")."""
+"""The one reader of input CSV tables and writer of output files (FORMATS.md, "Reading/Writing rules")."""
 
 import csv
 import itertools
+import json
 import math
+import os
+import sys
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 from .errors import SchemaError
 
@@ -84,3 +89,34 @@ class Table:
         if text not in ("0", "1"):
             raise self.error(f"flag must be 0 or 1, got {text!r}", line)
         return text == "1"
+
+
+@contextmanager
+def replacing(path, binary=False):
+    """A file whose content replaces path once the block completes; on error path stays as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.part")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename == str(tmp):  # name path, as opening it directly would
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+        raise
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_table(path, header, rows, comments=()) -> None:
+    """CSV after '#' comment lines; path "-" streams to stdout."""
+    with nullcontext(sys.stdout) if path == "-" else replacing(path) as fh:
+        fh.writelines(line + "\n" for line in comments)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, data) -> None:
+    with replacing(path) as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")

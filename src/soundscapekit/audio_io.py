@@ -12,6 +12,7 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
+from ._table import replacing
 from .errors import AudioDecodeError
 
 #: Kaiser beta for the polyphase anti-aliasing filter used by :func:`resample`.
@@ -98,7 +99,8 @@ def write_wav_pcm16(path, clip: AudioClip) -> None:
     q *= 32767.0
     np.rint(q, out=q)
     np.clip(q, -32768, 32767, out=q)
-    wavfile.write(Path(path), clip.sample_rate_hz, q.astype(np.int16))
+    with replacing(path, binary=True) as fh:
+        wavfile.write(fh, clip.sample_rate_hz, q.astype(np.int16))
 
 
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:

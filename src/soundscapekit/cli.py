@@ -6,8 +6,6 @@ commands print the effective seed they used. Exit status is 0 only when
 every per-item operation succeeded.
 """
 
-import csv
-import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,14 +19,14 @@ from .audio_io import decode_wav, resample
 from .config import RunConfig, dump_threshold_fragment, load_threshold_fragment
 from .decision import (
     ThresholdPolicy,
-    apply_pda,
     dump_decisions,
     load_annotations,
     load_decisions,
+    pda_kept,
     window_active,
     window_max,
 )
-from ._table import Table
+from ._table import Table, replacing, write_json, write_table
 from .errors import ConfigError, SchemaError, SoundscapeKitError
 from .evaluation import CASE_STUDY_FILTERS, correlate, curve, evaluate, stratify_errors, tune_thresholds
 from .features import stft_magnitude
@@ -137,25 +135,12 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
         f"# ndsi_anthro_hz={list(p.ndsi_anthro_hz)} ndsi_bio_hz={list(p.ndsi_bio_hz)}",
     ]
     try:
-        _write_csv(out, header, rows, comments=comments)
+        write_table(out, header, rows, comments=comments)
     except OSError as exc:
         _fail("indices", exc)
     if failures:
         _log(f"indices: {failures} file(s) failed")
         sys.exit(1)
-
-
-def _write_csv(out, header, rows, comments=()):
-    fh = sys.stdout if out == "-" else open(out, "w", newline="")
-    try:
-        for line in comments:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 @main.command("mix")
@@ -204,8 +189,7 @@ def _scores_and_truth(scores_path, annotations_path, cfg, policy):
     true = np.zeros((len(scores), len(CLASSES)), dtype=bool)
     for i, rid in enumerate(scores.recording_ids):
         if rid in anns:
-            active = apply_pda(anns[rid], cfg.pda).active_classes
-            true[i] = [cls in active for cls in CLASSES]
+            true[i] = pda_kept(anns[rid], cfg.pda)
 
     if policy is not None and policy.counts and len(scores):
         min_windows = int(scores.n_windows.min())
@@ -256,16 +240,15 @@ def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed
 def _write_evaluation(out, scores, pred, true, report, stratified):
     """report.json, report.txt, curves.csv, stratified.csv and decisions.csv in the directory out."""
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    (out / "report.txt").write_text(report.to_table() + "\n")
-    _write_csv(out / "curves.csv", ["class", "kind", "threshold", "x", "y"], _curve_rows(scores, true))
+    write_json(out / "report.json", report.to_dict())
+    with replacing(out / "report.txt") as fh:
+        fh.write(report.to_table() + "\n")
+    write_table(out / "curves.csv", ["class", "kind", "threshold", "x", "y"], _curve_rows(scores, true))
     strat_rows = [
         [cls, combo, kind, count, "" if rate is None else repr(rate)]
         for cls, combo, kind, count, rate in stratified.to_rows()
     ]
-    _write_csv(out / "stratified.csv", ["target", "combination", "kind", "count", "rate"], strat_rows)
+    write_table(out / "stratified.csv", ["target", "combination", "kind", "count", "rate"], strat_rows)
     dump_decisions(scores.recording_ids, pred, out / "decisions.csv")
 
 
@@ -370,7 +353,7 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
                     failures += 1
                     rows.append([index_name, fname, source, "", "", str(exc)])
     try:
-        _write_csv(out, ["index", "filter", "source", "n", "r", "note"], rows)
+        write_table(out, ["index", "filter", "source", "n", "r", "note"], rows)
     except OSError as exc:
         _fail("case-study", exc)
     if failures:

@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from ._table import write_json
 from .decision import PdaPolicy, ThresholdPolicy
 from .errors import ConfigError
 from .indices import (
@@ -131,19 +132,25 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        try:
-            return cls.from_dict(data)
+            return cls.from_dict(_read_json(path))
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+def _read_json(path):
+    """The JSON value in path, which must be UTF-8 with only finite numbers."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"not valid JSON ({exc})") from exc
+
+
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def _is_number(value) -> bool:
@@ -228,19 +235,13 @@ def threshold_policy_to_dict(mode: str, policy: ThresholdPolicy) -> dict:
 def load_threshold_fragment(path):
     """Read a thresholds-only JSON fragment, as written by the tune command."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict) or "thresholds" not in data:
-        raise ConfigError(f"{path}: missing 'thresholds' section")
-    try:
+        data = _read_json(path)
+        if not isinstance(data, dict) or "thresholds" not in data:
+            raise ConfigError("missing 'thresholds' section")
         return parse_threshold_policy(data["thresholds"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def dump_threshold_fragment(mode: str, policy: ThresholdPolicy, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"thresholds": threshold_policy_to_dict(mode, policy)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"thresholds": threshold_policy_to_dict(mode, policy)})

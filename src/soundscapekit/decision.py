@@ -8,14 +8,13 @@ class threshold). "Exceeds" is strict everywhere: a score equal to the
 threshold does not activate a class.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from itertools import compress
 
 import numpy as np
 
-from ._table import Table
+from ._table import Table, write_table
 from .labels import CLASSES, SILENCE
 from .scores import ScoreMatrix
 
@@ -109,20 +108,20 @@ class PdaPolicy:
         return None if p is None else p * recording_duration_s
 
 
+def pda_kept(ann: AnnotationSet, policy: PdaPolicy) -> list:
+    """Per class of CLASSES, whether the PDA rule keeps it: annotated, and not short of p * T."""
+    kept = []
+    for cls in CLASSES:
+        lengths = [e - s for s, e in ann.segments[cls]]
+        min_dur = policy.min_duration_s(cls, ann.duration_s)
+        measured = sum(lengths) if policy.measure == "sum" else max(lengths, default=0.0)
+        kept.append(bool(lengths) and (min_dur is None or measured + _DUR_TOL >= min_dur))
+    return kept
+
+
 def apply_pda(ann: AnnotationSet, policy: PdaPolicy) -> AnnotationSet:
     """Clear every class whose annotated duration falls short of p * T."""
-    segments = dict(ann.segments)
-    for cls in CLASSES:
-        min_dur = policy.min_duration_s(cls, ann.duration_s)
-        if min_dur is None:
-            continue
-        if policy.measure == "sum":
-            measured = ann.total_duration(cls)
-        else:
-            measured = max((e - s for s, e in ann.segments[cls]), default=0.0)
-        if measured + _DUR_TOL < min_dur:
-            segments[cls] = ()
-    return replace(ann, segments=segments)
+    return replace(ann, segments={c: ann.segments[c] if k else () for c, k in zip(CLASSES, pda_kept(ann, policy))})
 
 
 @dataclass(frozen=True)
@@ -259,10 +258,7 @@ def dump_decisions(recording_ids, flags, path) -> None:
     """Write [recordings x CLASSES] active flags as CSV: 0/1 per class plus the silence flag."""
     flags = np.asarray(flags, dtype=bool)
     rows = np.column_stack((flags, ~flags.any(axis=1))).astype(int).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DECISIONS_HEADER)
-        writer.writerows([rid, *row] for rid, row in zip(recording_ids, rows, strict=True))
+    write_table(path, _DECISIONS_HEADER, ([rid, *row] for rid, row in zip(recording_ids, rows, strict=True)))
 
 
 def load_decisions(path) -> list:

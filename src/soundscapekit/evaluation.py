@@ -95,11 +95,9 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def f1_score(tp: int, fp: int, fn: int) -> float:
-    """F1 with the zero-positives convention: no true positives means 0."""
-    if tp == 0:
-        return 0.0
-    return 2.0 * tp / (2.0 * tp + fp + fn)
+def f1_score(tp, fp, fn) -> np.ndarray:
+    """F1 of confusion counts, elementwise; no true positives means 0."""
+    return np.where(tp > 0, 2.0 * tp / np.maximum(2.0 * tp + fp + fn, 1), 0.0)
 
 
 def macro_f1(per_class_f1) -> float:
@@ -148,7 +146,7 @@ def evaluate(
         tn = n - tp - fp - fn
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = f1_score(tp, fp, fn)
+        f1 = float(f1_score(tp, fp, fn))
         per_class[cls] = ClassMetrics(precision, recall, f1, tp, fp, fn, tn)
         f1s.append(f1)
 
@@ -186,10 +184,7 @@ def _bootstrap_macros(tp_i, fp_i, fn_i, resamples, seed) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
         idx = rng.integers(0, n, size=n)
         # draws per recording times its outcomes: integer sums, exact in float64
-        tp, fp, fn = np.split(np.bincount(idx, minlength=n) @ outcomes, 3)
-        denom = 2.0 * tp + fp + fn
-        f1 = np.where(tp > 0, 2.0 * tp / np.where(denom > 0, denom, 1.0), 0.0)
-        macros[r] = f1.mean()
+        macros[r] = f1_score(*np.split(np.bincount(idx, minlength=n) @ outcomes, 3)).mean()
     return macros
 
 
@@ -237,7 +232,7 @@ def _sweep(scores: np.ndarray, truth: np.ndarray, objective: str, grid_step: flo
     fn = n_pos - tp
     tn = n - tp - fp - fn
     if objective == "f1":
-        obj = np.where(tp > 0, 2.0 * tp / np.maximum(2.0 * tp + fp + fn, 1), 0.0)
+        obj = f1_score(tp, fp, fn)
     else:
         obj = tp / np.maximum(tp + fn, 1) - fp / np.maximum(fp + tn, 1)
     best = int(np.argmax(obj))

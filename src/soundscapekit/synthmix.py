@@ -13,7 +13,6 @@ sub-streams are derived through SeedSequence so corpora regenerate
 byte-identically, serial or parallel.
 """
 
-import csv
 import hashlib
 import json
 import threading
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import Table
+from ._table import Table, write_table
 from .audio_io import AudioClip, decode_wav, resample, write_wav_pcm16
 from .labels import CLASSES, COMBOS, SILENCE, SILENCE_COMBO, classes_for_combo
 
@@ -486,10 +485,7 @@ def build_corpus(
         rows = [run(t) for t in tasks]
 
     manifest = out_dir / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(rows)
+    write_table(manifest, MANIFEST_HEADER, rows)
     return manifest
 
 

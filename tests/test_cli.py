@@ -364,7 +364,7 @@ class TestCaseStudyCommand:
         result = invoke(runner, ["case-study", str(indices), str(diversity), str(labels),
                                  "--filters", "all,B", "--out", str(out)])
         assert result.exit_code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         aci_all = next(r for r in rows if r["index"] == "aci" and r["filter"] == "all")
         assert float(aci_all["r"]) == 1.0
         assert int(aci_all["n"]) == 6
@@ -381,7 +381,7 @@ class TestCaseStudyCommand:
         result = runner.invoke(main, ["case-study", str(indices), str(diversity), str(labels),
                                       "--filters", "all,AB", "--out", str(out)])
         assert result.exit_code == 1
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         ab_rows = [r for r in rows if r["filter"] == "AB"]
         assert all(r["note"] for r in ab_rows)
         all_rows = [r for r in rows if r["filter"] == "all"]
@@ -399,7 +399,7 @@ class TestCaseStudyCommand:
         result = invoke(runner, ["case-study", str(indices), str(diversity), str(labels),
                                  "--model-labels", str(model), "--filters", "B", "--out", str(out)])
         assert result.exit_code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         truth_r = next(r for r in rows if r["index"] == "aci" and r["source"] == "truth")
         model_r = next(r for r in rows if r["index"] == "aci" and r["source"] == "model")
         assert truth_r["r"] == model_r["r"]
@@ -443,6 +443,20 @@ def test_unwritable_output_is_one_line_error(runner, tmp_path, command):
         args = [*map(str, write_case_study_inputs(tmp_path)), "--out", str(missing_dir / "c.csv")]
     result = runner.invoke(main, [command, *args])
     assert len(failed_lines(result, command)) == 1, result.output
+    assert ".part" not in result.output
+
+
+def test_failed_report_file_keeps_the_others_whole(runner, tmp_path):
+    """A directory in the way of curves.csv: one FAILED line naming it, and no half-written file."""
+    rep = tmp_path / "rep"
+    (rep / "curves.csv").mkdir(parents=True)
+    result = runner.invoke(main, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                  "--out", str(rep)])
+    assert failed_lines(result, "evaluate") == [
+        f"evaluate: FAILED: [Errno 21] Is a directory: {str(rep / 'curves.csv')!r}"
+    ]
+    assert sorted(p.name for p in rep.iterdir()) == ["curves.csv", "report.json", "report.txt"]
+    assert json.loads((rep / "report.json").read_text())["n_recordings"] > 0
 
 
 def assert_table_error(result, path, line):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from soundscapekit._table import write_json
 from soundscapekit.config import RunConfig, dump_threshold_fragment, load_threshold_fragment
 from soundscapekit.decision import ThresholdPolicy
 from soundscapekit.errors import ConfigError
@@ -28,7 +29,7 @@ def test_round_trip(tmp_path):
     cfg.pda = cfg.pda.__class__({ANTHROPOPHONY: 0.25, GEOPHONY: 0.25}, measure="longest-segment")
     cfg.mixer_normalization = "rms"
     p = tmp_path / "cfg.json"
-    cfg.save(p)
+    write_json(p, cfg.to_dict())
     back = RunConfig.load(p)
     assert back.seed == 99
     assert back.thresholds == cfg.thresholds
@@ -209,3 +210,25 @@ def test_bands_at_nyquist_accepted(indices):
 def test_sections_that_are_not_objects_rejected(data):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(data)
+
+
+READERS = pytest.mark.parametrize("read", [RunConfig.load, load_threshold_fragment], ids=["config", "fragment"])
+
+
+@READERS
+def test_non_utf8_json_is_a_config_error(tmp_path, read):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'{"seed": 1, "x": "\xff"}')
+    with pytest.raises(ConfigError) as err:
+        read(p)
+    assert str(err.value).startswith(f"{p}: not valid JSON (")
+    assert str(err.value).count(str(p)) == 1
+
+
+@READERS
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_json_numbers_rejected(tmp_path, read, constant):
+    p = tmp_path / "cfg.json"
+    p.write_text(f'{{"recording_duration_s": {constant}, "thresholds": {{"mode": "global", "global": {constant}}}}}')
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: not valid JSON \\({re.escape(constant)} is not a finite"):
+        read(p)

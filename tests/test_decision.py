@@ -16,6 +16,7 @@ from soundscapekit.decision import (
     dump_decisions,
     load_annotations,
     load_decisions,
+    pda_kept,
     window_active,
     window_max,
 )
@@ -119,6 +120,28 @@ class TestPda:
         by_longest = apply_pda(ann, PdaPolicy({GEOPHONY: 0.05}, measure="longest-segment"))
         assert GEOPHONY in by_sum.active_classes
         assert GEOPHONY not in by_longest.active_classes
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        segments=st.dictionaries(
+            st.sampled_from(CLASSES),
+            st.lists(st.tuples(st.integers(0, 119), st.sampled_from([0.5, 1.0, 2.0, 3.0, 6.0, 15.0])), max_size=3),
+        ),
+        fractions=st.dictionaries(st.sampled_from(CLASSES), st.sampled_from([None, 0.05, 0.1, 0.25])),
+        measure=st.sampled_from(["sum", "longest-segment"]),
+    )
+    def test_kept_flags_match_apply_pda(self, segments, fractions, measure):
+        """Durations land on p * T exactly (3, 6 and 15 s of 60 s) as well as either side of it."""
+        ann = AnnotationSet("r", 60.0, {c: [(a / 2, min(a / 2 + n, 60.0)) for a, n in segs]
+                                        for c, segs in segments.items()})
+        policy = PdaPolicy(fractions, measure=measure)
+        kept = pda_kept(ann, policy)
+        assert kept == [c in apply_pda(ann, policy).active_classes for c in CLASSES]
+        for c, k in zip(CLASSES, kept):
+            lengths = [e - s for s, e in ann.segments[c]]
+            measured = sum(lengths) if measure == "sum" else max(lengths, default=0.0)
+            p = fractions.get(c)
+            assert k == (bool(lengths) and (p is None or measured + 1e-9 >= p * 60.0))
 
 
 class TestAggregate:

@@ -32,6 +32,15 @@ class TestMacroF1:
         assert f1_score(0, 0, 0) == 0.0
         assert f1_score(3, 1, 2) == pytest.approx(6 / 9)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 10**6)] * 3), min_size=1, max_size=20))
+    def test_array_form_matches_the_scalar_formula(self, counts):
+        """Elementwise over int or float count arrays, bit for bit the scalar 2tp / (2tp + fp + fn)."""
+        expected = [2.0 * tp / (2.0 * tp + fp + fn) if tp else 0.0 for tp, fp, fn in counts]
+        for dtype in (int, float):
+            tp, fp, fn = np.array(counts, dtype=dtype).T
+            assert f1_score(tp, fp, fn).tolist() == expected
+
 
 class TestEvaluate:
     def test_perfect_predictions(self):
