@@ -126,7 +126,7 @@ class RunConfig:
             return cfg
         except ConfigError:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
     @classmethod
@@ -216,7 +216,7 @@ def parse_threshold_policy(data: dict):
         else:
             raise ValueError(f"unknown threshold mode {mode!r}")
         return mode, policy
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid threshold policy: {exc}") from exc
 
 

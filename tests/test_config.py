@@ -232,3 +232,12 @@ def test_non_finite_json_numbers_rejected(tmp_path, read, constant):
     p.write_text(f'{{"recording_duration_s": {constant}, "thresholds": {{"mode": "global", "global": {constant}}}}}')
     with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: not valid JSON \\({re.escape(constant)} is not a finite"):
         read(p)
+
+
+@READERS
+def test_integer_too_large_for_a_float_rejected(tmp_path, read):
+    p = tmp_path / "cfg.json"
+    big = "1" + "0" * 400
+    p.write_text(f'{{"recording_duration_s": {big}, "thresholds": {{"mode": "global", "global": {big}}}}}')
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: invalid .*int too large to convert to float"):
+        read(p)
