@@ -148,7 +148,7 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
 @click.argument("out_dir", type=click.Path(file_okay=False))
 @click.option("--count", "counts", multiple=True, metavar="COMBO=N",
               help="Files to render per combination, e.g. --count A=10 --count BG=5 --count S=3.")
-@click.option("--seed", type=int, default=None, help="Master seed (overrides config).")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed (overrides config).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_mix(pool_manifest, out_dir, counts, seed, config_path, jobs):
@@ -207,7 +207,7 @@ def _scores_and_truth(scores_path, annotations_path, cfg, policy):
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--thresholds", "thresholds_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Threshold fragment from the tune command; overrides the config policy.")
-@click.option("--seed", type=int, default=None, help="Bootstrap seed (overrides config).")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Bootstrap seed (overrides config).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed, out_dir):
     """Apply duration filtering and thresholds to scores, then write the evaluation report."""

@@ -6,7 +6,7 @@ before any audio is touched. ``RunConfig()`` gives the documented defaults.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ._table import write_json
 from .decision import PdaPolicy, ThresholdPolicy
@@ -38,17 +38,7 @@ class IndexParams:
     ndsi_bio_hz: tuple = DEFAULT_BIO_BAND_HZ
 
     def to_dict(self) -> dict:
-        return {
-            "stft_window": self.stft_window,
-            "stft_hop": self.stft_hop,
-            "target_rate_hz": self.target_rate_hz,
-            "aci_chunk_s": self.aci_chunk_s,
-            "adi_band_width_hz": self.adi_band_width_hz,
-            "adi_max_freq_hz": self.adi_max_freq_hz,
-            "adi_db_threshold": self.adi_db_threshold,
-            "ndsi_anthro_hz": list(self.ndsi_anthro_hz),
-            "ndsi_bio_hz": list(self.ndsi_bio_hz),
-        }
+        return {**asdict(self), "ndsi_anthro_hz": list(self.ndsi_anthro_hz), "ndsi_bio_hz": list(self.ndsi_bio_hz)}
 
 
 @dataclass
@@ -83,46 +73,47 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """The config data describes, with defaults for the keys it omits; to_dict() is its schema."""
         try:
             if not isinstance(data, dict):
                 raise ValueError(f"expected a JSON object, got {type(data).__name__}")
             cfg = cls()
-            _check_keys(data, cfg.to_dict())
-            if "seed" in data:
-                cfg.seed = int(data["seed"])
-            if "recording_duration_s" in data:
-                cfg.recording_duration_s = float(data["recording_duration_s"])
-                if cfg.recording_duration_s <= 0:
-                    raise ValueError("recording_duration_s must be positive")
-            if "window" in data:
-                window = _check_keys(data["window"], ("window_len_s", "step_s"), "window")
-                cfg.window = WindowSpec(window_len_s=float(window["window_len_s"]), step_s=float(window["step_s"]))
+            defaults = cfg.to_dict()
+            given = _checked({k: v for k, v in data.items() if k != "thresholds"}, defaults)
+            # each section's defaults under its given keys; a given count_pmfs map keeps the pmfs it omits below
+            d = {k: {**v, **given.get(k, {})} if isinstance(v, dict) else given.get(k, v) for k, v in defaults.items()}
+            cfg.seed = d["seed"]
+            if cfg.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+            cfg.recording_duration_s = float(d["recording_duration_s"])
+            if cfg.recording_duration_s <= 0:
+                raise ValueError("recording_duration_s must be positive")
+            cfg.window = WindowSpec(float(d["window"]["window_len_s"]), float(d["window"]["step_s"]))
             if "thresholds" in data:
                 cfg.threshold_mode, cfg.thresholds = parse_threshold_policy(data["thresholds"])
-            if "pda" in data or "pda_measure" in data:
-                pda = _check_keys(data.get("pda", {}), CLASSES, "pda")
-                fractions = {c: (None if v is None else float(v)) for c, v in pda.items()}
-                cfg.pda = PdaPolicy(fractions=fractions, measure=data.get("pda_measure", "sum"))
-            if "indices" in data:
-                cfg.indices = _index_params(data["indices"])
-            if "mixer" in data:
-                mixer = _check_keys(data["mixer"], ("count_pmfs", "normalization"), "mixer")
-                if "count_pmfs" in mixer:
-                    cfg.mixer_count_pmfs = {
-                        int(k): {int(n): float(p) for n, p in v.items()}
-                        for k, v in mixer["count_pmfs"].items()
-                    }
-                cfg.mixer_normalization = mixer.get("normalization", cfg.mixer_normalization)
-                if cfg.mixer_normalization not in ("peak", "rms"):
-                    raise ValueError(f"unknown mixer normalization {cfg.mixer_normalization!r}")
-            if "bootstrap" in data:
-                bootstrap = _check_keys(data["bootstrap"], ("resamples", "confidence"), "bootstrap")
-                cfg.bootstrap_resamples = int(bootstrap.get("resamples", cfg.bootstrap_resamples))
-                cfg.bootstrap_confidence = float(bootstrap.get("confidence", cfg.bootstrap_confidence))
-                if cfg.bootstrap_resamples < 1:
-                    raise ValueError(f"bootstrap resamples must be >= 1, got {cfg.bootstrap_resamples}")
-                if not 0 < cfg.bootstrap_confidence < 1:
-                    raise ValueError(f"bootstrap confidence must be in (0, 1), got {cfg.bootstrap_confidence}")
+            cfg.pda = PdaPolicy({c: p for c, p in d["pda"].items() if p is not None}, measure=d["pda_measure"])
+            idx = d["indices"]  # values keep their JSON types, as the indices CSV header echoes them
+            for name in ("stft_window", "stft_hop", "target_rate_hz"):
+                if idx[name] < 1:
+                    raise ValueError(f"indices {name} must be >= 1, got {idx[name]}")
+            if idx["stft_hop"] > idx["stft_window"]:
+                raise ValueError(f"indices stft_hop {idx['stft_hop']} exceeds stft_window {idx['stft_window']}")
+            cfg.indices = params = IndexParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in idx.items()})
+            check_bands(params.target_rate_hz / 2.0, (params.adi_band_width_hz, params.adi_max_freq_hz),
+                        (params.ndsi_anthro_hz, params.ndsi_bio_hz))
+            for count, pmf in d["mixer"]["count_pmfs"].items():
+                if any(p < 0 for p in pmf.values()) or not sum(pmf.values()) > 0:
+                    raise ValueError(f"mixer count_pmfs {count} must be probabilities >= 0 with a positive sum, got {pmf}")
+                cfg.mixer_count_pmfs[int(count)] = {int(n): p for n, p in pmf.items()}
+            cfg.mixer_normalization = d["mixer"]["normalization"]
+            if cfg.mixer_normalization not in ("peak", "rms"):
+                raise ValueError(f"unknown mixer normalization {cfg.mixer_normalization!r}")
+            cfg.bootstrap_resamples = d["bootstrap"]["resamples"]
+            cfg.bootstrap_confidence = d["bootstrap"]["confidence"]
+            if cfg.bootstrap_resamples < 1:
+                raise ValueError(f"bootstrap resamples must be >= 1, got {cfg.bootstrap_resamples}")
+            if not 0 < cfg.bootstrap_confidence < 1:
+                raise ValueError(f"bootstrap confidence must be in (0, 1), got {cfg.bootstrap_confidence}")
             return cfg
         except ConfigError:
             raise
@@ -153,68 +144,62 @@ def _finite(text) -> float:
     return value
 
 
-def _is_number(value) -> bool:
-    """True for a JSON number that is finite (booleans are not numbers here)."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+def _checked(value, default, path=""):
+    """value, once it has the JSON type of default, its counterpart in RunConfig().to_dict().
+
+    An object may hold only default's keys, each checked in turn. Otherwise
+    value must be an integer (not a float or a bool), a finite number, a
+    finite number or null, a string, or a list of as many finite numbers,
+    as default is an integer, a float, null, a string or a list.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path} must be an object, got {value!r}")
+        for key, item in value.items():
+            if key not in default:
+                raise ValueError(f"unknown key {key!r}" + (f" in {path}" if path else ""))
+            _checked(item, default[key], f"{path} {key}".lstrip())
+        return value
+    try:
+        if _same_type(value, default):
+            return value
+        got = f", got {value!r}"
+    except OverflowError as exc:  # an integer too large for a float
+        got = f": {exc}"
+    kind = ("an integer" if isinstance(default, int) else "a string" if isinstance(default, str)
+            else f"a list of {len(default)} numbers" if isinstance(default, list)
+            else "a finite number" + (" or null" if default is None else ""))
+    raise ValueError(f"{path} must be {kind}{got}")
 
 
-def _check_keys(section, allowed, name=None):
-    """The section, once checked to be an object whose keys are all in allowed."""
-    if not isinstance(section, dict):
-        raise ValueError(f"{name} must be an object, got {section!r}")
-    for key in section:
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r}" + (f" in {name}" if name else ""))
-    return section
-
-
-def _index_params(idx) -> IndexParams:
-    """Parse the indices section; values keep their JSON types, as the CSV header echoes them."""
-    params = IndexParams()
-    _check_keys(idx, params.to_dict(), "indices")
-    for name in ("stft_window", "stft_hop", "target_rate_hz"):
-        if name in idx:
-            value = idx[name]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"indices {name} must be an integer >= 1, got {value!r}")
-            setattr(params, name, value)
-    for name in ("aci_chunk_s", "adi_band_width_hz", "adi_max_freq_hz", "adi_db_threshold"):
-        if name in idx:
-            value = idx[name]
-            if not (_is_number(value) or (name == "aci_chunk_s" and value is None)):
-                raise ValueError(f"indices {name} must be a finite number, got {value!r}")
-            setattr(params, name, value)
-    for name in ("ndsi_anthro_hz", "ndsi_bio_hz"):
-        if name in idx:
-            band = idx[name]
-            if not isinstance(band, (list, tuple)) or len(band) != 2 or not all(map(_is_number, band)):
-                raise ValueError(f"indices {name} must be a pair of numbers [lo, hi], got {band!r}")
-            setattr(params, name, tuple(band))
-    if params.stft_hop > params.stft_window:
-        raise ValueError(f"indices stft_hop {params.stft_hop} exceeds stft_window {params.stft_window}")
-    check_bands(params.target_rate_hz / 2.0, (params.adi_band_width_hz, params.adi_max_freq_hz),
-                (params.ndsi_anthro_hz, params.ndsi_bio_hz))
-    return params
+def _same_type(value, default) -> bool:
+    if isinstance(default, list):
+        return isinstance(value, list) and len(value) == len(default) and all(map(_same_type, value, default))
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value is None and default is None
+    return isinstance(value, int) if isinstance(default, int) else math.isfinite(value)
 
 
 def parse_threshold_policy(data: dict):
-    """Parse the thresholds section (also emitted standalone by the tune command)."""
+    """Parse the thresholds section (also emitted standalone by the tune command).
+
+    Its schema (see _checked) is the JSON form, in its mode, of a policy with counts.
+    """
     try:
-        _check_keys(data, ("mode", "global", "per_class", "counts"), "thresholds")
-        mode = data["mode"]
-        counts = data.get("counts")
-        if counts is not None:
-            counts = {c: int(v) for c, v in counts.items()}
-        if mode == "global":
-            policy = ThresholdPolicy.global_threshold(float(data["global"]), counts=counts)
-        elif mode == "per-class":
-            policy = ThresholdPolicy(
-                thresholds={c: float(v) for c, v in data["per_class"].items()}, counts=counts
-            )
-        else:
+        if not isinstance(data, dict):
+            raise ValueError(f"thresholds must be an object, got {data!r}")
+        mode = _checked(data.get("mode"), "", "thresholds mode")
+        if mode not in ("global", "per-class"):
             raise ValueError(f"unknown threshold mode {mode!r}")
+        with_counts = ThresholdPolicy.global_threshold(0.5, counts=dict.fromkeys(CLASSES, 1))
+        _checked(data, threshold_policy_to_dict(mode, with_counts), "thresholds")
+        counts = data.get("counts")
+        if mode == "global":
+            policy = ThresholdPolicy.global_threshold(data["global"], counts=counts)
+        else:
+            policy = ThresholdPolicy(thresholds=data["per_class"], counts=counts)
         return mode, policy
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid threshold policy: {exc}") from exc

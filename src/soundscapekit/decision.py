@@ -137,17 +137,17 @@ class ThresholdPolicy:
     counts: dict | None = None
 
     def __post_init__(self):
+        for cls in [*self.thresholds, *(self.counts or ())]:
+            if cls not in CLASSES:
+                raise ValueError(f"unknown class {cls!r}")
         for cls in CLASSES:
             if cls not in self.thresholds:
                 raise ValueError(f"missing threshold for {cls}")
             if not 0 <= self.thresholds[cls] <= 1:
                 raise ValueError(f"threshold for {cls} outside [0, 1]: {self.thresholds[cls]}")
-        if self.counts is not None:
-            for cls, c in self.counts.items():
-                if cls not in CLASSES:
-                    raise ValueError(f"unknown class {cls!r}")
-                if c < 1:
-                    raise ValueError(f"count for {cls} must be >= 1, got {c}")
+        for cls, c in (self.counts or {}).items():
+            if c < 1:
+                raise ValueError(f"count for {cls} must be >= 1, got {c}")
 
     @classmethod
     def global_threshold(cls, theta: float, counts=None) -> "ThresholdPolicy":

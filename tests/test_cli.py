@@ -28,11 +28,11 @@ class TestIndicesCommand:
     @pytest.mark.parametrize(
         "indices, message",
         [
-            ({"stft_window": "big"}, "indices stft_window must be an integer >= 1, got 'big'"),
-            ({"stft_window": 1024.0}, "indices stft_window must be an integer >= 1, got 1024.0"),
+            ({"stft_window": "big"}, "indices stft_window must be an integer, got 'big'"),
+            ({"stft_window": 1024.0}, "indices stft_window must be an integer, got 1024.0"),
             ({"stft_window": 512, "stft_hop": 1024}, "indices stft_hop 1024 exceeds stft_window 512"),
             ({"adi_db_threshold": "-50"}, "indices adi_db_threshold must be a finite number, got '-50'"),
-            ({"ndsi_bio_hz": [2000.0]}, "indices ndsi_bio_hz must be a pair of numbers [lo, hi], got [2000.0]"),
+            ({"ndsi_bio_hz": [2000.0]}, "indices ndsi_bio_hz must be a list of 2 numbers, got [2000.0]"),
             ({"adi_band_width_hz": 3000}, "band width 3000 must split (0, 10000.0] into >= 2 bands"),
             ({"stft_windw": 2048}, "unknown key 'stft_windw' in indices"),
         ],
@@ -104,21 +104,26 @@ class TestIndicesCommand:
         assert header.endswith(",wall_s")
 
 
+def write_pool(tmp_path):
+    """A pool manifest with one 2 s tone per class; returns its path."""
+    pool_dir = tmp_path / "pool"
+    pool_dir.mkdir()
+    rows = []
+    for cls in CLASSES:
+        p = pool_dir / f"{cls}.wav"
+        write_wav_pcm16(p, AudioClip(samples=tone(400, 2.0, 32000, amp=0.4), sample_rate_hz=32000))
+        rows.append((p.name, cls))
+    manifest = pool_dir / "pool.csv"
+    with open(manifest, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["file", "class"])
+        w.writerows(rows)
+    return manifest
+
+
 class TestMixCommand:
     def test_end_to_end(self, runner, tmp_path):
-        pool_dir = tmp_path / "pool"
-        pool_dir.mkdir()
-        rows = []
-        for cls in CLASSES:
-            p = pool_dir / f"{cls}.wav"
-            write_wav_pcm16(p, AudioClip(samples=tone(400, 2.0, 32000, amp=0.4), sample_rate_hz=32000))
-            rows.append((p.name, cls))
-        manifest = pool_dir / "pool.csv"
-        with open(manifest, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["file", "class"])
-            w.writerows(rows)
-
+        manifest = write_pool(tmp_path)
         out_dir = tmp_path / "corpus"
         result = invoke(
             runner,
@@ -128,6 +133,16 @@ class TestMixCommand:
         produced = sorted(p.name for p in out_dir.iterdir())
         assert "manifest.csv" in produced
         assert len([n for n in produced if n.endswith(".wav")]) == 2
+
+    def test_partial_count_pmfs_keep_the_other_defaults(self, runner, tmp_path):
+        """A config that sets only the one-class pmf still mixes two classes with the default pmf."""
+        manifest = write_pool(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mixer": {"count_pmfs": {"1": {"1": 1.0}}}}))
+        out_dir = tmp_path / "corpus"
+        result = invoke(runner, ["mix", str(manifest), str(out_dir), "--count", "AB=1", "--config", str(cfg)])
+        assert result.exit_code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["000000_AB.wav", "manifest.csv"]
 
     def test_bad_count_spec(self, runner, tmp_path):
         manifest = tmp_path / "pool.csv"
@@ -154,6 +169,29 @@ def test_jobs_below_one_rejected(runner, tmp_path, command, jobs):
     result = runner.invoke(main, [command, *args, "--jobs", jobs])
     assert result.exit_code == 2
     assert "--jobs" in result.output
+
+
+@pytest.mark.parametrize("command, seed", [("mix", "-1"), ("evaluate", "-5")])
+def test_negative_seed_option_rejected(runner, tmp_path, command, seed):
+    out = tmp_path / "out"
+    if command == "mix":
+        args = [str(write_pool(tmp_path)), str(out), "--count", "A=1"]
+    else:
+        args = [str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"), "--out", str(out)]
+    result = runner.invoke(main, [command, *args, "--seed", seed])
+    assert result.exit_code == 2
+    assert f"Invalid value for '--seed': {seed} is not in the range x>=0." in result.output
+    assert not out.exists()
+
+
+def test_negative_config_seed_is_one_line_error(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    result = runner.invoke(main, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                  "--config", str(cfg), "--out", str(tmp_path / "rep")])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {cfg}: invalid configuration: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "rep").exists()
 
 
 def write_weak_annotations(path, truth_by_id):

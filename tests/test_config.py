@@ -1,13 +1,17 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundscapekit._table import write_json
 from soundscapekit.config import RunConfig, dump_threshold_fragment, load_threshold_fragment
 from soundscapekit.decision import ThresholdPolicy
 from soundscapekit.errors import ConfigError
-from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, GEOPHONY
+from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY
+from soundscapekit.synthmix import DEFAULT_COUNT_PMFS
 
 
 def test_defaults():
@@ -241,3 +245,210 @@ def test_integer_too_large_for_a_float_rejected(tmp_path, read):
     p.write_text(f'{{"recording_duration_s": {big}, "thresholds": {{"mode": "global", "global": {big}}}}}')
     with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: invalid .*int too large to convert to float"):
         read(p)
+
+
+def test_defaults_are_a_fixed_point():
+    assert RunConfig.from_dict({}) == RunConfig()
+    assert RunConfig.from_dict(RunConfig().to_dict()) == RunConfig()
+
+
+def test_formats_config_block_is_the_schema():
+    """The Config JSON block in FORMATS.md is RunConfig().to_dict(), key order and number types included."""
+    text = (Path(__file__).parents[1] / "FORMATS.md").read_text()
+    block = text.split("## Config JSON", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.dumps(json.loads(block)) == json.dumps(RunConfig().to_dict())
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"seed": 1.7}, "invalid configuration: seed must be an integer, got 1.7"),
+        ({"seed": 1e5}, "invalid configuration: seed must be an integer, got 100000.0"),
+        ({"seed": "7"}, "invalid configuration: seed must be an integer, got '7'"),
+        ({"seed": -1}, "invalid configuration: seed must be >= 0, got -1"),
+        ({"bootstrap": {"resamples": 10.9}}, "invalid configuration: bootstrap resamples must be an integer, got 10.9"),
+        ({"thresholds": {"mode": "global", "global": 0.5, "counts": {"biophony": 2.9}}},
+         "invalid threshold policy: thresholds counts biophony must be an integer, got 2.9"),
+        ({"thresholds": {"mode": "global", "global": True}},
+         "invalid threshold policy: thresholds global must be a finite number, got True"),
+        ({"thresholds": {"global": 0.5}}, "invalid threshold policy: thresholds mode must be a string, got None"),
+        ({"recording_duration_s": True}, "invalid configuration: recording_duration_s must be a finite number, got True"),
+        ({"recording_duration_s": "60"}, "invalid configuration: recording_duration_s must be a finite number, got '60'"),
+        ({"bootstrap": {"confidence": "0.9"}},
+         "invalid configuration: bootstrap confidence must be a finite number, got '0.9'"),
+        ({"pda": {"geophony": "0.2"}}, "invalid configuration: pda geophony must be a finite number or null, got '0.2'"),
+        ({"window": {"window_len_s": "10", "step_s": 10}},
+         "invalid configuration: window window_len_s must be a finite number, got '10'"),
+        ({"pda_measure": None}, "invalid configuration: pda_measure must be a string, got None"),
+        ({"indices": {"ndsi_anthro_hz": [1000.0, True]}},
+         "invalid configuration: indices ndsi_anthro_hz must be a list of 2 numbers, got [1000.0, True]"),
+    ],
+)
+def test_values_of_another_json_type_rejected_on_load(tmp_path, data, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as err:
+        RunConfig.load(p)
+    assert str(err.value) == f"{p}: {message}"
+
+
+PER_CLASS = {ANTHROPOPHONY: 0.5, BIOPHONY: 0.5, GEOPHONY: 0.5}
+
+
+@READERS
+@pytest.mark.parametrize(
+    "thresholds, message",
+    [
+        ({"mode": "global", "global": 0.5, "per_class": {BIOPHONY: 0.9}}, "unknown key 'per_class' in thresholds"),
+        ({"mode": "per-class", "global": 0.5, "per_class": PER_CLASS}, "unknown key 'global' in thresholds"),
+        ({"mode": "per-class", "per_class": {**PER_CLASS, "birds": 0.3}}, "unknown key 'birds' in thresholds per_class"),
+        ({"mode": "global", "global": 0.5, "counts": {"birds": 2}}, "unknown key 'birds' in thresholds counts"),
+        ({"mode": "global", "global": 0.5, "counts": None}, "thresholds counts must be an object, got None"),
+    ],
+)
+def test_thresholds_hold_only_the_keys_of_their_mode(tmp_path, read, thresholds, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"thresholds": thresholds}))
+    with pytest.raises(ConfigError) as err:
+        read(p)
+    assert str(err.value) == f"{p}: invalid threshold policy: {message}"
+
+
+@pytest.mark.parametrize(
+    "pmfs, message",
+    [
+        ({"1": {"1": -0.5, "2": 1.0}}, "mixer count_pmfs 1 must be probabilities >= 0 with a positive sum, "
+                                       "got {'1': -0.5, '2': 1.0}"),
+        ({"2": {"1": 0.0, "3": 0}}, "mixer count_pmfs 2 must be probabilities >= 0 with a positive sum, "
+                                    "got {'1': 0.0, '3': 0}"),
+        ({"1": {}}, "mixer count_pmfs 1 must be probabilities >= 0 with a positive sum, got {}"),
+        ({"3": {"3": 1.0}}, "unknown key '3' in mixer count_pmfs 3"),
+        ({"4": {"1": 1.0}}, "unknown key '4' in mixer count_pmfs"),
+        ({"1": {"2": "1"}}, "mixer count_pmfs 1 2 must be a finite number, got '1'"),
+    ],
+)
+def test_bad_count_pmfs_rejected_on_load(tmp_path, pmfs, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"mixer": {"count_pmfs": pmfs}}))
+    with pytest.raises(ConfigError) as err:
+        RunConfig.load(p)
+    assert str(err.value) == f"{p}: invalid configuration: {message}"
+
+
+def test_each_given_count_pmf_replaces_its_default_whole():
+    cfg = RunConfig.from_dict({"mixer": {"count_pmfs": {"1": {"1": 1.0}, "3": {"2": 1}}}})
+    assert cfg.mixer_count_pmfs == {1: {1: 1.0}, 2: DEFAULT_COUNT_PMFS[2], 3: {2: 1}}
+
+
+def _leaves(node, path=()):
+    """(path, default) for every value of node that is not an object."""
+    if not isinstance(node, dict):
+        yield path, node
+        return
+    for key, value in node.items():
+        yield from _leaves(value, (*path, key))
+
+
+def _set(config: dict, path, value) -> dict:
+    node = config
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return config
+
+
+LEAVES = list(_leaves(RunConfig().to_dict()))
+NUMBERS = st.integers(-10**6, 10**6) | st.floats(-1e6, 1e6)
+
+
+def _other_json_type(default):
+    """JSON values whose type is not the type default has in the schema."""
+    others = {
+        "bool": st.booleans(),
+        "string": st.text(max_size=4),
+        "null": st.none(),
+        "number": NUMBERS,
+        "list": st.lists(NUMBERS, max_size=3),
+        "object": st.dictionaries(st.text(max_size=3), NUMBERS, max_size=2),
+    }
+    if isinstance(default, str):
+        del others["string"]
+    elif isinstance(default, list):
+        n = len(default)
+        others["list"] = st.lists(NUMBERS, max_size=n + 1).filter(lambda v: len(v) != n) | st.lists(
+            st.booleans() | st.text(max_size=2) | st.none(), min_size=n, max_size=n)
+    elif isinstance(default, int):
+        others["number"] = st.floats(-1e6, 1e6)  # a float, even 1024.0
+    else:
+        del others["number"]
+        if default is None:
+            del others["null"]
+    return st.one_of(*others.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_leaf_rejects_a_value_of_another_json_type(data):
+    path, default = data.draw(st.sampled_from(LEAVES))
+    bad = data.draw(_other_json_type(default))
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(_set(RunConfig().to_dict(), path, bad))
+    message = str(err.value)
+    assert "\n" not in message
+    assert f"{' '.join(path)} must be " in message
+
+
+#: Per leaf outside thresholds, well-typed values that also pass the domain rules with any other such values.
+VALID = {
+    ("seed",): st.integers(0, 2**63),
+    ("recording_duration_s",): st.integers(1, 3600) | st.floats(0.5, 3600.0),
+    ("window", "window_len_s"): st.floats(10.0, 60.0),
+    ("window", "step_s"): st.integers(1, 10) | st.floats(0.5, 10.0),
+    **{("pda", c): st.none() | st.floats(0.01, 0.99) for c in CLASSES},
+    ("pda_measure",): st.sampled_from(["sum", "longest-segment"]),
+    ("indices", "stft_window"): st.integers(320, 4096),
+    ("indices", "stft_hop"): st.integers(1, 320),
+    ("indices", "target_rate_hz"): st.integers(20000, 96000),
+    ("indices", "aci_chunk_s"): st.none() | st.integers(1, 60) | st.floats(0.5, 60.0),
+    ("indices", "adi_band_width_hz"): st.sampled_from([500, 1000.0, 2000.0]),
+    ("indices", "adi_max_freq_hz"): st.sampled_from([8000.0, 10000]),
+    ("indices", "adi_db_threshold"): st.integers(-90, 0) | st.floats(-90.0, 0.0),
+    ("indices", "ndsi_anthro_hz"): st.lists(st.floats(0.0, 900.0), min_size=1, max_size=1).map(lambda lo: [*lo, 1500.0]),
+    ("indices", "ndsi_bio_hz"): st.tuples(st.floats(2000.0, 4000.0), st.integers(5000, 10000)).map(list),
+    **{path: st.integers(1, 3) | st.floats(0.01, 1.0) for path, _ in LEAVES if path[:2] == ("mixer", "count_pmfs")},
+    ("mixer", "normalization"): st.sampled_from(["peak", "rms"]),
+    ("bootstrap", "resamples"): st.integers(1, 10**6),
+    ("bootstrap", "confidence"): st.floats(0.01, 0.99),
+}
+COUNTS = st.dictionaries(st.sampled_from(CLASSES), st.integers(1, 50))
+THRESHOLDS = st.fixed_dictionaries(
+    {"mode": st.just("global"), "global": st.integers(0, 1) | st.floats(0.0, 1.0)}, optional={"counts": COUNTS}
+) | st.fixed_dictionaries(
+    {"mode": st.just("per-class"), "per_class": st.fixed_dictionaries({c: st.floats(0.0, 1.0) for c in CLASSES})},
+    optional={"counts": COUNTS},
+)
+
+
+def test_valid_values_cover_every_leaf():
+    assert set(VALID) == {path for path, _ in LEAVES if path[0] != "thresholds"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_well_typed_partial_config_round_trips(data):
+    paths = data.draw(st.lists(st.sampled_from(sorted(VALID)), unique=True))
+    partial = {}
+    for path in paths:
+        _set(partial, path, data.draw(VALID[path]))
+    thresholds = data.draw(st.none() | THRESHOLDS)
+    if thresholds is not None:
+        partial["thresholds"] = thresholds
+    back = RunConfig.from_dict(json.loads(json.dumps(partial))).to_dict()
+    for path, value in _leaves(partial):
+        if path[0] != "thresholds":
+            node = back
+            for key in path:
+                node = node[key]
+            assert node == value
+    if thresholds is not None:
+        assert back["thresholds"] == thresholds

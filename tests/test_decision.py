@@ -278,6 +278,16 @@ class TestDecisionInvariant:
         assert d.silence == (len(active) == 0)
 
 
+@pytest.mark.parametrize(
+    "thresholds, counts",
+    [({**dict.fromkeys(CLASSES, 0.5), "birds": 0.3}, None), (dict.fromkeys(CLASSES, 0.5), {"birds": 2})],
+    ids=["thresholds", "counts"],
+)
+def test_threshold_policy_rejects_an_unknown_class(thresholds, counts):
+    with pytest.raises(ValueError, match="^unknown class 'birds'$"):
+        ThresholdPolicy(thresholds, counts)
+
+
 class TestCountForFraction:
     @pytest.mark.parametrize("p,w,expected", [(0.05, 51, 2), (0.10, 51, 5), (0.20, 51, 10)])
     def test_reference_counts(self, p, w, expected):
