@@ -117,12 +117,7 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
             _log(f"indices: FAILED {f}: {exc}")
             continue
         result, wall = payload
-        row = [
-            result.recording_id,
-            repr(result.aci),
-            repr(result.adi),
-            "" if result.ndsi is None else repr(result.ndsi),
-        ]
+        row = [result.recording_id, result.aci, result.adi, result.ndsi]
         if timing:
             row.append(f"{wall:.6f}")
         rows.append(row)
@@ -244,11 +239,7 @@ def _write_evaluation(out, scores, pred, true, report, stratified):
     with replacing(out / "report.txt") as fh:
         fh.write(report.to_table() + "\n")
     write_table(out / "curves.csv", ["class", "kind", "threshold", "x", "y"], _curve_rows(scores, true))
-    strat_rows = [
-        [cls, combo, kind, count, "" if rate is None else repr(rate)]
-        for cls, combo, kind, count, rate in stratified.to_rows()
-    ]
-    write_table(out / "stratified.csv", ["target", "combination", "kind", "count", "rate"], strat_rows)
+    write_table(out / "stratified.csv", ["target", "combination", "kind", "count", "rate"], stratified.to_rows())
     dump_decisions(scores.recording_ids, pred, out / "decisions.csv")
 
 
@@ -262,8 +253,8 @@ def _curve_rows(scores, true):
         else:
             _log(f"evaluate: skipping ROC for {cls} (degenerate labels)")
         for kind in kinds:
-            for threshold, x, y in curve(maxes[:, j], true[:, j], kind).points.tolist():
-                yield [cls, kind, repr(threshold), repr(x), repr(y)]
+            for point in curve(maxes[:, j], true[:, j], kind).points.tolist():
+                yield [cls, kind, *point]
 
 
 @main.command("tune")
@@ -348,7 +339,7 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
                         results, index_name, diversity, label_sets,
                         CASE_STUDY_FILTERS[fname], filter_name=fname,
                     )
-                    rows.append([index_name, fname, source, res.n, repr(res.rho), ""])
+                    rows.append([index_name, fname, source, res.n, res.rho, ""])
                 except ValueError as exc:
                     failures += 1
                     rows.append([index_name, fname, source, "", "", str(exc)])

@@ -6,7 +6,7 @@ never part of the macro average. Confidence intervals come from a seeded
 nonparametric bootstrap over recordings (percentile method).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,29 +48,13 @@ class EvalReport:
     bootstrap_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_class": {
-                cls: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "tp": m.tp,
-                    "fp": m.fp,
-                    "fn": m.fn,
-                    "tn": m.tn,
-                }
-                for cls, m in self.per_class.items()
-            },
-            "macro_f1": self.macro_f1,
-            "macro_f1_ci": list(self.macro_f1_ci),
-            "n_recordings": self.n_recordings,
-            "predicted_silence_rate": self.predicted_silence_rate,
-            "bootstrap": {
-                "resamples": self.bootstrap_resamples,
-                "confidence": self.confidence,
-                "seed": self.bootstrap_seed,
-            },
+        data = asdict(self)
+        data["bootstrap"] = {
+            "resamples": data.pop("bootstrap_resamples"),
+            "confidence": data.pop("confidence"),
+            "seed": data.pop("bootstrap_seed"),
         }
+        return data
 
     def to_table(self) -> str:
         """Plain-text summary table of the report."""

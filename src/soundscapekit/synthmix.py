@@ -17,7 +17,7 @@ import hashlib
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -176,20 +176,6 @@ class MixRecipe:
         if len(self.layer_snr_db) != max(0, len(self.layers) - 1):
             raise ValueError("need one SNR per layer after the first")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mix",
-            "active_classes": sorted(self.active_classes),
-            "per_class_file_counts": {c: self.per_class_file_counts[c] for c in sorted(self.per_class_file_counts)},
-            "layers": [list(l) for l in self.layers],
-            "per_file_gain_db": list(self.per_file_gain_db),
-            "layer_snr_db": list(self.layer_snr_db),
-            "noise": None if self.noise is None else {"kind": self.noise.kind, "snr_db": self.noise.snr_db},
-            "seed": self.seed,
-            "target_len_s": self.target_len_s,
-            "target_rate_hz": self.target_rate_hz,
-        }
-
 
 @dataclass(frozen=True)
 class SilenceRecipe:
@@ -199,17 +185,6 @@ class SilenceRecipe:
     seed: int
     target_len_s: float = TARGET_LEN_S
     target_rate_hz: int = TARGET_RATE_HZ
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "silence",
-            "noise_kind": self.noise_kind,
-            "initial_gain_db": self.initial_gain_db,
-            "attenuation_db": self.attenuation_db,
-            "seed": self.seed,
-            "target_len_s": self.target_len_s,
-            "target_rate_hz": self.target_rate_hz,
-        }
 
 
 @dataclass(frozen=True)
@@ -228,8 +203,9 @@ class MixedClip:
 
 
 def recipe_digest(recipe) -> str:
-    """Stable hex digest of a recipe's canonical JSON form."""
-    blob = json.dumps(recipe.to_dict(), sort_keys=True, separators=(",", ":"))
+    """Stable hex digest of a recipe's canonical JSON form (a frozenset as its sorted list)."""
+    data = {"kind": "mix" if isinstance(recipe, MixRecipe) else "silence", **asdict(recipe)}
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"), default=sorted)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -439,8 +415,7 @@ def _render_corpus_file(out_dir: Path, pool, index: int, combo: str, master_seed
         recipe = draw_recipe(pool, classes_for_combo(combo), fseed, count_pmfs=count_pmfs)
         mixed = render_mix(recipe, pool, normalization=normalization)
     write_wav_pcm16(out_dir / name, mixed.clip)
-    flags = [1 if c in mixed.labels else 0 for c in CLASSES]
-    flags.append(1 if SILENCE in mixed.labels else 0)
+    flags = [int(c in mixed.labels) for c in (*CLASSES, SILENCE)]
     return (name, *flags, fseed, recipe_digest(mixed.recipe))
 
 

@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from soundscapekit.evaluation import (
     CASE_STUDY_FILTERS,
+    ClassMetrics,
+    EvalReport,
     _bootstrap_macros,
     correlate,
     curve,
@@ -100,6 +102,35 @@ class TestEvaluate:
             evaluate(flags([]), flags([]))
         with pytest.raises(ValueError, match="nothing to evaluate"):
             stratify_errors(flags([]), flags([]))
+
+    def test_report_dict(self):
+        """The fields of the report, with the three bootstrap settings nested under "bootstrap"."""
+        report = EvalReport(
+            per_class={
+                ANTHROPOPHONY: ClassMetrics(0.5, 1.0, 2 / 3, 1, 1, 0, 2),
+                BIOPHONY: ClassMetrics(0.0, 0.0, 0.0, 0, 0, 1, 3),
+                GEOPHONY: ClassMetrics(1.0, 1.0, 1.0, 2, 0, 0, 2),
+            },
+            macro_f1=5 / 9,
+            macro_f1_ci=(0.25, 0.875),
+            n_recordings=4,
+            predicted_silence_rate=0.25,
+            bootstrap_resamples=10,
+            confidence=0.95,
+            bootstrap_seed=3,
+        )
+        assert report.to_dict() == {
+            "per_class": {
+                ANTHROPOPHONY: {"precision": 0.5, "recall": 1.0, "f1": 2 / 3, "tp": 1, "fp": 1, "fn": 0, "tn": 2},
+                BIOPHONY: {"precision": 0.0, "recall": 0.0, "f1": 0.0, "tp": 0, "fp": 0, "fn": 1, "tn": 3},
+                GEOPHONY: {"precision": 1.0, "recall": 1.0, "f1": 1.0, "tp": 2, "fp": 0, "fn": 0, "tn": 2},
+            },
+            "macro_f1": 5 / 9,
+            "macro_f1_ci": (0.25, 0.875),
+            "n_recordings": 4,
+            "predicted_silence_rate": 0.25,
+            "bootstrap": {"resamples": 10, "confidence": 0.95, "seed": 3},
+        }
 
 
 def fancy_index_macros(tp_i, fp_i, fn_i, resamples, seed):

@@ -422,3 +422,19 @@ def test_recipe_digest_stable(pool):
     r = draw_recipe(pool, {BIOPHONY}, 2024)
     assert recipe_digest(r) == recipe_digest(draw_recipe(pool, {BIOPHONY}, 2024))
     assert recipe_digest(r) != recipe_digest(draw_recipe(pool, {BIOPHONY}, 2025))
+
+
+def test_recipe_digest_pinned():
+    """The manifest's recipe column: SHA-256 of the recipe's canonical JSON, fixed for good."""
+    mix = MixRecipe(
+        active_classes=frozenset({BIOPHONY, ANTHROPOPHONY}),
+        per_class_file_counts={BIOPHONY: 2, ANTHROPOPHONY: 1},
+        layers=((BIOPHONY, 1), (ANTHROPOPHONY, 0), (BIOPHONY, 0)),
+        per_file_gain_db=(-3.5, 0.0, -29.25),
+        layer_snr_db=(4.0, -1.0 / 3),
+        noise=NoisePlan(kind="pink", snr_db=12.5),
+        seed=77,
+    )
+    silence = SilenceRecipe(noise_kind="white-gaussian", initial_gain_db=0.1, attenuation_db=-40.0, seed=5)
+    assert recipe_digest(mix) == "be43f7a68d843305c05fccd97d06a18b60a92d60325650378600c238ddf4737f"
+    assert recipe_digest(silence) == "6e47edbafe76f562287a14d4f6a48e2bf451ae0fccf7f6c14d903599d6278a2f"
