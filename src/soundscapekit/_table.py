@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -93,13 +94,26 @@ class Table:
 
 @contextmanager
 def replacing(path, binary=False):
-    """A file whose content replaces path once the block completes; on error path stays as it was."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.part")
+    """A file whose content replaces path once the block completes; on error path stays as it was.
+
+    A symlink's target is replaced, not the link; a path that exists and is
+    not a regular file (a FIFO, a device) is written to directly instead.
+    """
+    mode, text = ("wb", {}) if binary else ("w", {"newline": "", "encoding": "utf-8"})
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # missing or unreachable: opening the temporary file reports it
+        regular = True
+    if not regular:
+        with open(path, mode, **text) as fh:
             yield fh
-        os.replace(tmp, path)
+        return
+    real = Path(os.path.realpath(path))
+    tmp = real.with_name(f"{real.name}.{os.getpid()}.part")
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, real)
     except OSError as exc:
         if exc.filename == str(tmp):  # name path, as opening it directly would
             raise type(exc)(exc.errno, exc.strerror, str(path)) from None

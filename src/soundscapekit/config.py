@@ -195,11 +195,14 @@ def parse_threshold_policy(data: dict):
             raise ValueError(f"unknown threshold mode {mode!r}")
         with_counts = ThresholdPolicy.global_threshold(0.5, counts=dict.fromkeys(CLASSES, 1))
         _checked(data, threshold_policy_to_dict(mode, with_counts), "thresholds")
+        key = "global" if mode == "global" else "per_class"
+        if key not in data:
+            raise ValueError(f"missing required key {key!r} in thresholds")
         counts = data.get("counts")
         if mode == "global":
-            policy = ThresholdPolicy.global_threshold(data["global"], counts=counts)
+            policy = ThresholdPolicy.global_threshold(data[key], counts=counts)
         else:
-            policy = ThresholdPolicy(thresholds=data["per_class"], counts=counts)
+            policy = ThresholdPolicy(thresholds=data[key], counts=counts)
         return mode, policy
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid threshold policy: {exc}") from exc
@@ -223,7 +226,11 @@ def load_threshold_fragment(path):
         data = _read_json(path)
         if not isinstance(data, dict) or "thresholds" not in data:
             raise ConfigError("missing 'thresholds' section")
-        return parse_threshold_policy(data["thresholds"])
+        policy = parse_threshold_policy(data["thresholds"])
+        for key in data:
+            if key != "thresholds":
+                raise ConfigError(f"unknown key {key!r}")
+        return policy
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

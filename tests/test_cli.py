@@ -314,6 +314,15 @@ class TestEvaluateCommand:
         assert result.output == f"Error: {frag}: invalid threshold policy: unknown threshold mode 'bogus'\n"
         assert not (tmp_path / "rep").exists()
 
+    def test_threshold_fragment_with_another_top_level_key_is_one_line_error(self, runner, tmp_path):
+        frag = tmp_path / "thresholds.json"
+        frag.write_text(json.dumps({"thresholds": {"mode": "global", "global": 0.4}, "seed": 5, "thresholdz": 1}))
+        result = runner.invoke(main, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                      "--thresholds", str(frag), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {frag}: unknown key 'seed'\n"
+        assert not (tmp_path / "rep").exists()
+
     def test_annotations_without_scores_rejected(self, runner, tmp_path):
         """The one check that an annotated recording has scores; tune makes it too."""
         scores = tmp_path / "scores.csv"

@@ -304,6 +304,8 @@ PER_CLASS = {ANTHROPOPHONY: 0.5, BIOPHONY: 0.5, GEOPHONY: 0.5}
         ({"mode": "per-class", "per_class": {**PER_CLASS, "birds": 0.3}}, "unknown key 'birds' in thresholds per_class"),
         ({"mode": "global", "global": 0.5, "counts": {"birds": 2}}, "unknown key 'birds' in thresholds counts"),
         ({"mode": "global", "global": 0.5, "counts": None}, "thresholds counts must be an object, got None"),
+        ({"mode": "global"}, "missing required key 'global' in thresholds"),
+        ({"mode": "per-class", "counts": {BIOPHONY: 2}}, "missing required key 'per_class' in thresholds"),
     ],
 )
 def test_thresholds_hold_only_the_keys_of_their_mode(tmp_path, read, thresholds, message):

@@ -1,9 +1,13 @@
 """The shared output writer: exact bytes, and a whole file or none."""
 
 import errno
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from soundscapekit import audio_io
 from soundscapekit._table import replacing, write_json, write_table
@@ -29,6 +33,14 @@ def test_table_bytes(target):
     write_table(target, ["a", "b"], iter([[1, "x,y"], [2.5, ""]]), comments=["# p=1"])
     assert target.read_bytes() == b'# p=1\na,b\r\n1,"x,y"\r\n2.5,\r\n'
     assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers())
+def test_table_cells_are_formatted_by_the_writer(tmp_path_factory, x, n):
+    """A float is written as its repr, None as an empty cell and an int as its str."""
+    p = tmp_path_factory.mktemp("cells") / "t.csv"
+    write_table(p, ["x", "none", "n"], [[x, None, n]])
+    assert p.read_bytes() == f"x,none,n\r\n{x!r},,{n}\r\n".encode()
 
 
 def test_table_dash_is_stdout(tmp_path, capsys, monkeypatch):
@@ -93,3 +105,27 @@ def test_errors_name_the_target_not_the_temporary_file(tmp_path, where):
     assert str(err.value).endswith(f": {str(p)!r}")
     assert ".part" not in str(err.value)
     assert not list(tmp_path.rglob("*.part"))
+
+
+def test_symlink_target_is_replaced_and_the_link_kept(tmp_path):
+    real = tmp_path / "target.json"
+    real.write_bytes(OLD)
+    link = tmp_path / "link.json"
+    link.symlink_to(real.name)
+    write_json(link, {"a": 1})
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_text() == '{\n  "a": 1\n}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+def test_fifo_is_written_to_not_replaced(tmp_path):
+    fifo = tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_table(fifo, ["a"], [[1.5]])
+    reader.join(timeout=10)
+    assert got == [b"a\r\n1.5\r\n"]
+    assert fifo.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == [fifo.name]
