@@ -63,7 +63,17 @@ def _fail(command, exc):
     sys.exit(1)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group; any error a command lets through ends it in one line and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (SoundscapeKitError, ValueError, OSError) as exc:
+            _fail(ctx.invoked_subcommand, exc)
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__)
 def main():
     """Soundscape analysis toolkit: mixing, indices, decisions, evaluation."""
@@ -83,40 +93,37 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
     _log(f"indices: {len(files)} files, seed={cfg.seed}")
 
     def process(path):
+        """(IndexResult, wall seconds), or the error that stopped this file."""
         t0 = time.perf_counter()
-        clip = resample(decode_wav(path), p.target_rate_hz)
-        spec = stft_magnitude(clip, window_len=p.stft_window, hop=p.stft_hop)
-        result = IndexResult(
-            recording_id=path.stem,
-            aci=aci(spec, chunk_s=p.aci_chunk_s),
-            adi=adi(spec, p.adi_band_width_hz, p.adi_max_freq_hz, p.adi_db_threshold),
-            ndsi=ndsi(clip, p.ndsi_anthro_hz, p.ndsi_bio_hz),
-        )
-        return result, time.perf_counter() - t0
-
-    def attempt(fetch):
         try:
-            return fetch(), None
+            clip = resample(decode_wav(path), p.target_rate_hz)
+            spec = stft_magnitude(clip, window_len=p.stft_window, hop=p.stft_hop)
+            result = IndexResult(
+                recording_id=path.stem,
+                aci=aci(spec, chunk_s=p.aci_chunk_s),
+                adi=adi(spec, p.adi_band_width_hz, p.adi_max_freq_hz, p.adi_db_threshold),
+                ndsi=ndsi(clip, p.ndsi_anthro_hz, p.ndsi_bio_hz),
+            )
         except (SoundscapeKitError, ValueError) as exc:
-            return None, exc
+            return exc
+        return result, time.perf_counter() - t0
 
     # results buffered and emitted in input order regardless of worker count
     if jobs > 1 and files:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(process, f) for f in files]
-        results = [(f, *attempt(fut.result)) for f, fut in zip(files, futures)]
+            outcomes = list(pool.map(process, files))
     else:
-        results = [(f, *attempt(lambda f=f: process(f))) for f in files]
+        outcomes = list(map(process, files))
 
     failures = 0
     rows = []
 
-    for f, payload, exc in results:
-        if exc is not None:
+    for f, outcome in zip(files, outcomes):
+        if isinstance(outcome, Exception):
             failures += 1
-            _log(f"indices: FAILED {f}: {exc}")
+            _log(f"indices: FAILED {f}: {outcome}")
             continue
-        result, wall = payload
+        result, wall = outcome
         row = [result.recording_id, result.aci, result.adi, result.ndsi]
         if timing:
             row.append(f"{wall:.6f}")
@@ -129,10 +136,7 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
         f"adi_max_freq_hz={p.adi_max_freq_hz} adi_db_threshold={p.adi_db_threshold}",
         f"# ndsi_anthro_hz={list(p.ndsi_anthro_hz)} ndsi_bio_hz={list(p.ndsi_bio_hz)}",
     ]
-    try:
-        write_table(out, header, rows, comments=comments)
-    except OSError as exc:
-        _fail("indices", exc)
+    write_table(out, header, rows, comments=comments)
     if failures:
         _log(f"indices: {failures} file(s) failed")
         sys.exit(1)
@@ -161,18 +165,15 @@ def cmd_mix(pool_manifest, out_dir, counts, seed, config_path, jobs):
                                      param_hint="'--count'") from None
     _log(f"mix: seed={cfg.seed} combos={parsed}")
 
-    try:
-        pool = SourcePool.from_manifest(pool_manifest)
-        manifest = build_corpus(
-            pool, parsed, cfg.seed, out_dir,
-            jobs=jobs, count_pmfs=cfg.mixer_count_pmfs, normalization=cfg.mixer_normalization,
-        )
-    except (SoundscapeKitError, ValueError, OSError) as exc:
-        _fail("mix", exc)
+    pool = SourcePool.from_manifest(pool_manifest)
+    manifest = build_corpus(
+        pool, parsed, cfg.seed, out_dir,
+        jobs=jobs, count_pmfs=cfg.mixer_count_pmfs, normalization=cfg.mixer_normalization,
+    )
     _log(f"mix: wrote {manifest}")
 
 
-def _scores_and_truth(scores_path, annotations_path, cfg, policy):
+def _scores_and_truth(scores_path, annotations_path, cfg):
     """The score table and its PDA-filtered truth, [recordings x CLASSES] flags in table row order."""
     duration = cfg.recording_duration_s
     scores = load_scores(scores_path, window_len_s=cfg.window.window_len_s, duration_s=duration)
@@ -185,14 +186,6 @@ def _scores_and_truth(scores_path, annotations_path, cfg, policy):
     for i, rid in enumerate(scores.recording_ids):
         if rid in anns:
             true[i] = pda_kept(anns[rid], cfg.pda)
-
-    if policy is not None and policy.counts and len(scores):
-        min_windows = int(scores.n_windows.min())
-        for cls, c in policy.counts.items():
-            if c > min_windows:
-                raise SoundscapeKitError(
-                    f"count {c} for {cls} exceeds the {min_windows} windows of the shortest recording"
-                )
     return scores, true
 
 
@@ -212,20 +205,19 @@ def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed
     _log(f"evaluate: seed={cfg.seed} mode={cfg.threshold_mode}")
 
     out = Path(out_dir)
-    try:
-        scores, true = _scores_and_truth(scores_csv, annotations_csv, cfg, cfg.thresholds)
-        pred = window_active(scores, cfg.thresholds)
-        report = evaluate(
-            pred,
-            true,
-            bootstrap_resamples=cfg.bootstrap_resamples,
-            confidence=cfg.bootstrap_confidence,
-            bootstrap_seed=cfg.seed,
-        )
-        stratified = stratify_errors(pred, true)
-        _write_evaluation(out, scores, pred, true, report, stratified)
-    except (SoundscapeKitError, ValueError, OSError) as exc:
-        _fail("evaluate", exc)
+    scores, true = _scores_and_truth(scores_csv, annotations_csv, cfg)
+    if len(scores):
+        cfg.thresholds.check_counts(int(scores.n_windows.min()))
+    pred = window_active(scores, cfg.thresholds)
+    report = evaluate(
+        pred,
+        true,
+        bootstrap_resamples=cfg.bootstrap_resamples,
+        confidence=cfg.bootstrap_confidence,
+        bootstrap_seed=cfg.seed,
+    )
+    stratified = stratify_errors(pred, true)
+    _write_evaluation(out, scores, pred, true, report, stratified)
     _log(
         f"evaluate: macro_f1={report.macro_f1:.3f} "
         f"ci=[{report.macro_f1_ci[0]:.3f}, {report.macro_f1_ci[1]:.3f}] -> {out}"
@@ -268,15 +260,12 @@ def cmd_tune(scores_csv, annotations_csv, objective, config_path, grid, out_path
     """Find per-class thresholds maximizing F1 or Youden's J; emit a config fragment."""
     cfg = _load_config(config_path)
     _log(f"tune: objective={objective} seed={cfg.seed}")
-    try:
-        scores, true = _scores_and_truth(scores_csv, annotations_csv, cfg, None)
-        maxes = window_max(scores)
-        tuned = tune_thresholds({cls: maxes[:, j] for j, cls in enumerate(CLASSES)},
-                                {cls: true[:, j] for j, cls in enumerate(CLASSES)},
-                                objective=objective, grid_step=0.001 if grid else None)
-        dump_threshold_fragment("per-class", ThresholdPolicy(thresholds=tuned), out_path)
-    except (SoundscapeKitError, ValueError, OSError) as exc:
-        _fail("tune", exc)
+    scores, true = _scores_and_truth(scores_csv, annotations_csv, cfg)
+    maxes = window_max(scores)
+    tuned = tune_thresholds({cls: maxes[:, j] for j, cls in enumerate(CLASSES)},
+                            {cls: true[:, j] for j, cls in enumerate(CLASSES)},
+                            objective=objective, grid_step=0.001 if grid else None)
+    dump_threshold_fragment("per-class", ThresholdPolicy(thresholds=tuned), out_path)
 
     for cls in CLASSES:
         _log(f"tune: {cls} -> {tuned[cls]:.6g}")
@@ -308,25 +297,20 @@ def _read_diversity_csv(path):
 @click.option("--out", type=click.Path(dir_okay=False), default="-")
 def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, filters, out):
     """Correlate acoustic indices with species richness on filtered recordings."""
-    try:
-        index_by_id = _read_indices_csv(indices_csv)
-        diversity = _read_diversity_csv(diversity_csv)
-        label_files = {"truth": labels_csv, "model": model_labels_csv}
-        sources = {s: {d.recording_id: d.active for d in load_decisions(p)} for s, p in label_files.items() if p}
-    except SoundscapeKitError as exc:
-        _fail("case-study", exc)
+    index_by_id = _read_indices_csv(indices_csv)
+    diversity = _read_diversity_csv(diversity_csv)
+    label_files = {"truth": labels_csv, "model": model_labels_csv}
+    sources = {s: {d.recording_id: d.active for d in load_decisions(p)} for s, p in label_files.items() if p}
 
     filter_names = [f.strip() for f in filters.split(",") if f.strip()]
     for name in filter_names:
         if name not in CASE_STUDY_FILTERS:
-            _log(f"case-study: unknown filter {name!r} (known: {sorted(CASE_STUDY_FILTERS)})")
-            sys.exit(1)
+            raise SoundscapeKitError(f"unknown filter {name!r} (known: {sorted(CASE_STUDY_FILTERS)})")
 
     missing = [rid for rid in index_by_id if rid not in diversity]
     missing += [rid for src in sources.values() for rid in index_by_id if rid not in src]
     if missing:
-        _log(f"case-study: FAILED: recordings missing diversity or labels: {sorted(set(missing))[:5]}")
-        sys.exit(1)
+        raise SoundscapeKitError(f"recordings missing diversity or labels: {sorted(set(missing))[:5]}")
 
     rows = []
     failures = 0
@@ -343,10 +327,7 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
                 except ValueError as exc:
                     failures += 1
                     rows.append([index_name, fname, source, "", "", str(exc)])
-    try:
-        write_table(out, ["index", "filter", "source", "n", "r", "note"], rows)
-    except OSError as exc:
-        _fail("case-study", exc)
+    write_table(out, ["index", "filter", "source", "n", "r", "note"], rows)
     if failures:
         _log(f"case-study: {failures} correlation(s) could not be computed")
         sys.exit(1)

@@ -128,9 +128,9 @@ def apply_pda(ann: AnnotationSet, policy: PdaPolicy) -> AnnotationSet:
 class ThresholdPolicy:
     """Per-class decision thresholds, optionally with window-count requirements.
 
-    Without counts a class is active when its max window score exceeds the
-    class threshold; with a count c it is active when at least c windows
-    exceed the threshold (c = 1 reproduces max aggregation).
+    Without counts a class is active when its max window score exceeds
+    the class threshold; with a count c it is active when at least c
+    windows exceed the threshold (c = 1 reproduces max aggregation).
     """
 
     thresholds: dict
@@ -157,6 +157,12 @@ class ThresholdPolicy:
         if self.counts is None:
             return 1
         return int(self.counts.get(class_name, 1))
+
+    def check_counts(self, n_windows: int) -> None:
+        """Raise ValueError if a count needs more than n_windows, the windows of the shortest recording."""
+        for cls, c in (self.counts or {}).items():
+            if c > n_windows:
+                raise ValueError(f"count {c} for {cls} exceeds the {n_windows} windows of the shortest recording")
 
 
 @dataclass(frozen=True)
@@ -198,12 +204,7 @@ def aggregate(matrix: ScoreMatrix) -> dict:
 
 def decide(matrix: ScoreMatrix, policy: ThresholdPolicy) -> Decision:
     """Apply thresholds (and optional counts) to one recording's scores."""
-    for cls in CLASSES:
-        c = policy.count_for(cls)
-        if c > matrix.n_windows:
-            raise ValueError(
-                f"{matrix.recording_id}: count {c} for {cls} exceeds {matrix.n_windows} windows"
-            )
+    policy.check_counts(matrix.n_windows)
     return Decision(matrix.recording_id, frozenset(compress(CLASSES, window_active(matrix, policy)[0])))
 
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from soundscapekit import _table
 from soundscapekit.audio_io import AudioClip, write_wav_pcm16
 from soundscapekit.cli import main
 from soundscapekit.labels import CLASSES
@@ -459,6 +461,12 @@ class TestCaseStudyCommand:
         assert result.exit_code == 1
         assert "missing" in result.output
 
+    def test_unknown_filter_is_one_line_error(self, runner, tmp_path):
+        args = [*map(str, write_case_study_inputs(tmp_path)), "--filters", "all,X", "--out", str(tmp_path / "c.csv")]
+        lines = failed_lines(runner.invoke(main, ["case-study", *args]), "case-study")
+        assert lines == ["case-study: FAILED: unknown filter 'X' (known: ['AB', 'B', 'BG', 'all'])"]
+        assert not (tmp_path / "c.csv").exists()
+
 
 def failed_lines(result, command):
     """The `<command>: FAILED: ...` lines of a run, once it is checked to exit 1 without a traceback."""
@@ -491,6 +499,28 @@ def test_unwritable_output_is_one_line_error(runner, tmp_path, command):
     result = runner.invoke(main, [command, *args])
     assert len(failed_lines(result, command)) == 1, result.output
     assert ".part" not in result.output
+
+
+@pytest.mark.parametrize("command", ["mix", "tune", "evaluate", "case-study"])
+def test_unreadable_input_table_is_one_line_error(runner, tmp_path, monkeypatch, command):
+    """An input table that cannot be opened ends the command like any other failure."""
+    def denied(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    fixture = [str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv")]
+    if command == "mix":
+        manifest = tmp_path / "pool.csv"
+        manifest.write_text("file,class\n")
+        args = [str(manifest), str(tmp_path / "corpus"), "--count", "A=1"]
+    elif command == "tune":
+        args = [*fixture, "--out", str(tmp_path / "t.json")]
+    elif command == "evaluate":
+        args = [*fixture, "--out", str(tmp_path / "rep")]
+    else:
+        args = [*map(str, write_case_study_inputs(tmp_path)), "--out", str(tmp_path / "c.csv")]
+    monkeypatch.setattr(_table, "open", denied, raising=False)
+    lines = failed_lines(runner.invoke(main, [command, *args]), command)
+    assert len(lines) == 1 and "Permission denied" in lines[0], lines
 
 
 def test_failed_report_file_keeps_the_others_whole(runner, tmp_path):

@@ -16,12 +16,18 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
 - ``evaluate`` with the config's policy and with the tuned ``f1`` fragment;
 - ``evaluate`` of the bench scores against weak (flag) labels, under a
   per-class policy that needs 2 windows above the biophony threshold;
-- ``case-study`` with and without ``--model-labels``.
+- ``case-study`` with and without ``--model-labels``;
+- failures whose one-line error must not change: ``evaluate`` with a count
+  above the windows of the shortest recording, ``case-study`` with a
+  recording missing from the diversity CSV, ``tune`` with a ``nan`` window
+  start, and ``evaluate`` with an ``--out`` under a regular file.
 
 Each output line is ``<sha256>  <variant>/<file>``, sorted, after one
 ``# exit <code> <variant>`` line per command, so the listings of two
-checkouts (or two runs of one) can be compared with ``diff``. The script
-exits 1 when a serial and a ``--jobs 2`` run of the same command disagree.
+checkouts (or two runs of one) can be compared with ``diff``. Each
+variant's stderr is digested as ``<variant>/stderr``, with the temporary
+directory written as ``<tmp>``. The script exits 1 when a serial and a
+``--jobs 2`` run of the same command write different files.
 """
 
 import argparse
@@ -46,10 +52,12 @@ FIXTURE = REPO / "tests" / "data" / "cst_fixture"
 LABEL_CYCLE = ("B", "AB", "BG", "ABG")
 
 
-def run(src: Path, args: list) -> int:
+def run(src: Path, args: list):
+    """The exit code and stderr of one CLI run."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
     cmd = [sys.executable, "-m", "soundscapekit.cli", *map(str, args)]
-    return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    done = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    return done.returncode, done.stderr
 
 
 def digests(root: Path) -> dict:
@@ -129,6 +137,32 @@ def variants(seed: int, work: Path):
     yield "case-study-model", ["case-study", indices_csv, diversity, labels, "--model-labels", decisions,
                                "--out", out / "case-study-model.csv"], out / "case-study-model.csv"
 
+    yield from failures(work, diversity, labels, indices_csv)
+
+
+def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path):
+    """Variants that must end in one error line and exit 1; they write no output."""
+    out, fixture = work / "out", [FIXTURE / "scores.csv", FIXTURE / "annotations.csv"]
+    too_many = work / "in" / "count-above-windows.json"
+    too_many.write_text(json.dumps({"thresholds": {"mode": "global", "global": 0.5, "counts": {"biophony": 7}}}))
+    yield "fail-evaluate-count", ["evaluate", *fixture, "--config", too_many, "--out", out / "fail-evaluate-count"], \
+        out / "fail-evaluate-count"
+
+    short = work / "in" / "diversity-short.csv"
+    short.write_text("".join(diversity.read_text().splitlines(keepends=True)[:-1]))
+    yield "fail-case-study-missing", ["case-study", indices_csv, short, labels,
+                                      "--out", out / "fail-case-study-missing.csv"], out / "fail-case-study-missing.csv"
+
+    nan_start = work / "in" / "scores-nan-start.csv"
+    header, first, *rest = fixture[0].read_text().splitlines(keepends=True)
+    rid, _, scores = first.split(",", 2)
+    nan_start.write_text("".join([header, f"{rid},nan,{scores}", *rest]))
+    yield "fail-tune-nan-start", ["tune", nan_start, fixture[1], "--out", out / "fail-tune-nan-start.json"], \
+        out / "fail-tune-nan-start.json"
+
+    blocked = diversity / "report"  # a directory under a regular file
+    yield "fail-evaluate-unwritable", ["evaluate", *fixture, "--out", blocked], blocked
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -137,12 +171,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     src = args.src.resolve()
 
-    listing, exits = {}, []
+    listing, logs, exits = {}, {}, []
     with tempfile.TemporaryDirectory(prefix="output_digests_") as tmp:
         work = Path(tmp)
         (work / "out").mkdir()
         for name, cmd, output in variants(args.seed, work):
-            exits.append(f"# exit {run(src, cmd)} {name}")
+            code, stderr = run(src, cmd)
+            exits.append(f"# exit {code} {name}")
+            logs[f"{name}/stderr"] = hashlib.sha256(stderr.replace(bytes(work), b"<tmp>")).hexdigest()
             if output.exists():
                 listing.update(digests(output))
 
@@ -151,6 +187,7 @@ def main(argv=None) -> int:
         parallel = serial.replace("-jobs1", "-jobs2", 1)
         if listing[serial] != listing.get(parallel):
             mismatched.append(f"{serial} != {parallel}")
+    listing.update(logs)
     print("\n".join(exits))
     for path in sorted(listing):
         print(f"{listing[path]}  {path}")
