@@ -158,8 +158,11 @@ def cmd_mix(pool_manifest, out_dir, counts, seed, config_path, jobs):
     parsed = {}
     for item in counts:
         combo, _, n = item.partition("=")
+        combo = combo.strip().upper()
+        if combo in parsed:
+            raise click.BadParameter(f"combination {combo!r} given more than once", param_hint="'--count'")
         try:
-            parsed[combo.strip().upper()] = int(n)
+            parsed[combo] = int(n)
         except ValueError:
             raise click.BadParameter(f"expected COMBO=N with an integer N, got {item!r}",
                                      param_hint="'--count'") from None

@@ -196,8 +196,6 @@ def window_active(scores, policy: ThresholdPolicy) -> np.ndarray:
 
 def aggregate(matrix: ScoreMatrix) -> dict:
     """Max confidence per class across all windows."""
-    if matrix.n_windows < 1:
-        raise ValueError(f"{matrix.recording_id}: no windows to aggregate")
     maxes = window_max(matrix)[0]
     return {cls: float(maxes[i]) for i, cls in enumerate(matrix.class_order)}
 

@@ -25,10 +25,7 @@ def combo_string(classes) -> str:
 
 
 def classes_for_combo(combo: str) -> frozenset:
-    """Decode a combination string into a (possibly empty) set of class names."""
-    if combo == SILENCE_COMBO:
-        return frozenset()
-    try:
-        return frozenset(CLASS_FOR_LETTER[ch] for ch in combo)
-    except KeyError:
-        raise ValueError(f"unknown class combination {combo!r}") from None
+    """Decode one of COMBOS into a (possibly empty) set of class names."""
+    if combo not in COMBOS:
+        raise ValueError(f"unknown class combination {combo!r}")
+    return frozenset(CLASS_FOR_LETTER[ch] for ch in combo if ch != SILENCE_COMBO)

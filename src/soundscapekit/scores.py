@@ -39,6 +39,7 @@ class ScoreMatrix:
 
     class_scores is [windows x classes] with columns in class_order, which is
     always (anthropophony, biophony, geophony) optionally followed by silence.
+    It keeps the rules of a ScoreTable of one recording, or raises ValueError.
     """
 
     recording_id: str
@@ -50,25 +51,7 @@ class ScoreMatrix:
     def __post_init__(self):
         self.window_starts_s = np.asarray(self.window_starts_s, dtype=float)
         self.class_scores = np.asarray(self.class_scores, dtype=float)
-        if self.class_order not in (CLASSES, CLASSES + (SILENCE,)):
-            raise ValueError(f"unexpected class order {self.class_order}")
-        if self.class_scores.ndim != 2 or self.class_scores.shape != (
-            len(self.window_starts_s),
-            len(self.class_order),
-        ):
-            raise ValueError(
-                f"{self.recording_id}: score matrix shape {self.class_scores.shape} does not match "
-                f"{len(self.window_starts_s)} windows x {len(self.class_order)} classes"
-            )
-        if len(self.window_starts_s) == 0:
-            raise ValueError(f"{self.recording_id}: empty score matrix")
-        if np.any(self.class_scores < 0) or np.any(self.class_scores > 1):
-            raise ValueError(f"{self.recording_id}: scores outside [0, 1]")
-        diffs = np.diff(self.window_starts_s)
-        if np.any(diffs <= 0):
-            raise ValueError(f"{self.recording_id}: window starts not strictly ascending")
-        if len(diffs) > 1 and np.any(np.abs(diffs - diffs[0]) > _SPACING_TOL):
-            raise ValueError(f"{self.recording_id}: non-uniform window spacing")
+        _check_table([self.recording_id], self.window_starts_s, self.class_scores, self.class_order, self.offsets)
 
     @classmethod
     def _view(cls, recording_id, window_starts_s, window_len_s, class_scores, class_order) -> "ScoreMatrix":
@@ -121,9 +104,9 @@ def load_scores(path, window_len_s: float = 10.0, duration_s: float | None = Non
     of first appearance) and sorted by start. With duration_s, every window
     start must lie inside [0, duration_s).
 
-    The rows are checked in bulk; when a check fails, the file is checked
-    again row by row (or recording by recording) so the error is the first
-    one in file order, with its line.
+    When the table breaks a rule, the file is checked again row by row: a bad
+    row's error is the first in file order, with its line; else the table's
+    error (ascending, spacing) comes with the path alone.
     """
     base = ["recording_id", "window_start_s", *CLASSES]
     table = Table(path, [base, base + [SILENCE]])
@@ -139,28 +122,23 @@ def load_scores(path, window_len_s: float = 10.0, duration_s: float | None = Non
 
     rows = np.array(values).reshape(-1, 1 + len(class_order))
     starts, scores = rows[:, 0], rows[:, 1:]
-    if not (
-        np.isfinite(starts).all()
-        and (starts >= 0).all()
-        and (duration_s is None or (starts < duration_s).all())
-        and (scores >= 0).all()
-        and (scores <= 1).all()
-    ):
+    if duration_s is not None and not (starts < duration_s).all():
         _raise_first_bad_row(table, duration_s)
 
     rec = np.array(rec)
     order = np.lexsort((starts, rec))
     counts = np.bincount(rec, minlength=len(codes))
-    loaded = ScoreTable(
-        recording_ids=list(codes),
-        window_starts_s=starts[order],
-        window_len_s=window_len_s,
-        class_scores=scores[order],
-        class_order=class_order,
-        offsets=np.cumsum(counts) - counts,
-    )
-    loaded._check_windows(path)
-    return loaded
+    try:
+        return ScoreTable(
+            recording_ids=list(codes),
+            window_starts_s=starts[order],
+            window_len_s=window_len_s,
+            class_scores=scores[order],
+            class_order=class_order,
+            offsets=np.cumsum(counts) - counts,
+        )
+    except ValueError as exc:
+        _raise_first_bad_row(table, duration_s, otherwise=str(exc))
 
 
 def _check_row(table, line, fields, duration_s):
@@ -174,11 +152,11 @@ def _check_row(table, line, fields, duration_s):
             raise table.error(f"score {s} outside [0, 1]", line)
 
 
-def _raise_first_bad_row(table, duration_s):
-    """Raise the SchemaError of the first row that breaks a rule, with its line."""
+def _raise_first_bad_row(table, duration_s, otherwise="file changed while it was read"):
+    """Raise the SchemaError of the first row that breaks a rule, with its line, else one of otherwise."""
     for line, fields in table:
         _check_row(table, line, fields, duration_s)
-    raise SchemaError("file changed while it was read", path=table.path)
+    raise SchemaError(otherwise, path=table.path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +164,11 @@ class ScoreTable(Sequence):
     """Every recording's window scores as columns, rows grouped by recording.
 
     Recording i owns rows offsets[i] up to offsets[i + 1] (or the end) of
-    window_starts_s and class_scores [rows x classes], its windows in
-    ascending order. As a sequence it yields one ScoreMatrix view per
-    recording; the decision kernels work on the columns directly.
+    window_starts_s and class_scores [rows x classes]. Each recording has at
+    least one window, scores in [0, 1] (not NaN), and finite starts >= 0 that
+    ascend strictly with uniform spacing, or ValueError names the first that
+    does not. As a sequence it yields one ScoreMatrix view per recording; the
+    decision kernels work on the columns directly.
     """
 
     recording_ids: list
@@ -198,12 +178,13 @@ class ScoreTable(Sequence):
     class_order: tuple
     offsets: np.ndarray
 
+    def __post_init__(self):
+        _check_table(self.recording_ids, self.window_starts_s, self.class_scores, self.class_order, self.offsets)
+
     def __len__(self) -> int:
         return len(self.recording_ids)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
         a = self.offsets[i]
         b = self.offsets[i + 1] if i + 1 < len(self) else len(self.window_starts_s)
@@ -216,17 +197,34 @@ class ScoreTable(Sequence):
         """Windows per recording."""
         return np.diff(self.offsets, append=len(self.window_starts_s))
 
-    def _check_windows(self, path) -> None:
-        """Raise the first recording's ScoreMatrix error if its starts do not
-        ascend strictly with uniform spacing."""
-        diffs = np.diff(self.window_starts_s)
-        first = np.repeat(np.append(diffs, 0.0)[self.offsets], self.n_windows)[:-1]
-        bad = (diffs <= 0) | (np.abs(diffs - first) > _SPACING_TOL)
-        bad[self.offsets[1:] - 1] = False  # differences across recordings
-        if bad.any():
-            i = int(np.searchsorted(self.offsets, np.argmax(bad), side="right")) - 1
-            m = self[i]
-            try:
-                ScoreMatrix(m.recording_id, m.window_starts_s, m.window_len_s, m.class_scores, m.class_order)
-            except ValueError as exc:
-                raise SchemaError(str(exc), path=path) from None
+
+def _check_table(recording_ids, window_starts_s, class_scores, class_order, offsets) -> None:
+    """Raise ValueError if score columns, grouped by offsets as in ScoreTable, break a
+    rule; it names the first recording in table order that breaks one, and its first rule."""
+    if class_order not in (CLASSES, CLASSES + (SILENCE,)):
+        raise ValueError(f"unexpected class order {class_order}")
+    starts, scores = np.asarray(window_starts_s), np.asarray(class_scores)
+    if scores.shape != (len(starts), len(class_order)):
+        name = recording_ids[0] if len(recording_ids) == 1 else "score table"
+        raise ValueError(
+            f"{name}: score matrix shape {scores.shape} does not match "
+            f"{len(starts)} windows x {len(class_order)} classes"
+        )
+    counts = np.diff(offsets, append=len(starts))
+    rec = np.repeat(np.arange(len(counts)), counts)  # the recording of each window
+    with np.errstate(invalid="ignore", over="ignore"):  # steps between non-finite starts
+        steps = np.diff(starts)
+        inner = rec[1:] == rec[:-1]  # steps between windows of one recording
+        step0 = steps[np.asarray(offsets)[rec[:-1]]]  # the first step of each step's recording
+        rules = (  # (message, the recordings that break it), in the order a recording is checked
+            ("empty score matrix", np.flatnonzero(counts == 0)),
+            ("scores outside [0, 1]",
+             rec[np.flatnonzero(~((scores >= 0) & (scores <= 1))) // scores.shape[1]]),
+            ("window starts must be finite and >= 0", rec[~(np.isfinite(starts) & (starts >= 0))]),
+            ("window starts not strictly ascending", rec[:-1][inner & (steps <= 0)]),
+            ("non-uniform window spacing", rec[:-1][inner & (np.abs(steps - step0) > _SPACING_TOL)]),
+        )
+    firsts = [broken.min(initial=len(counts)) for _, broken in rules]
+    i = min(firsts)
+    if i < len(recording_ids):
+        raise ValueError(f"{recording_ids[i]}: {rules[firsts.index(i)][0]}")

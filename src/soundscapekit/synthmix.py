@@ -17,7 +17,7 @@ import hashlib
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -204,8 +204,9 @@ class MixedClip:
 
 def recipe_digest(recipe) -> str:
     """Stable hex digest of a recipe's canonical JSON form (a frozenset as its sorted list)."""
-    data = {"kind": "mix" if isinstance(recipe, MixRecipe) else "silence", **asdict(recipe)}
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":"), default=sorted)
+    data = {"kind": "mix" if isinstance(recipe, MixRecipe) else "silence", **vars(recipe)}
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"),
+                      default=lambda o: sorted(o) if isinstance(o, frozenset) else vars(o))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -434,20 +435,13 @@ def build_corpus(
     of files to render. Each file derives an independent sub-seed from
     (seed, file index), so serial and parallel runs are byte-identical.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    tasks = []
-    index = 0
-    for combo in sorted(counts, key=_combo_sort_key):
-        n = counts[combo]
+    for combo, n in counts.items():  # validate before any rendering starts
+        classes_for_combo(combo)
         if n < 0:
             raise ValueError(f"negative count for combination {combo!r}")
-        if combo != SILENCE_COMBO:
-            classes_for_combo(combo)  # validate before any rendering starts
-        for _ in range(n):
-            tasks.append((index, combo))
-            index += 1
+    tasks = list(enumerate(combo for combo in sorted(counts, key=COMBOS.index) for _ in range(counts[combo])))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def run(task):
         i, combo = task
@@ -462,7 +456,3 @@ def build_corpus(
     manifest = out_dir / "manifest.csv"
     write_table(manifest, MANIFEST_HEADER, rows)
     return manifest
-
-
-def _combo_sort_key(combo: str):
-    return (COMBOS.index(combo) if combo in COMBOS else len(COMBOS), combo)

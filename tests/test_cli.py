@@ -161,6 +161,19 @@ class TestMixCommand:
         assert "'B=x'" in result.output
         assert not (tmp_path / "o").exists()
 
+    def test_only_the_documented_combination_codes(self, runner, tmp_path):
+        """BA is not AB, and AA is not A: each is an unknown combination, and nothing is rendered."""
+        args = ["mix", str(write_pool(tmp_path)), str(tmp_path / "o"), "--count", "BA=1", "--count", "AA=1"]
+        assert failed_lines(runner.invoke(main, args), "mix") == ["mix: FAILED: unknown class combination 'BA'"]
+        assert not (tmp_path / "o").exists()
+
+    def test_combination_given_twice_is_a_usage_error(self, runner, tmp_path):
+        args = ["mix", str(write_pool(tmp_path)), str(tmp_path / "o"), "--count", "a=1", "--count", "A=2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "combination 'A' given more than once" in result.output
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 @pytest.mark.parametrize("command", ["indices", "mix"])

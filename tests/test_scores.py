@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soundscapekit.errors import SchemaError
-from soundscapekit.scores import ScoreMatrix, WindowSpec, enumerate_windows, load_scores
+from soundscapekit.labels import CLASSES
+from soundscapekit.scores import ScoreMatrix, ScoreTable, WindowSpec, enumerate_windows, load_scores
 
 
 class TestEnumerateWindows:
@@ -85,6 +86,27 @@ class TestScoreMatrix:
     def test_scores_for(self):
         m = ScoreMatrix("r", [0.0], 10.0, [[0.1, 0.2, 0.3]])
         assert m.scores_for("biophony").tolist() == [0.2]
+
+    @pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf, -10.0])
+    def test_rejects_non_finite_or_negative_start(self, start):
+        with pytest.raises(ValueError, match="^r: window starts must be finite and >= 0$"):
+            ScoreMatrix("r", [start, 10.0], 10.0, [[0.1] * 3] * 2)
+
+    def test_rejects_nan_score(self):
+        with pytest.raises(ValueError, match=r"^r: scores outside \[0, 1\]$"):
+            ScoreMatrix("r", [0.0, 10.0], 10.0, [[0.1, np.nan, 0.3], [0.1] * 3])
+
+
+class TestScoreTable:
+    @pytest.mark.parametrize("starts, score, message", [
+        ((0.0, 10.0, 20.0), 2.0, r"scores outside \[0, 1\]"),
+        ((0.0, 10.0, 25.0), 0.5, "non-uniform window spacing"),
+    ], ids=["score", "spacing"])
+    def test_built_directly_names_the_bad_recording(self, starts, score, message):
+        scores = np.full((5, 3), 0.5)
+        scores[3, 1] = score
+        with pytest.raises(ValueError, match=f"^b: {message}$"):
+            ScoreTable(["a", "b"], np.array([0.0, 10.0, *starts]), 10.0, scores, CLASSES, np.array([0, 2]))
 
 
 SAMPLE = """recording_id,window_start_s,anthropophony,biophony,geophony
@@ -182,6 +204,21 @@ def shuffled_score_files(draw):
     return HEADER + (",silence" if silence else "") + "\n" + "\n".join(rows) + "\n"
 
 
+@st.composite
+def one_recording(draw):
+    """The rows (start, three scores) of one recording, in any order; some break a window rule."""
+    n = draw(st.integers(1, 6))
+    first, step = draw(st.sampled_from([0.0, -0.0, 0.5, -1.0])), draw(st.sampled_from([1.0, 2.5, 0.0, -1.0]))
+    starts = [first + k * step for k in range(n)]
+    odd = st.sampled_from([float("nan"), float("inf"), -float("inf"), -2.0, 3.0, 1e-12])
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        starts[k] = draw(odd)
+    rows = [[s, *draw(st.lists(st.floats(0, 1), min_size=3, max_size=3))] for s in starts]
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        rows[k][draw(st.integers(1, 3))] = draw(st.sampled_from([float("nan"), -0.5, 1.5, 1 + 1e-12, float("inf")]))
+    return draw(st.permutations(rows))
+
+
 class TestLoadScoresColumns:
     @given(text=shuffled_score_files())
     @settings(max_examples=150, deadline=None)
@@ -234,6 +271,24 @@ class TestLoadScoresColumns:
         p = tmp_path / "scores.csv"
         p.write_text(f"{HEADER}\nr0,0.0,0.1,0.2,0.3\nr0,59.5,0.1,0.2,0.3\n")
         assert load_scores(p, duration_s=60.0).window_starts_s.tolist() == [0.0, 59.5]
+
+    @given(rows=one_recording())
+    @settings(max_examples=200, deadline=None)
+    def test_score_matrix_accepts_what_load_scores_accepts(self, tmp_path_factory, rows):
+        p = tmp_path_factory.mktemp("one") / "scores.csv"
+        p.write_text(HEADER + "\n" + "".join(f"r,{','.join(map(repr, row))}\n" for row in rows))
+        try:
+            load_scores(p)
+            loaded = True
+        except SchemaError:
+            loaded = False
+        ordered = np.array(rows)[np.argsort([row[0] for row in rows], kind="stable")]  # as load_scores sorts
+        try:
+            ScoreMatrix("r", ordered[:, 0], 10.0, ordered[:, 1:])
+            built = True
+        except ValueError:
+            built = False
+        assert built == loaded
 
     def test_spacing_error_names_the_first_bad_recording(self, tmp_path):
         p = tmp_path / "scores.csv"

@@ -20,7 +20,10 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
 - failures whose one-line error must not change: ``evaluate`` with a count
   above the windows of the shortest recording, ``case-study`` with a
   recording missing from the diversity CSV, ``tune`` with a ``nan`` window
-  start, and ``evaluate`` with an ``--out`` under a regular file.
+  start, ``tune`` with a recording whose window starts are 0, 10, 25 (an
+  error naming the path alone), ``evaluate`` with a score of ``1.5`` (an
+  error naming its line), and ``evaluate`` with an ``--out`` under a
+  regular file.
 
 Each output line is ``<sha256>  <variant>/<file>``, sorted, after one
 ``# exit <code> <variant>`` line per command, so the listings of two
@@ -153,12 +156,27 @@ def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path):
     yield "fail-case-study-missing", ["case-study", indices_csv, short, labels,
                                       "--out", out / "fail-case-study-missing.csv"], out / "fail-case-study-missing.csv"
 
-    nan_start = work / "in" / "scores-nan-start.csv"
-    header, first, *rest = fixture[0].read_text().splitlines(keepends=True)
-    rid, _, scores = first.split(",", 2)
-    nan_start.write_text("".join([header, f"{rid},nan,{scores}", *rest]))
+    header, *rows = fixture[0].read_text().splitlines(keepends=True)
+
+    def scores_with(name, k, row):
+        """The fixture's score CSV with its row k replaced."""
+        path = work / "in" / name
+        path.write_text("".join([header, *rows[:k], row, *rows[k + 1:]]))
+        return path
+
+    rid, _, scores = rows[0].split(",", 2)
+    nan_start = scores_with("scores-nan-start.csv", 0, f"{rid},nan,{scores}")
     yield "fail-tune-nan-start", ["tune", nan_start, fixture[1], "--out", out / "fail-tune-nan-start.json"], \
         out / "fail-tune-nan-start.json"
+
+    spacing = scores_with("scores-spacing.csv", 2, rows[2].replace(",20.0,", ",25.0,", 1))  # starts 0, 10, 25, 30
+    yield "fail-tune-spacing", ["tune", spacing, fixture[1], "--out", out / "fail-tune-spacing.json"], \
+        out / "fail-tune-spacing.json"
+
+    rid, start, _, scores = rows[1].split(",", 3)
+    above_one = scores_with("scores-above-one.csv", 1, f"{rid},{start},1.5,{scores}")
+    yield "fail-evaluate-above-one", ["evaluate", above_one, fixture[1], "--out", out / "fail-evaluate-above-one"], \
+        out / "fail-evaluate-above-one"
 
     blocked = diversity / "report"  # a directory under a regular file
     yield "fail-evaluate-unwritable", ["evaluate", *fixture, "--out", blocked], blocked
