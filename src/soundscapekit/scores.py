@@ -203,7 +203,7 @@ def _check_table(recording_ids, window_starts_s, class_scores, class_order, offs
     rule; it names the first recording in table order that breaks one, and its first rule."""
     if class_order not in (CLASSES, CLASSES + (SILENCE,)):
         raise ValueError(f"unexpected class order {class_order}")
-    starts, scores = np.asarray(window_starts_s), np.asarray(class_scores)
+    starts, scores, offsets = np.asarray(window_starts_s), np.asarray(class_scores), np.asarray(offsets, np.intp)
     if scores.shape != (len(starts), len(class_order)):
         name = recording_ids[0] if len(recording_ids) == 1 else "score table"
         raise ValueError(
@@ -211,11 +211,13 @@ def _check_table(recording_ids, window_starts_s, class_scores, class_order, offs
             f"{len(starts)} windows x {len(class_order)} classes"
         )
     counts = np.diff(offsets, append=len(starts))
+    if len(counts) != len(recording_ids) or counts.sum() != len(starts) or (counts < 0).any():
+        raise ValueError(f"offsets do not split {len(starts)} windows among {len(recording_ids)} recordings")
     rec = np.repeat(np.arange(len(counts)), counts)  # the recording of each window
     with np.errstate(invalid="ignore", over="ignore"):  # steps between non-finite starts
         steps = np.diff(starts)
         inner = rec[1:] == rec[:-1]  # steps between windows of one recording
-        step0 = steps[np.asarray(offsets)[rec[:-1]]]  # the first step of each step's recording
+        step0 = steps[offsets[rec[:-1]]]  # the first step of each step's recording
         rules = (  # (message, the recordings that break it), in the order a recording is checked
             ("empty score matrix", np.flatnonzero(counts == 0)),
             ("scores outside [0, 1]",

@@ -108,6 +108,11 @@ class TestScoreTable:
         with pytest.raises(ValueError, match=f"^b: {message}$"):
             ScoreTable(["a", "b"], np.array([0.0, 10.0, *starts]), 10.0, scores, CLASSES, np.array([0, 2]))
 
+    @pytest.mark.parametrize("ids, offsets", [("ab", [2, 4]), ("abc", [0, 5, 3]), ("ab", [0]), ("", [])])
+    def test_offsets_must_split_the_rows(self, ids, offsets):
+        with pytest.raises(ValueError, match="^offsets do not split 6 windows among"):
+            ScoreTable(list(ids), np.arange(6) * 10.0, 10.0, np.full((6, 3), 0.5), CLASSES, np.array(offsets, int))
+
 
 SAMPLE = """recording_id,window_start_s,anthropophony,biophony,geophony
 rec1,0.0,0.1,0.9,0.3
