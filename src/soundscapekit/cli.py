@@ -31,7 +31,7 @@ from .errors import ConfigError, SchemaError, SoundscapeKitError
 from .evaluation import CASE_STUDY_FILTERS, correlate, curve, evaluate, stratify_errors, tune_thresholds
 from .features import stft_magnitude
 from .indices import IndexResult, aci, adi, ndsi
-from .labels import CLASSES
+from .labels import CLASSES, classes_for_combo
 from .scores import load_scores
 from .synthmix import SourcePool, build_corpus
 
@@ -142,10 +142,31 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
         sys.exit(1)
 
 
+def _combo_counts(ctx, param, items) -> dict:
+    """The --count items as {combination: N}; a bad code or N, or a repeated code, is a usage error."""
+    parsed = {}
+    for item in items:
+        combo, _, n = item.partition("=")
+        combo = combo.strip().upper()
+        try:
+            classes_for_combo(combo)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
+        if combo in parsed:
+            raise click.BadParameter(f"combination {combo!r} given more than once")
+        try:
+            parsed[combo] = int(n)
+        except ValueError:
+            raise click.BadParameter(f"expected COMBO=N with an integer N, got {item!r}") from None
+        if parsed[combo] < 0:
+            raise click.BadParameter(f"expected COMBO=N with N >= 0, got {item!r}")
+    return parsed
+
+
 @main.command("mix")
 @click.argument("pool_manifest", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
-@click.option("--count", "counts", multiple=True, metavar="COMBO=N",
+@click.option("--count", "counts", multiple=True, metavar="COMBO=N", callback=_combo_counts,
               help="Files to render per combination, e.g. --count A=10 --count BG=5 --count S=3.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed (overrides config).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
@@ -155,22 +176,11 @@ def cmd_mix(pool_manifest, out_dir, counts, seed, config_path, jobs):
     cfg = _load_config(config_path)
     if seed is not None:
         cfg.seed = seed
-    parsed = {}
-    for item in counts:
-        combo, _, n = item.partition("=")
-        combo = combo.strip().upper()
-        if combo in parsed:
-            raise click.BadParameter(f"combination {combo!r} given more than once", param_hint="'--count'")
-        try:
-            parsed[combo] = int(n)
-        except ValueError:
-            raise click.BadParameter(f"expected COMBO=N with an integer N, got {item!r}",
-                                     param_hint="'--count'") from None
-    _log(f"mix: seed={cfg.seed} combos={parsed}")
+    _log(f"mix: seed={cfg.seed} combos={counts}")
 
     pool = SourcePool.from_manifest(pool_manifest)
     manifest = build_corpus(
-        pool, parsed, cfg.seed, out_dir,
+        pool, counts, cfg.seed, out_dir,
         jobs=jobs, count_pmfs=cfg.mixer_count_pmfs, normalization=cfg.mixer_normalization,
     )
     _log(f"mix: wrote {manifest}")

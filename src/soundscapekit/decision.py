@@ -49,9 +49,6 @@ class AnnotationSet:
     def active_classes(self) -> frozenset:
         return frozenset(c for c in CLASSES if self.segments[c])
 
-    def total_duration(self, class_name: str) -> float:
-        return sum(e - s for s, e in self.segments[class_name])
-
     @classmethod
     def from_weak_labels(cls, recording_id: str, duration_s: float, active) -> "AnnotationSet":
         """Build from presence flags; active classes span the whole recording."""
@@ -180,7 +177,7 @@ class Decision:
 def window_max(scores) -> np.ndarray:
     """Max window score per recording, [recordings x classes] in scores.class_order.
 
-    scores is a ScoreTable, or a ScoreMatrix as a table of one recording.
+    scores is a ScoreTable; a ScoreMatrix is one, of one recording.
     """
     return np.maximum.reduceat(scores.class_scores, scores.offsets, axis=0)
 
@@ -201,7 +198,8 @@ def aggregate(matrix: ScoreMatrix) -> dict:
 
 
 def decide(matrix: ScoreMatrix, policy: ThresholdPolicy) -> Decision:
-    """Apply thresholds (and optional counts) to one recording's scores."""
+    """Apply thresholds (and optional counts) to one recording's scores: window_active
+    over a ScoreMatrix, the ScoreTable of that one recording."""
     policy.check_counts(matrix.n_windows)
     return Decision(matrix.recording_id, frozenset(compress(CLASSES, window_active(matrix, policy)[0])))
 

@@ -33,52 +33,6 @@ class WindowSpec:
             raise ValueError(f"need 0 < step_s <= window_len_s, got step={self.step_s}, window={self.window_len_s}")
 
 
-@dataclass
-class ScoreMatrix:
-    """Per-window class confidence scores for one recording.
-
-    class_scores is [windows x classes] with columns in class_order, which is
-    always (anthropophony, biophony, geophony) optionally followed by silence.
-    It keeps the rules of a ScoreTable of one recording, or raises ValueError.
-    """
-
-    recording_id: str
-    window_starts_s: np.ndarray
-    window_len_s: float
-    class_scores: np.ndarray
-    class_order: tuple = CLASSES
-
-    def __post_init__(self):
-        self.window_starts_s = np.asarray(self.window_starts_s, dtype=float)
-        self.class_scores = np.asarray(self.class_scores, dtype=float)
-        _check_table([self.recording_id], self.window_starts_s, self.class_scores, self.class_order, self.offsets)
-
-    @classmethod
-    def _view(cls, recording_id, window_starts_s, window_len_s, class_scores, class_order) -> "ScoreMatrix":
-        """A matrix over arrays a ScoreTable has already checked; skips __post_init__."""
-        m = cls.__new__(cls)
-        m.__dict__.update(
-            recording_id=recording_id,
-            window_starts_s=window_starts_s,
-            window_len_s=window_len_s,
-            class_scores=class_scores,
-            class_order=class_order,
-        )
-        return m
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.window_starts_s)
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """First row of each recording, as in ScoreTable: the one recording starts at row 0."""
-        return np.zeros(1, dtype=np.intp)
-
-    def scores_for(self, class_name: str) -> np.ndarray:
-        return self.class_scores[:, self.class_order.index(class_name)]
-
-
 def enumerate_windows(duration_s: float, spec: WindowSpec, pad_last: bool = False) -> list:
     """Start times of windows fully contained in [0, duration_s].
 
@@ -96,7 +50,7 @@ def enumerate_windows(duration_s: float, spec: WindowSpec, pad_last: bool = Fals
 
 
 def load_scores(path, window_len_s: float = 10.0, duration_s: float | None = None) -> "ScoreTable":
-    """Parse a score CSV into a validated ScoreTable (a sequence of per-recording ScoreMatrix views).
+    """Parse a score CSV into a validated ScoreTable (a sequence of per-recording ScoreMatrix items).
 
     Expected header: recording_id,window_start_s,anthropophony,biophony,geophony
     with an optional trailing silence column. Rows for a recording may be
@@ -166,9 +120,10 @@ class ScoreTable(Sequence):
     Recording i owns rows offsets[i] up to offsets[i + 1] (or the end) of
     window_starts_s and class_scores [rows x classes]. Each recording has at
     least one window, scores in [0, 1] (not NaN), and finite starts >= 0 that
-    ascend strictly with uniform spacing, or ValueError names the first that
-    does not. As a sequence it yields one ScoreMatrix view per recording; the
-    decision kernels work on the columns directly.
+    ascend strictly with uniform spacing, or ValueError names the first
+    recording in table order that breaks a rule, and its first rule. As a
+    sequence it yields one ScoreMatrix per recording, sharing the table's
+    arrays; the decision kernels work on the columns directly.
     """
 
     recording_ids: list
@@ -179,7 +134,37 @@ class ScoreTable(Sequence):
     offsets: np.ndarray
 
     def __post_init__(self):
-        _check_table(self.recording_ids, self.window_starts_s, self.class_scores, self.class_order, self.offsets)
+        ids, class_order = self.recording_ids, self.class_order
+        if class_order not in (CLASSES, CLASSES + (SILENCE,)):
+            raise ValueError(f"unexpected class order {class_order}")
+        starts, scores = np.asarray(self.window_starts_s), np.asarray(self.class_scores)
+        offsets = np.asarray(self.offsets, np.intp)
+        if scores.shape != (len(starts), len(class_order)):
+            name = ids[0] if len(ids) == 1 else "score table"
+            raise ValueError(
+                f"{name}: score matrix shape {scores.shape} does not match "
+                f"{len(starts)} windows x {len(class_order)} classes"
+            )
+        counts = np.diff(offsets, append=len(starts))
+        if len(counts) != len(ids) or counts.sum() != len(starts) or (counts < 0).any():
+            raise ValueError(f"offsets do not split {len(starts)} windows among {len(ids)} recordings")
+        rec = np.repeat(np.arange(len(counts)), counts)  # the recording of each window
+        with np.errstate(invalid="ignore", over="ignore"):  # steps between non-finite starts
+            steps = np.diff(starts)
+            inner = rec[1:] == rec[:-1]  # steps between windows of one recording
+            step0 = steps[offsets[rec[:-1]]]  # the first step of each step's recording
+            rules = (  # (message, the recordings that break it), in the order a recording is checked
+                ("empty score matrix", np.flatnonzero(counts == 0)),
+                ("scores outside [0, 1]",
+                 rec[np.flatnonzero(~((scores >= 0) & (scores <= 1))) // scores.shape[1]]),
+                ("window starts must be finite and >= 0", rec[~(np.isfinite(starts) & (starts >= 0))]),
+                ("window starts not strictly ascending", rec[:-1][inner & (steps <= 0)]),
+                ("non-uniform window spacing", rec[:-1][inner & (np.abs(steps - step0) > _SPACING_TOL)]),
+            )
+        firsts = [broken.min(initial=len(counts)) for _, broken in rules]
+        i = min(firsts)
+        if i < len(ids):
+            raise ValueError(f"{ids[i]}: {rules[firsts.index(i)][0]}")
 
     def __len__(self) -> int:
         return len(self.recording_ids)
@@ -188,9 +173,16 @@ class ScoreTable(Sequence):
         i = range(len(self))[i]
         a = self.offsets[i]
         b = self.offsets[i + 1] if i + 1 < len(self) else len(self.window_starts_s)
-        return ScoreMatrix._view(
-            self.recording_ids[i], self.window_starts_s[a:b], self.window_len_s, self.class_scores[a:b], self.class_order
+        item = object.__new__(ScoreMatrix)  # rows this table has checked: built without a second check
+        item.__dict__.update(
+            recording_ids=self.recording_ids[i:i + 1],
+            window_starts_s=self.window_starts_s[a:b],
+            window_len_s=self.window_len_s,
+            class_scores=self.class_scores[a:b],
+            class_order=self.class_order,
+            offsets=_ONE_RECORDING,
         )
+        return item
 
     @property
     def n_windows(self) -> np.ndarray:
@@ -198,35 +190,25 @@ class ScoreTable(Sequence):
         return np.diff(self.offsets, append=len(self.window_starts_s))
 
 
-def _check_table(recording_ids, window_starts_s, class_scores, class_order, offsets) -> None:
-    """Raise ValueError if score columns, grouped by offsets as in ScoreTable, break a
-    rule; it names the first recording in table order that breaks one, and its first rule."""
-    if class_order not in (CLASSES, CLASSES + (SILENCE,)):
-        raise ValueError(f"unexpected class order {class_order}")
-    starts, scores, offsets = np.asarray(window_starts_s), np.asarray(class_scores), np.asarray(offsets, np.intp)
-    if scores.shape != (len(starts), len(class_order)):
-        name = recording_ids[0] if len(recording_ids) == 1 else "score table"
-        raise ValueError(
-            f"{name}: score matrix shape {scores.shape} does not match "
-            f"{len(starts)} windows x {len(class_order)} classes"
-        )
-    counts = np.diff(offsets, append=len(starts))
-    if len(counts) != len(recording_ids) or counts.sum() != len(starts) or (counts < 0).any():
-        raise ValueError(f"offsets do not split {len(starts)} windows among {len(recording_ids)} recordings")
-    rec = np.repeat(np.arange(len(counts)), counts)  # the recording of each window
-    with np.errstate(invalid="ignore", over="ignore"):  # steps between non-finite starts
-        steps = np.diff(starts)
-        inner = rec[1:] == rec[:-1]  # steps between windows of one recording
-        step0 = steps[offsets[rec[:-1]]]  # the first step of each step's recording
-        rules = (  # (message, the recordings that break it), in the order a recording is checked
-            ("empty score matrix", np.flatnonzero(counts == 0)),
-            ("scores outside [0, 1]",
-             rec[np.flatnonzero(~((scores >= 0) & (scores <= 1))) // scores.shape[1]]),
-            ("window starts must be finite and >= 0", rec[~(np.isfinite(starts) & (starts >= 0))]),
-            ("window starts not strictly ascending", rec[:-1][inner & (steps <= 0)]),
-            ("non-uniform window spacing", rec[:-1][inner & (np.abs(steps - step0) > _SPACING_TOL)]),
-        )
-    firsts = [broken.min(initial=len(counts)) for _, broken in rules]
-    i = min(firsts)
-    if i < len(recording_ids):
-        raise ValueError(f"{recording_ids[i]}: {rules[firsts.index(i)][0]}")
+_ONE_RECORDING = np.zeros(1, dtype=np.intp)  # the offsets of every ScoreMatrix
+_ONE_RECORDING.flags.writeable = False
+
+
+class ScoreMatrix(ScoreTable):
+    """Per-window class confidence scores for one recording: a ScoreTable of one recording.
+
+    class_scores is [windows x classes] with columns in class_order, which is
+    always (anthropophony, biophony, geophony) optionally followed by silence.
+    """
+
+    def __init__(self, recording_id, window_starts_s, window_len_s, class_scores, class_order=CLASSES):
+        starts, scores = np.asarray(window_starts_s, dtype=float), np.asarray(class_scores, dtype=float)
+        super().__init__([recording_id], starts, window_len_s, scores, class_order, _ONE_RECORDING)
+
+    @property
+    def recording_id(self) -> str:
+        return self.recording_ids[0]
+
+    @property
+    def n_windows(self) -> int:
+        return len(self.window_starts_s)

@@ -241,6 +241,13 @@ def _sample_pmf(rng: np.random.Generator, pmf: dict) -> int:
     return int(rng.choice(keys, p=probs / probs.sum()))
 
 
+def _check_sources(pool: SourcePool, classes) -> None:
+    """Raise ValueError naming the first class, in CLASSES order, that the pool has no files for."""
+    for c in CLASSES:
+        if c in classes and not pool.files.get(c):
+            raise ValueError(f"source pool has no files for class {c!r}")
+
+
 def draw_recipe(pool: SourcePool, active_classes, rng_seed: int, count_pmfs=None) -> MixRecipe:
     """Sample a MixRecipe; identical (pool order, classes, seed) give identical recipes.
 
@@ -250,10 +257,8 @@ def draw_recipe(pool: SourcePool, active_classes, rng_seed: int, count_pmfs=None
     active = frozenset(active_classes)
     if not active:
         raise ValueError("need at least one active class")
+    _check_sources(pool, active)
     ordered = [c for c in CLASSES if c in active]
-    for c in ordered:
-        if not pool.files.get(c):
-            raise ValueError(f"source pool has no files for class {c!r}")
 
     pmf = (count_pmfs or DEFAULT_COUNT_PMFS)[len(ordered)]
     rng = _rng(rng_seed, _STREAM_RECIPE)
@@ -433,12 +438,16 @@ def build_corpus(
 
     counts maps combination strings ("A", "BG", "ABG", "S", ...) to the number
     of files to render. Each file derives an independent sub-seed from
-    (seed, file index), so serial and parallel runs are byte-identical.
+    (seed, file index), so serial and parallel runs are byte-identical. An
+    unknown code, a negative count, or a class to render that the pool has no
+    files for raises ValueError before anything is created.
     """
-    for combo, n in counts.items():  # validate before any rendering starts
-        classes_for_combo(combo)
+    for combo, n in counts.items():  # validate before the output directory is made
+        classes = classes_for_combo(combo)
         if n < 0:
             raise ValueError(f"negative count for combination {combo!r}")
+        if n > 0:
+            _check_sources(pool, classes)
     tasks = list(enumerate(combo for combo in sorted(counts, key=COMBOS.index) for _ in range(counts[combo])))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

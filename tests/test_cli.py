@@ -162,9 +162,31 @@ class TestMixCommand:
         assert not (tmp_path / "o").exists()
 
     def test_only_the_documented_combination_codes(self, runner, tmp_path):
-        """BA is not AB, and AA is not A: each is an unknown combination, and nothing is rendered."""
+        """BA is not AB, and AA is not A: each is an unknown combination, a usage error, and nothing is rendered."""
         args = ["mix", str(write_pool(tmp_path)), str(tmp_path / "o"), "--count", "BA=1", "--count", "AA=1"]
-        assert failed_lines(runner.invoke(main, args), "mix") == ["mix: FAILED: unknown class combination 'BA'"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Invalid value for '--count': unknown class combination 'BA'" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_count_is_a_usage_error(self, runner, tmp_path):
+        args = ["mix", str(write_pool(tmp_path)), str(tmp_path / "o"), "--count", "A=-1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Invalid value for '--count': expected COMBO=N with N >= 0, got 'A=-1'" in result.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("pool_classes, counts, missing", [
+        ((), ["A=1"], "anthropophony"),
+        (("biophony",), ["B=2", "G=1"], "geophony"),
+    ], ids=["header-only", "no-geophony"])
+    def test_pool_without_a_needed_class_creates_nothing(self, runner, tmp_path, pool_classes, counts, missing):
+        manifest = write_pool(tmp_path)
+        rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(rows[:1] + [r for r in rows[1:] if r.split(",")[1] in pool_classes]) + "\n")
+        args = ["mix", str(manifest), str(tmp_path / "o"), *(a for c in counts for a in ("--count", c))]
+        expected = f"mix: FAILED: source pool has no files for class '{missing}'"
+        assert failed_lines(runner.invoke(main, args), "mix") == [expected]
         assert not (tmp_path / "o").exists()
 
     def test_combination_given_twice_is_a_usage_error(self, runner, tmp_path):

@@ -46,7 +46,6 @@ class TestAnnotationSet:
     def test_merges_overlapping_segments(self):
         ann = AnnotationSet("r", 60, {BIOPHONY: [(5, 10), (8, 14), (20, 25)]})
         assert ann.segments[BIOPHONY] == ((5, 14), (20, 25))
-        assert ann.total_duration(BIOPHONY) == 14.0
 
     def test_weak_flags(self):
         ann = AnnotationSet("r", 60, {GEOPHONY: [(0, 1)]})
@@ -61,7 +60,7 @@ class TestAnnotationSet:
     def test_from_weak_labels(self):
         ann = AnnotationSet.from_weak_labels("r", 60, [ANTHROPOPHONY])
         assert ann.active_classes == frozenset({ANTHROPOPHONY})
-        assert ann.total_duration(ANTHROPOPHONY) == 60.0
+        assert ann.segments == {ANTHROPOPHONY: ((0.0, 60),), BIOPHONY: (), GEOPHONY: ()}
 
 
 class TestPda:
@@ -258,16 +257,20 @@ class TestTableKernels:
         assert active.shape == (len(matrices), len(CLASSES))
         for i, m in enumerate(matrices):
             assert maxes[i].tolist() == [max(col) for col in m.class_scores.T.tolist()]
-            above = [sum(s > policy.thresholds[c] for s in m.scores_for(c).tolist()) for c in CLASSES]
+            above = [sum(s > policy.thresholds[c] for s in m.class_scores[:, m.class_order.index(c)].tolist())
+                     for c in CLASSES]
             expected = [n >= policy.count_for(c) for n, c in zip(above, CLASSES)]
             assert active[i].tolist() == expected
             assert aggregate(m) == dict(zip(m.class_order, maxes[i].tolist()))
             if max(policy.count_for(c) for c in CLASSES) <= m.n_windows:
                 assert decide(m, policy).active == frozenset(c for c, a in zip(CLASSES, expected) if a)
             view = table[i]
+            assert isinstance(view, ScoreMatrix) and isinstance(view, ScoreTable) and len(view) == 1
             assert view.recording_id == m.recording_id
+            assert type(view.n_windows) is int and view.n_windows == m.n_windows
             assert np.array_equal(view.class_scores, m.class_scores)
             assert np.array_equal(view.window_starts_s, m.window_starts_s)
+            assert np.shares_memory(view.class_scores, table.class_scores)
 
 
 class TestDecisionInvariant:

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -83,9 +84,10 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             ScoreMatrix("r", [], 10.0, np.zeros((0, 3)))
 
-    def test_scores_for(self):
+    def test_fields_are_frozen(self):
         m = ScoreMatrix("r", [0.0], 10.0, [[0.1, 0.2, 0.3]])
-        assert m.scores_for("biophony").tolist() == [0.2]
+        with pytest.raises(FrozenInstanceError):
+            m.class_scores = np.zeros((1, 3))
 
     @pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf, -10.0])
     def test_rejects_non_finite_or_negative_start(self, start):

@@ -360,6 +360,13 @@ class TestBuildCorpus:
         with pytest.raises(ValueError):
             build_corpus(pool, {"AX": 1}, 0, tmp_path / "bad2")
 
+    def test_missing_source_class_rejected_before_anything_is_created(self, pool, tmp_path):
+        biophony_only = SourcePool({BIOPHONY: pool.files[BIOPHONY]})
+        with pytest.raises(ValueError, match="^source pool has no files for class 'geophony'$"):
+            build_corpus(biophony_only, {"B": 2, "G": 1}, 0, tmp_path / "bad3")
+        assert not (tmp_path / "bad3").exists()
+        build_corpus(biophony_only, {"B": 1, "G": 0, "S": 1}, 0, tmp_path / "ok")  # G is not rendered
+
 
 class TestSourceCache:
     def test_cached_array_is_read_only_and_shared(self, pool):

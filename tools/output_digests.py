@@ -22,15 +22,18 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
   recording missing from the diversity CSV, ``tune`` with a ``nan`` window
   start, ``tune`` with a recording whose window starts are 0, 10, 25 (an
   error naming the path alone), ``evaluate`` with a score of ``1.5`` (an
-  error naming its line), and ``evaluate`` with an ``--out`` under a
-  regular file.
+  error naming its line), ``evaluate`` with an ``--out`` under a regular
+  file, ``mix`` with ``--count BA=1`` and with ``--count A=-1`` (usage
+  errors, exit 2), and ``mix`` of a pool without geophony with
+  ``--count B=2 --count G=1``.
 
 Each output line is ``<sha256>  <variant>/<file>``, sorted, after one
 ``# exit <code> <variant>`` line per command, so the listings of two
 checkouts (or two runs of one) can be compared with ``diff``. Each
 variant's stderr is digested as ``<variant>/stderr``, with the temporary
 directory written as ``<tmp>``. The script exits 1 when a serial and a
-``--jobs 2`` run of the same command write different files.
+``--jobs 2`` run of the same command write different files, or when a
+failure leaves its output path (even an empty directory) behind.
 """
 
 import argparse
@@ -140,11 +143,11 @@ def variants(seed: int, work: Path):
     yield "case-study-model", ["case-study", indices_csv, diversity, labels, "--model-labels", decisions,
                                "--out", out / "case-study-model.csv"], out / "case-study-model.csv"
 
-    yield from failures(work, diversity, labels, indices_csv)
+    yield from failures(work, diversity, labels, indices_csv, mix.pool_manifest)
 
 
-def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path):
-    """Variants that must end in one error line and exit 1; they write no output."""
+def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool: Path):
+    """Variants that must end in one error line, exit 1 (2 for a bad option) and write no output."""
     out, fixture = work / "out", [FIXTURE / "scores.csv", FIXTURE / "annotations.csv"]
     too_many = work / "in" / "count-above-windows.json"
     too_many.write_text(json.dumps({"thresholds": {"mode": "global", "global": 0.5, "counts": {"biophony": 7}}}))
@@ -181,6 +184,13 @@ def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path):
     blocked = diversity / "report"  # a directory under a regular file
     yield "fail-evaluate-unwritable", ["evaluate", *fixture, "--out", blocked], blocked
 
+    for name, count in (("fail-mix-code", "BA=1"), ("fail-mix-negative", "A=-1")):
+        yield name, ["mix", pool, out / name, "--count", count], out / name
+    no_geophony = pool.with_name("pool-no-geophony.csv")  # beside the pool, whose file names are relative
+    no_geophony.write_text("".join(r for r in pool.read_text().splitlines(keepends=True) if "geophony" not in r))
+    yield "fail-mix-no-geophony", ["mix", no_geophony, out / "fail-mix-no-geophony", "--count", "B=2",
+                                   "--count", "G=1"], out / "fail-mix-no-geophony"
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -189,7 +199,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     src = args.src.resolve()
 
-    listing, logs, exits = {}, {}, []
+    listing, logs, exits, left = {}, {}, [], []
     with tempfile.TemporaryDirectory(prefix="output_digests_") as tmp:
         work = Path(tmp)
         (work / "out").mkdir()
@@ -199,6 +209,8 @@ def main(argv=None) -> int:
             logs[f"{name}/stderr"] = hashlib.sha256(stderr.replace(bytes(work), b"<tmp>")).hexdigest()
             if output.exists():
                 listing.update(digests(output))
+                if name.startswith("fail-"):
+                    left.append(name)
 
     mismatched = []
     for serial in [v for v in listing if "-jobs1" in v]:
@@ -211,7 +223,9 @@ def main(argv=None) -> int:
         print(f"{listing[path]}  {path}")
     for line in mismatched:
         print(f"output_digests: serial and --jobs 2 outputs differ: {line}", file=sys.stderr)
-    return 1 if mismatched else 0
+    for name in left:
+        print(f"output_digests: failed variant {name} left its output behind", file=sys.stderr)
+    return 1 if mismatched or left else 0
 
 
 if __name__ == "__main__":
