@@ -2,21 +2,31 @@
 
 All operations are pure: they return new :class:`AudioClip` objects and never
 mutate their inputs, so they are safe to call from many workers at once.
+WAV files are parsed and written with ``struct`` and numpy, and the resampler
+is a numpy polyphase filter, so audio needs no library beyond numpy.
 """
 
 import math
+import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 from ._table import replacing
 from .errors import AudioDecodeError
 
 #: Kaiser beta for the polyphase anti-aliasing filter used by :func:`resample`.
 RESAMPLE_KAISER_BETA = 5.0
+
+#: Outputs one polyphase matrix product computes at most, so its operands stay in cache.
+_POLYPHASE_BLOCK = 1 << 14
+
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+#: Bytes 4..15 of a WAVE_FORMAT_EXTENSIBLE sub-format GUID whose first 4 bytes are a format tag.
+_GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+              ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71"}
 
 
 @dataclass(frozen=True)
@@ -43,71 +53,135 @@ class AudioClip:
 
 
 def decode_wav(path) -> AudioClip:
-    """Decode a linear-PCM WAV file to a mono AudioClip.
+    """Decode a linear-PCM or IEEE-float WAV file to a mono AudioClip.
 
-    Integer samples are scaled to [-1, 1] by the type's max magnitude
-    (2**(bits-1)); multi-channel audio is averaged to mono. Non-finite
-    float samples are rejected rather than clamped so corrupt files
-    surface early.
+    FORMATS.md ("WAV input") lists the files accepted. Integer samples are
+    scaled to [-1, 1] by the container's max magnitude (2**(bits-1), so
+    24-bit samples are read left-justified into int32); multi-channel audio
+    is averaged to mono. Non-finite float samples are rejected rather than
+    clamped so corrupt files surface early.
 
     Raises:
-        AudioDecodeError: unreadable file, unsupported codec, or zero-length audio.
+        AudioDecodeError: unreadable file, unsupported format, or zero-length audio.
     """
     path = Path(path)
     try:
-        rate, data = wavfile.read(path)
+        with open(path, "rb") as fh:
+            rate, data = _read_wav(fh)
     except FileNotFoundError:
         raise AudioDecodeError(f"{path}: file not found") from None
-    except Exception as exc:
+    except (OSError, ValueError, struct.error) as exc:
         raise AudioDecodeError(f"{path}: not a decodable linear-PCM WAV ({exc})") from exc
 
     if data.size == 0:
         raise AudioDecodeError(f"{path}: zero-length audio")
 
     # one float64 array, scaled in place
-    if data.dtype == np.uint8:
+    samples = data.astype(np.float64)
+    if data.dtype.kind == "u":
         # 8-bit WAV is offset-binary around 128
-        samples = data.astype(np.float64)
         samples -= 128.0
         samples /= 128.0
-    elif data.dtype == np.int16:
-        samples = data.astype(np.float64)
-        samples /= 32768.0
-    elif data.dtype == np.int32:
-        # 24-bit PCM arrives left-justified in int32, so one divisor covers both
-        samples = data.astype(np.float64)
-        samples /= 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
+    elif data.dtype.kind == "i":
+        samples /= float(2 ** (8 * data.dtype.itemsize - 1))
+    else:
         if not np.isfinite(samples).all():
             raise AudioDecodeError(f"{path}: non-finite float samples")
         np.clip(samples, -1.0, 1.0, out=samples)
-    else:
-        raise AudioDecodeError(f"{path}: unsupported sample format {data.dtype}")
 
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    elif samples.ndim != 1:
-        raise AudioDecodeError(f"{path}: unexpected sample layout {samples.shape}")
+    return AudioClip(samples=samples, sample_rate_hz=rate, source_id=path.stem)
 
-    return AudioClip(samples=samples, sample_rate_hz=int(rate), source_id=path.stem)
+
+def _read_wav(fh):
+    """(rate, samples as stored) of an open WAV file: [frames] or [frames, channels].
+
+    Chunks other than fmt and data are skipped; the first data chunk ends
+    the walk. A file that ends inside its data chunk yields the whole frames
+    present.
+    """
+    head = fh.read(12)
+    if head[:4] not in (b"RIFF", b"RIFX") or head[8:12] != b"WAVE":
+        raise ValueError("not a RIFF or RIFX WAVE file")
+    order = "<" if head[:4] == b"RIFF" else ">"
+    fmt = None
+    while True:
+        chunk = fh.read(8)
+        if len(chunk) < 8:
+            raise ValueError("no data chunk")
+        name, (size,) = chunk[:4], struct.unpack(order + "I", chunk[4:])
+        if name == b"data":
+            if fmt is None:
+                raise ValueError("no fmt chunk before the data chunk")
+            rate, channels, dtype = fmt
+            frame = channels * (3 if dtype is None else dtype.itemsize)
+            raw = fh.read(size)
+            if len(raw) % frame:
+                raise ValueError(f"{len(raw)} data bytes are not whole {frame}-byte frames")
+            if dtype is None:  # 24-bit: left-justify each sample into an int32
+                wide = np.zeros((len(raw) // 3, 4), np.uint8)
+                (wide[:, 1:] if order == "<" else wide[:, :3])[...] = np.frombuffer(raw, np.uint8).reshape(-1, 3)
+                data = wide.view(order + "i4").reshape(-1)
+            else:
+                data = np.frombuffer(raw, dtype)
+            return rate, data.reshape(-1, channels) if channels > 1 else data
+        if name == b"fmt ":
+            fmt = _read_fmt(fh.read(size), order)
+        else:
+            fh.seek(size, 1)
+        fh.seek(size & 1, 1)  # chunks are padded to an even size
+
+
+def _read_fmt(body: bytes, order: str):
+    """(rate, channels, sample dtype) of a fmt chunk; dtype None means 24-bit PCM."""
+    if len(body) < 16:
+        raise ValueError(f"fmt chunk of {len(body)} bytes")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack(order + "HHIIHH", body[:16])
+    if tag == _EXTENSIBLE:
+        if len(body) < 40 or struct.unpack(order + "H", body[16:18])[0] < 22:
+            raise ValueError("truncated WAVE_FORMAT_EXTENSIBLE fmt chunk")
+        if body[28:40] == _GUID_TAIL[order]:
+            (tag,) = struct.unpack(order + "I", body[24:28])
+    if not channels or not rate or block_align % channels:
+        raise ValueError(f"{channels} channels at {rate} Hz in {block_align}-byte frames")
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise ValueError(f"byte rate {byte_rate} is not {rate} Hz x {block_align}-byte frames")
+    width = block_align // channels
+    if tag == _PCM and width == 1 and 1 <= bits <= 8:
+        return rate, channels, np.dtype("u1")
+    if tag == _PCM and width in (2, 3, 4) and 8 < bits <= 8 * width:
+        return rate, channels, None if width == 3 else np.dtype(f"{order}i{width}")
+    if tag == _IEEE_FLOAT and (width, bits) in ((4, 32), (8, 64)):
+        return rate, channels, np.dtype(f"{order}f{width}")
+    raise ValueError(f"unsupported format: tag {tag:#06x}, {bits}-bit samples in {width}-byte containers")
 
 
 def write_wav_pcm16(path, clip: AudioClip) -> None:
-    """Write a clip as 16-bit PCM WAV (samples clipped to [-1, 1], rounded to nearest)."""
+    """Write a clip as mono 16-bit PCM WAV (samples clipped to [-1, 1], rounded to nearest).
+
+    The file is a 44-byte RIFF header (fmt and data chunks) and the samples.
+    """
     q = np.clip(clip.samples, -1.0, 1.0)
     q *= 32767.0
     np.rint(q, out=q)
-    np.clip(q, -32768, 32767, out=q)
+    data = q.astype("<i2")
+    rate = clip.sample_rate_hz
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data.nbytes, b"WAVE", b"fmt ", 16, _PCM, 1,
+                         rate, 2 * rate, 2, 16, b"data", data.nbytes)
     with replacing(path, binary=True) as fh:
-        wavfile.write(fh, clip.sample_rate_hz, q.astype(np.int16))
+        fh.write(header)
+        fh.write(data.tobytes())
 
 
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     """Resample a clip to target_hz with a polyphase windowed-sinc filter.
 
-    Output length is round(len * target / source). A clip already at the
-    target rate is returned unchanged.
+    The filter and alignment are those of scipy.signal.resample_poly(x, up,
+    down, window=("kaiser", 5.0)) with up/down = target/source in lowest
+    terms; the samples agree with it to within 1e-12 of the peak. Output
+    length is round(len * target / source). A clip already at the target
+    rate is returned unchanged.
     """
     if target_hz <= 0:
         raise ValueError(f"target_hz must be positive, got {target_hz}")
@@ -115,8 +189,7 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
         return clip
 
     g = math.gcd(target_hz, clip.sample_rate_hz)
-    up, down = target_hz // g, clip.sample_rate_hz // g
-    out = resample_poly(clip.samples, up, down, window=("kaiser", RESAMPLE_KAISER_BETA))
+    out = _polyphase(np.ascontiguousarray(clip.samples, dtype=np.float64), target_hz // g, clip.sample_rate_hz // g)
 
     n_expected = round(len(clip.samples) * target_hz / clip.sample_rate_hz)
     if len(out) > n_expected:
@@ -124,3 +197,94 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     elif len(out) < n_expected:
         out = np.pad(out, (0, n_expected - len(out)))
     return AudioClip(samples=out, sample_rate_hz=target_hz, source_id=clip.source_id)
+
+
+def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """The ceil(len(x) * up / down) samples of resample_poly(x, up, down) (see _polyphase_plan)."""
+    stride, cols, first, last, block_rows, groups = _polyphase_plan(up, down)
+    n_out = -(-len(x) * up // down)
+    n_rows = -(-n_out // cols)
+    y = np.empty((n_rows, cols))
+    # rows [lo, hi) read only samples of x; the rows before and after read a zero-padded copy
+    lo = max(0, min(n_rows, -(first // stride)))
+    hi = min(n_rows, (len(x) - last) // stride - 1)
+    for r0, r1 in ((0, lo), (lo, hi), (hi, n_rows)) if lo < hi else ((0, n_rows),):
+        if r0 == r1:
+            continue
+        origin = first + r0 * stride
+        src = _zero_padded(x, origin, last + (r1 + 1) * stride)
+        for b0 in range(r0, r1, block_rows):
+            b1 = min(b0 + block_rows, r1)
+            for q0, q1, lead, a, b in groups:
+                start = lead + b0 * stride - origin
+                rows = src[start : start + (b1 - b0 + 1) * stride].reshape(-1, stride)
+                out = rows[:-1, : len(a)] @ a
+                if b is not None:
+                    out += rows[1:, : len(b)] @ b
+                y[b0:b1, q0:q1] = out
+    return y.reshape(-1)[:n_out]
+
+
+def _zero_padded(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """x[start:stop] with zeros where the range leaves x; a view when it does not."""
+    if 0 <= start and stop <= len(x):
+        return x[start:stop]
+    out = np.zeros(stop - start)
+    lo, hi = max(start, 0), min(stop, len(x))
+    if lo < hi:
+        out[lo - start : hi - start] = x[lo:hi]
+    return out
+
+
+@lru_cache(maxsize=8)
+def _polyphase_plan(up: int, down: int):
+    """resample_poly(x, up, down, window=("kaiser", 5.0)) as matrix products.
+
+    The taps h are scipy's: a Kaiser (beta 5) windowed sinc of 20*m + 1 taps
+    with cutoff 1/m, m = max(up, down), scaled to unit DC gain times up.
+    Output j is sum_i x[i] * h[half + j*down - i*up] with half = 10*m: one
+    polyphase branch of h (every up-th tap) against consecutive inputs.
+
+    Outputs are laid out in rows of cols = k*up, and each row starts stride =
+    k*down inputs after the one before, k the least integer that makes the
+    stride at least a branch long. Consecutive outputs of a row form a group
+    whose inputs, from `lead` on, span at most three branches and two strides;
+    over many rows a group is one BLAS product of the row matrix with `a`
+    plus, for the inputs past the stride, one of the next row with `b`.
+
+    Returns (stride, cols, least lead, greatest lead, rows per block, groups).
+    """
+    m = max(up, down)
+    half = 10 * m
+    t = np.arange(-half, half + 1, dtype=np.float64)
+    h = (1.0 / m) * np.sinc((1.0 / m) * t)
+    h *= np.i0(RESAMPLE_KAISER_BETA * np.sqrt(1 - (t / half) ** 2)) / np.i0(RESAMPLE_KAISER_BETA)
+    h /= h.sum()
+    h *= up
+
+    branch = -(-len(h) // up)
+    k = -(-branch // down)
+    stride, cols = k * down, k * up
+    reads = []  # (first input, taps in input order) of each output of a row
+    for j in range(cols):
+        taps = h[(half + j * down) % up :: up][::-1]
+        reads.append(((half + j * down) // up + 1 - len(taps), taps))
+
+    width_cap = min(3 * branch, 2 * stride)
+    groups, q0 = [], 0
+    while q0 < cols:
+        lead, end, q1 = reads[q0][0], reads[q0][0] + len(reads[q0][1]), q0 + 1
+        while q1 < cols:
+            first, taps = reads[q1]
+            if max(end, first + len(taps)) - min(lead, first) > width_cap:
+                break
+            lead, end, q1 = min(lead, first), max(end, first + len(taps)), q1 + 1
+        mat = np.zeros((end - lead, q1 - q0))
+        for col, (first, taps) in enumerate(reads[q0:q1]):
+            mat[first - lead : first - lead + len(taps), col] = taps
+        mat.flags.writeable = False
+        groups.append((q0, q1, lead, mat[:stride], mat[stride:] if len(mat) > stride else None))
+        q0 = q1
+    leads = [g[2] for g in groups]
+    block_rows = max(1, _POLYPHASE_BLOCK // max(q1 - q0 for q0, q1, *_ in groups))
+    return stride, cols, min(leads), max(leads), block_rows, groups

@@ -12,7 +12,6 @@ which the STFT here and the Welch PSD behind ``indices.ndsi`` share.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .audio_io import AudioClip
 
@@ -74,6 +73,18 @@ class Spectrogram:
         return float(self.bin_freqs_hz[-1])
 
 
+def hann(m: int) -> np.ndarray:
+    """Periodic (DFT-even) Hann window of m samples.
+
+    Built as scipy.signal.get_window("hann", m, fftbins=True) builds it,
+    0.5 + 0.5*cos over m + 1 points from -pi to pi with the last dropped, so
+    the two are equal bit for bit; m <= 1 gives ones.
+    """
+    if m <= 1:
+        return np.ones(m)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)))[:-1]
+
+
 def framed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, n_frames: int):
     """Yield (first, spectra): the rfft of each windowed frame, a block of frames at a time.
 
@@ -106,7 +117,7 @@ def stft_magnitude(clip: AudioClip, window_len: int = 1024, hop: int = 320) -> S
     padded = np.pad(clip.samples, (pad_left, pad_right), mode="reflect")
 
     n_frames = 1 + n // hop
-    window = get_window("hann", window_len, fftbins=True)
+    window = hann(window_len)
     mags = np.empty((n_frames, window_len // 2 + 1))
     for first, spectra in framed_rfft(padded, window, hop, n_frames):
         np.abs(spectra, out=mags[first : first + len(spectra)])

@@ -10,10 +10,9 @@ built on the same framed-FFT kernel as the STFT.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .audio_io import AudioClip
-from .features import SCALE_LINEAR, Spectrogram, framed_rfft
+from .features import SCALE_LINEAR, Spectrogram, framed_rfft, hann
 
 #: Band powers below this fraction of the total PSD power count as zero, so a
 #: signal with no real energy in either NDSI band yields "undefined" instead
@@ -152,7 +151,7 @@ def welch_psd(samples: np.ndarray, sample_rate_hz: float):
     nperseg = min(1024, len(samples))
     hop = nperseg - nperseg // 2
     n_segments = (len(samples) - nperseg) // hop + 1
-    window = get_window("hann", nperseg, fftbins=True)
+    window = hann(nperseg)
     power = np.zeros(nperseg // 2 + 1)
     for _, spectra in framed_rfft(samples, window, hop, n_segments):
         power += (spectra.real**2 + spectra.imag**2).sum(axis=0)

@@ -170,6 +170,8 @@ class ScoreTable(Sequence):
         return len(self.recording_ids)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            raise TypeError(f"{type(self).__name__} indices must be integers, not slice")
         i = range(len(self))[i]
         a = self.offsets[i]
         b = self.offsets[i + 1] if i + 1 < len(self) else len(self.window_starts_s)

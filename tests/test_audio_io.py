@@ -1,7 +1,14 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.io import wavfile
+from scipy.signal import resample_poly
 
-from soundscapekit.audio_io import AudioClip, decode_wav, resample, write_wav_pcm16
+from soundscapekit.audio_io import AudioClip, _polyphase, decode_wav, resample, write_wav_pcm16
 from soundscapekit.errors import AudioDecodeError
 
 from conftest import tone, write_wav, write_wav_24bit, write_wav_float
@@ -128,3 +135,156 @@ def test_write_read_round_trip(tmp_path):
 def test_clip_rejects_bad_rate():
     with pytest.raises(ValueError):
         AudioClip(samples=np.zeros(4), sample_rate_hz=0)
+
+
+# --- the in-house kernels against scipy, which serves here as the reference only ---
+
+RATES = (8000, 11025, 16000, 22050, 44100, 48000, 96000, 32001)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rate=st.sampled_from(RATES),
+    to_32k=st.booleans(),
+    n=st.integers(min_value=1, max_value=50_000),
+    amp=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(rate=48000, to_32k=True, n=4800, amp=0.0, seed=0)
+@example(rate=44100, to_32k=True, n=4410, amp=1e-310, seed=1)
+@example(rate=32001, to_32k=False, n=7, amp=1.0, seed=2)
+def test_polyphase_matches_resample_poly(rate, to_32k, n, amp, seed):
+    """Same length as scipy's resample_poly with a Kaiser(5) window, and the same samples to
+    1e-12 of the peak; where that bound underflows (tiny inputs), to 4 subnormal spacings."""
+    src, dst = (rate, 32000) if to_32k else (32000, rate)
+    g = math.gcd(src, dst)
+    x = np.random.default_rng(seed).uniform(-amp, amp, size=n)
+    ref = resample_poly(x, dst // g, src // g, window=("kaiser", 5.0))
+    got = _polyphase(x, dst // g, src // g)
+    assert len(got) == len(ref)
+    bound = 1e-12 * np.max(np.abs(x)) + 4 * np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(got - ref)) <= bound
+
+
+def old_decode(path):
+    """scipy.io.wavfile.read followed by the scaling decode_wav has always applied.
+
+    The scaling is keyed by kind and size, so big-endian (RIFX) integers scale
+    as little-endian ones do; the scipy-based decoder compared dtypes and
+    rejected them.
+    """
+    rate, data = wavfile.read(path)
+    samples = data.astype(np.float64)
+    if data.dtype == np.uint8:
+        samples -= 128.0
+        samples /= 128.0
+    elif data.dtype.kind == "i" and data.dtype.itemsize == 2:
+        samples /= 32768.0
+    elif data.dtype.kind == "i" and data.dtype.itemsize == 4:
+        samples /= 2147483648.0
+    else:
+        np.clip(samples, -1.0, 1.0, out=samples)
+    return rate, samples.mean(axis=1) if samples.ndim == 2 else samples
+
+
+#: (format tag, bits, container bytes, numpy dtype of the values or None for 24-bit)
+FORMATS = {
+    "uint8": (1, 8, 1, "u1"),
+    "int16": (1, 16, 2, "i2"),
+    "int24": (1, 24, 3, None),
+    "int32": (1, 32, 4, "i4"),
+    "float32": (3, 32, 4, "f4"),
+    "float64": (3, 64, 8, "f8"),
+}
+
+
+def wav_bytes(fmt, channels, layout, rate=22050, frames=257, seed=0):
+    """A WAV file of random samples; layout is plain, extensible, list (an odd LIST chunk first) or rifx."""
+    tag, bits, width, dtype = FORMATS[fmt]
+    order = ">" if layout == "rifx" else "<"
+    rng = np.random.default_rng(seed)
+    n = frames * channels
+    if dtype is None:
+        data = b"".join(struct.pack(order + "i", v)[1:] if order == ">" else struct.pack("<i", v)[:3]
+                        for v in rng.integers(-(2**23), 2**23, size=n).tolist())
+    elif dtype[0] == "f":
+        data = rng.uniform(-1.2, 1.2, size=n).astype(order + dtype).tobytes()
+    else:
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, size=n, endpoint=True).astype(order + dtype).tobytes()
+    block = width * channels
+    if layout == "extensible":
+        guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt_body = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, rate * block, block, bits, 22, bits, 0) + guid
+    else:
+        fmt_body = struct.pack(order + "HHIIHH", tag, channels, rate, rate * block, block, bits)
+
+    def chunk(name, body):
+        return name + struct.pack(order + "I", len(body)) + body + b"\x00" * (len(body) % 2)
+
+    chunks = chunk(b"fmt ", fmt_body)
+    if layout == "list":
+        chunks += chunk(b"LIST", b"INFOISFT\x05\x00\x00\x00odd!\x00")  # 17 bytes, padded to 18
+    chunks += chunk(b"data", data)
+    return (b"RIFX" if order == ">" else b"RIFF") + struct.pack(order + "I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+@pytest.mark.parametrize("layout", ["plain", "extensible", "list", "rifx"])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_decode_equals_scipy_read(tmp_path, fmt, channels, layout):
+    p = tmp_path / "x.wav"
+    p.write_bytes(wav_bytes(fmt, channels, layout))
+    rate, want = old_decode(p)
+    clip = decode_wav(p)
+    assert clip.sample_rate_hz == rate == 22050
+    assert clip.samples.dtype == want.dtype and clip.samples.shape == want.shape == (257,)
+    assert clip.samples.tobytes() == want.tobytes()
+
+
+def set_fmt(raw, offset, fmt, *values):
+    """raw with struct fields packed at offset (little-endian)."""
+    field = struct.pack("<" + fmt, *values)
+    return raw[:offset] + field + raw[offset + len(field):]
+
+
+BAD_WAVS = {
+    "RF64 container": lambda w: b"RF64" + w[4:],
+    "not WAVE": lambda w: w[:8] + b"AVI " + w[12:],
+    "no fmt before data": lambda w: w[:12] + w[36:],
+    "fmt chunk too short": lambda w: set_fmt(w, 16, "I", 14),
+    "no data chunk": lambda w: w[:36],
+    "ADPCM": lambda w: set_fmt(w, 20, "H", 2),
+    "8-bit samples in 2-byte containers": lambda w: set_fmt(w, 34, "H", 8),
+    "64-bit integers": lambda w: set_fmt(w, 28, "IHH", 22050 * 8, 8, 64),
+    "zero channels": lambda w: set_fmt(w, 22, "H", 0),
+    "wrong byte rate": lambda w: set_fmt(w, 28, "I", 1234),
+    "partial frame": lambda w: w[:-1],
+}
+
+
+@pytest.mark.parametrize("damage", list(BAD_WAVS))
+def test_unsupported_or_damaged_wav_is_one_decode_error(tmp_path, damage):
+    p = tmp_path / "bad.wav"
+    p.write_bytes(BAD_WAVS[damage](wav_bytes("int16", 1, "plain")))
+    with pytest.raises(AudioDecodeError, match=r"bad\.wav: not a decodable linear-PCM WAV \(.+\)$") as err:
+        decode_wav(p)
+    assert "\n" not in str(err.value)
+
+
+def test_unknown_extensible_subformat_rejected(tmp_path):
+    w = wav_bytes("int16", 1, "extensible")
+    p = tmp_path / "ext.wav"
+    p.write_bytes(w.replace(b"\x00\x00\x10\x00\x80\x00\x00\xaa", b"\x00\x00\x11\x00\x80\x00\x00\xaa"))
+    with pytest.raises(AudioDecodeError, match="unsupported format: tag 0xfffe"):
+        decode_wav(p)
+
+
+@pytest.mark.parametrize("n", [0, 1, 12_345, 160_000])
+@pytest.mark.parametrize("rate", [8000, 16000, 22050, 32000, 44100, 48000])
+def test_write_equals_scipy_write(tmp_path, n, rate):
+    x = np.random.default_rng(n).uniform(-1.1, 1.1, size=n)
+    ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
+    write_wav_pcm16(ours, AudioClip(samples=x, sample_rate_hz=rate))
+    wavfile.write(ref, rate, np.rint(np.clip(x, -1.0, 1.0) * 32767.0).astype(np.int16))
+    assert ours.read_bytes() == ref.read_bytes()

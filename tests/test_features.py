@@ -12,6 +12,7 @@ from soundscapekit.features import (
     SCALE_LOG_MEL,
     Spectrogram,
     framed_rfft,
+    hann,
     log_mel,
     mel_filterbank,
     stft_magnitude,
@@ -39,6 +40,11 @@ def per_frame_rfft(samples, window, hop, n_frames):
 
 # frame counts around the block size, where the blocked kernel changes shape
 BLOCK_EDGE_FRAMES = st.sampled_from([1, 2, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES + 5])
+
+
+def test_hann_equals_scipy_periodic_hann():
+    for m in range(1, 4097):
+        assert hann(m).tobytes() == get_window("hann", m, fftbins=True).tobytes(), m
 
 
 class TestFramedRfft:

@@ -1,5 +1,6 @@
 """The shared output writer: exact bytes, and a whole file or none."""
 
+import contextlib
 import errno
 import os
 import threading
@@ -74,14 +75,32 @@ def test_json_failing_midway_keeps_the_previous_file(target):
     assert_untouched(target)
 
 
-def test_wav_failing_midway_keeps_the_previous_file(target, monkeypatch):
-    def disk_full(fh, rate, data):
-        fh.write(b"RIFF\0\0\0\0WAVE")
-        raise OSError(errno.ENOSPC, "No space left on device")
+class DiskFullAfter:
+    """A binary file that takes `room` bytes and then fails every write with ENOSPC."""
 
-    monkeypatch.setattr(audio_io.wavfile, "write", disk_full)
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.fh.write(bytes(data)[: self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return self.fh.write(data)
+
+
+def test_wav_failing_midway_keeps_the_previous_file(target, monkeypatch):
+    real = audio_io.replacing
+
+    @contextlib.contextmanager
+    def disk_full(path, binary=False):
+        with real(path, binary=binary) as fh:
+            yield DiskFullAfter(fh, 100)
+
+    monkeypatch.setattr(audio_io, "replacing", disk_full)
     with pytest.raises(OSError, match="No space left"):
-        write_wav_pcm16(target, AudioClip(np.zeros(100), 8000))
+        write_wav_pcm16(target, AudioClip(np.zeros(1000), 8000))
     assert_untouched(target)
 
 

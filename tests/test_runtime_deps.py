@@ -1,0 +1,69 @@
+"""The package runs on numpy and click alone: scipy serves only the tests and the benchmark."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from soundscapekit.audio_io import AudioClip, write_wav_pcm16
+
+from conftest import tone
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = Path(__file__).parent / "data" / "cst_fixture"
+
+#: Makes any import of scipy fail, then runs the CLI with the remaining arguments.
+NO_SCIPY = """
+import runpy, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, NoScipy())
+sys.argv = ["soundscapekit", *sys.argv[1:]]
+runpy.run_module("soundscapekit.cli", run_name="__main__")
+"""
+
+
+def python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    done = python("-c", "import sys, soundscapekit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    for rate in (48000, 44100, 22050):  # three resampling paths to 32 kHz
+        write_wav_pcm16(audio / f"r{rate}.wav", AudioClip(samples=tone(3000, 1.0, rate, amp=0.3), sample_rate_hz=rate))
+    pool = tmp_path / "pool.csv"
+    pool.write_text("file,class\r\n" + "".join(f"audio/r{r}.wav,{c}\r\n" for r, c in
+                                                 ((48000, "anthropophony"), (44100, "biophony"), (22050, "geophony"))))
+    scores, annotations = FIXTURES / "scores.csv", FIXTURES / "annotations.csv"
+    commands = [
+        ["indices", audio, "--out", tmp_path / "idx.csv"],
+        ["mix", pool, tmp_path / "corpus", "--count", "ABG=1", "--count", "S=1"],
+        ["tune", scores, annotations, "--out", tmp_path / "t.json"],
+        ["evaluate", scores, annotations, "--thresholds", tmp_path / "t.json", "--out", tmp_path / "report"],
+    ]
+    for args in commands:
+        done = python("-c", NO_SCIPY, *args)
+        assert done.returncode == 0, (args[0], done.stderr)
+    assert len((tmp_path / "idx.csv").read_text().splitlines()) == 3 + 1 + 3  # comments, header, rows
+    assert sorted(p.suffix for p in (tmp_path / "corpus").iterdir()) == [".csv", ".wav", ".wav"]
+    assert json.loads((tmp_path / "t.json").read_text())["thresholds"]["mode"]
+    assert (tmp_path / "report" / "report.json").exists()
+
+
+def test_the_blocker_blocks():
+    done = python("-c", NO_SCIPY.replace('runpy.run_module("soundscapekit.cli", run_name="__main__")', "import scipy.signal"))
+    assert done.returncode == 1
+    assert "scipy is blocked: scipy" in done.stderr

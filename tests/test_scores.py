@@ -68,6 +68,12 @@ class TestScoreMatrix:
         m = ScoreMatrix("r", np.arange(6) * 10.0, 10.0, np.random.default_rng(0).uniform(size=(6, 3)))
         assert m.n_windows == 6
 
+    def test_slice_is_rejected_by_name(self):
+        m = ScoreMatrix("r", [0.0], 10.0, [[0.1, 0.2, 0.3]])
+        assert m[0].recording_id == m[-1].recording_id == "r"
+        with pytest.raises(TypeError, match="^ScoreMatrix indices must be integers, not slice$"):
+            m[0:1]
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             ScoreMatrix("r", [0.0, 10.0], 10.0, [[0.1, 0.2, 0.3], [1.2, 0.2, 0.3]])

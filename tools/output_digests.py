@@ -24,8 +24,10 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
   error naming the path alone), ``evaluate`` with a score of ``1.5`` (an
   error naming its line), ``evaluate`` with an ``--out`` under a regular
   file, ``mix`` with ``--count BA=1`` and with ``--count A=-1`` (usage
-  errors, exit 2), and ``mix`` of a pool without geophony with
-  ``--count B=2 --count G=1``.
+  errors, exit 2), ``mix`` of a pool without geophony with
+  ``--count B=2 --count G=1``, and ``indices`` of a directory holding one
+  good WAV and one ``.wav`` file that is not RIFF (its CSV goes to
+  standard output, which is not kept).
 
 Each output line is ``<sha256>  <variant>/<file>``, sorted, after one
 ``# exit <code> <variant>`` line per command, so the listings of two
@@ -41,6 +43,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -143,11 +146,11 @@ def variants(seed: int, work: Path):
     yield "case-study-model", ["case-study", indices_csv, diversity, labels, "--model-labels", decisions,
                                "--out", out / "case-study-model.csv"], out / "case-study-model.csv"
 
-    yield from failures(work, diversity, labels, indices_csv, mix.pool_manifest)
+    yield from failures(work, diversity, labels, indices_csv, mix.pool_manifest, ind.files[0])
 
 
-def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool: Path):
-    """Variants that must end in one error line, exit 1 (2 for a bad option) and write no output."""
+def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool: Path, wav: Path):
+    """Variants that must exit 1 (2 for a bad option) with one error line per failure and write no output file."""
     out, fixture = work / "out", [FIXTURE / "scores.csv", FIXTURE / "annotations.csv"]
     too_many = work / "in" / "count-above-windows.json"
     too_many.write_text(json.dumps({"thresholds": {"mode": "global", "global": 0.5, "counts": {"biophony": 7}}}))
@@ -190,6 +193,12 @@ def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool:
     no_geophony.write_text("".join(r for r in pool.read_text().splitlines(keepends=True) if "geophony" not in r))
     yield "fail-mix-no-geophony", ["mix", no_geophony, out / "fail-mix-no-geophony", "--count", "B=2",
                                    "--count", "G=1"], out / "fail-mix-no-geophony"
+
+    not_wav = work / "in" / "indices-not-wav"
+    not_wav.mkdir()
+    shutil.copyfile(wav, not_wav / "a.wav")
+    (not_wav / "b.wav").write_bytes(b"ID3\x04\x00\x00\x00\x00\x00\x00 an MP3 tag, not a RIFF header")
+    yield "fail-indices-not-wav", ["indices", not_wav, "--out", "-"], out / "fail-indices-not-wav.csv"
 
 
 def main(argv=None) -> int:
