@@ -7,6 +7,7 @@ is a numpy polyphase filter, so audio needs no library beyond numpy.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -20,13 +21,15 @@ from .errors import AudioDecodeError
 #: Kaiser beta for the polyphase anti-aliasing filter used by :func:`resample`.
 RESAMPLE_KAISER_BETA = 5.0
 
-#: Outputs one polyphase matrix product computes at most, so its operands stay in cache.
-_POLYPHASE_BLOCK = 1 << 14
+#: Outputs one polyphase matrix product computes at most. Small products keep
+#: their operands in cache and run on the calling thread: products four times
+#: larger woke OpenBLAS's worker threads, which then held cores that
+#: `mix --jobs 2` needed and slowed it by 15%.
+_POLYPHASE_BLOCK = 1 << 12
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
-#: Bytes 4..15 of a WAVE_FORMAT_EXTENSIBLE sub-format GUID whose first 4 bytes are a format tag.
-_GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
-              ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71"}
+#: Fields 2-4 of a WAVE_FORMAT_EXTENSIBLE sub-format GUID {tag-0000-0010-8000-00AA00389B71}.
+_GUID_TAIL = (0x0000, 0x0010, b"\x80\x00\x00\xaa\x00\x38\x9b\x71")
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class AudioClip:
 def decode_wav(path) -> AudioClip:
     """Decode a linear-PCM or IEEE-float WAV file to a mono AudioClip.
 
-    FORMATS.md ("WAV input") lists the files accepted. Integer samples are
+    FORMATS.md ("WAV input and output") lists the files accepted. Integer samples are
     scaled to [-1, 1] by the container's max magnitude (2**(bits-1), so
     24-bit samples are read left-justified into int32); multi-channel audio
     is averaged to mono. Non-finite float samples are rejected rather than
@@ -70,7 +73,7 @@ def decode_wav(path) -> AudioClip:
             rate, data = _read_wav(fh)
     except FileNotFoundError:
         raise AudioDecodeError(f"{path}: file not found") from None
-    except (OSError, ValueError, struct.error) as exc:
+    except (OSError, ValueError) as exc:
         raise AudioDecodeError(f"{path}: not a decodable linear-PCM WAV ({exc})") from exc
 
     if data.size == 0:
@@ -98,9 +101,10 @@ def _read_wav(fh):
     """(rate, samples as stored) of an open WAV file: [frames] or [frames, channels].
 
     Chunks other than fmt and data are skipped; the first data chunk ends
-    the walk. A file that ends inside its data chunk yields the whole frames
-    present.
+    the walk. A chunk is read only up to the end of the file, so a file that
+    ends inside its data chunk yields the frames present.
     """
+    end = os.fstat(fh.fileno()).st_size
     head = fh.read(12)
     if head[:4] not in (b"RIFF", b"RIFX") or head[8:12] != b"WAVE":
         raise ValueError("not a RIFF or RIFX WAVE file")
@@ -115,34 +119,34 @@ def _read_wav(fh):
             if fmt is None:
                 raise ValueError("no fmt chunk before the data chunk")
             rate, channels, dtype = fmt
-            frame = channels * (3 if dtype is None else dtype.itemsize)
-            raw = fh.read(size)
-            if len(raw) % frame:
-                raise ValueError(f"{len(raw)} data bytes are not whole {frame}-byte frames")
-            if dtype is None:  # 24-bit: left-justify each sample into an int32
+            raw = fh.read(min(size, end - fh.tell()))
+            if len(raw) % (channels * dtype.itemsize):
+                raise ValueError(f"{len(raw)} data bytes are not whole {channels * dtype.itemsize}-byte frames")
+            if dtype.itemsize == 3:  # 24-bit: each sample into the high three bytes of an int32
                 wide = np.zeros((len(raw) // 3, 4), np.uint8)
-                (wide[:, 1:] if order == "<" else wide[:, :3])[...] = np.frombuffer(raw, np.uint8).reshape(-1, 3)
+                wide[:, slice(1, 4) if order == "<" else slice(0, 3)] = np.frombuffer(raw, np.uint8).reshape(-1, 3)
                 data = wide.view(order + "i4").reshape(-1)
             else:
                 data = np.frombuffer(raw, dtype)
             return rate, data.reshape(-1, channels) if channels > 1 else data
         if name == b"fmt ":
-            fmt = _read_fmt(fh.read(size), order)
+            fmt = _read_fmt(fh.read(min(size, end - fh.tell())), order)
         else:
             fh.seek(size, 1)
         fh.seek(size & 1, 1)  # chunks are padded to an even size
 
 
 def _read_fmt(body: bytes, order: str):
-    """(rate, channels, sample dtype) of a fmt chunk; dtype None means 24-bit PCM."""
+    """(rate, channels, sample dtype) of a fmt chunk; 24-bit PCM samples are 3-byte voids."""
     if len(body) < 16:
         raise ValueError(f"fmt chunk of {len(body)} bytes")
     tag, channels, rate, byte_rate, block_align, bits = struct.unpack(order + "HHIIHH", body[:16])
     if tag == _EXTENSIBLE:
         if len(body) < 40 or struct.unpack(order + "H", body[16:18])[0] < 22:
             raise ValueError("truncated WAVE_FORMAT_EXTENSIBLE fmt chunk")
-        if body[28:40] == _GUID_TAIL[order]:
-            (tag,) = struct.unpack(order + "I", body[24:28])
+        sub_tag, *tail = struct.unpack(order + "IHH8s", body[24:40])
+        if tuple(tail) == _GUID_TAIL:
+            tag = sub_tag
     if not channels or not rate or block_align % channels:
         raise ValueError(f"{channels} channels at {rate} Hz in {block_align}-byte frames")
     if tag == _PCM and byte_rate != rate * block_align:
@@ -151,7 +155,7 @@ def _read_fmt(body: bytes, order: str):
     if tag == _PCM and width == 1 and 1 <= bits <= 8:
         return rate, channels, np.dtype("u1")
     if tag == _PCM and width in (2, 3, 4) and 8 < bits <= 8 * width:
-        return rate, channels, None if width == 3 else np.dtype(f"{order}i{width}")
+        return rate, channels, np.dtype("V3" if width == 3 else f"{order}i{width}")
     if tag == _IEEE_FLOAT and (width, bits) in ((4, 32), (8, 64)):
         return rate, channels, np.dtype(f"{order}f{width}")
     raise ValueError(f"unsupported format: tag {tag:#06x}, {bits}-bit samples in {width}-byte containers")

@@ -199,9 +199,12 @@ FORMATS = {
 
 
 def wav_bytes(fmt, channels, layout, rate=22050, frames=257, seed=0):
-    """A WAV file of random samples; layout is plain, extensible, list (an odd LIST chunk first) or rifx."""
+    """A WAV file of random samples.
+
+    layout: plain, extensible, list (an odd-sized LIST chunk before the data), rifx or rifx-extensible.
+    """
     tag, bits, width, dtype = FORMATS[fmt]
-    order = ">" if layout == "rifx" else "<"
+    order = ">" if layout.startswith("rifx") else "<"
     rng = np.random.default_rng(seed)
     n = frames * channels
     if dtype is None:
@@ -213,9 +216,9 @@ def wav_bytes(fmt, channels, layout, rate=22050, frames=257, seed=0):
         info = np.iinfo(dtype)
         data = rng.integers(info.min, info.max, size=n, endpoint=True).astype(order + dtype).tobytes()
     block = width * channels
-    if layout == "extensible":
-        guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-        fmt_body = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, rate * block, block, bits, 22, bits, 0) + guid
+    if layout.endswith("extensible"):
+        guid = struct.pack(order + "IHH", tag, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt_body = struct.pack(order + "HHIIHHHHI", 0xFFFE, channels, rate, rate * block, block, bits, 22, bits, 0) + guid
     else:
         fmt_body = struct.pack(order + "HHIIHH", tag, channels, rate, rate * block, block, bits)
 
@@ -229,7 +232,7 @@ def wav_bytes(fmt, channels, layout, rate=22050, frames=257, seed=0):
     return (b"RIFX" if order == ">" else b"RIFF") + struct.pack(order + "I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
-@pytest.mark.parametrize("layout", ["plain", "extensible", "list", "rifx"])
+@pytest.mark.parametrize("layout", ["plain", "extensible", "list", "rifx", "rifx-extensible"])
 @pytest.mark.parametrize("channels", [1, 2])
 @pytest.mark.parametrize("fmt", list(FORMATS))
 def test_decode_equals_scipy_read(tmp_path, fmt, channels, layout):
@@ -240,6 +243,15 @@ def test_decode_equals_scipy_read(tmp_path, fmt, channels, layout):
     assert clip.sample_rate_hz == rate == 22050
     assert clip.samples.dtype == want.dtype and clip.samples.shape == want.shape == (257,)
     assert clip.samples.tobytes() == want.tobytes()
+
+
+def test_data_chunk_past_the_end_of_the_file_is_read_to_the_end(tmp_path):
+    """A streamed file whose data size was never filled in (0xFFFFFFFF) decodes as scipy reads it."""
+    w = wav_bytes("int16", 2, "plain")
+    p = tmp_path / "stream.wav"
+    p.write_bytes(set_fmt(w, 40, "I", 0xFFFFFFFF))
+    _, want = old_decode(p)
+    assert decode_wav(p).samples.tobytes() == want.tobytes()
 
 
 def set_fmt(raw, offset, fmt, *values):
