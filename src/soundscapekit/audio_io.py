@@ -194,13 +194,9 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
 
     g = math.gcd(target_hz, clip.sample_rate_hz)
     out = _polyphase(np.ascontiguousarray(clip.samples, dtype=np.float64), target_hz // g, clip.sample_rate_hz // g)
-
+    # the filter yields ceil(len * up / down) samples, never fewer than the rounded length
     n_expected = round(len(clip.samples) * target_hz / clip.sample_rate_hz)
-    if len(out) > n_expected:
-        out = out[:n_expected]
-    elif len(out) < n_expected:
-        out = np.pad(out, (0, n_expected - len(out)))
-    return AudioClip(samples=out, sample_rate_hz=target_hz, source_id=clip.source_id)
+    return AudioClip(samples=out[:n_expected], sample_rate_hz=target_hz, source_id=clip.source_id)
 
 
 def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:

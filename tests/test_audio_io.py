@@ -154,14 +154,16 @@ RATES = (8000, 11025, 16000, 22050, 44100, 48000, 96000, 32001)
 @example(rate=44100, to_32k=True, n=4410, amp=1e-310, seed=1)
 @example(rate=32001, to_32k=False, n=7, amp=1.0, seed=2)
 def test_polyphase_matches_resample_poly(rate, to_32k, n, amp, seed):
-    """Same length as scipy's resample_poly with a Kaiser(5) window, and the same samples to
-    1e-12 of the peak; where that bound underflows (tiny inputs), to 4 subnormal spacings."""
+    """Same length as scipy's resample_poly with a Kaiser(5) window (resample keeps the
+    rounded length), and the same samples to 1e-12 of the peak; where that bound underflows
+    (tiny inputs), to 4 subnormal spacings."""
     src, dst = (rate, 32000) if to_32k else (32000, rate)
     g = math.gcd(src, dst)
     x = np.random.default_rng(seed).uniform(-amp, amp, size=n)
     ref = resample_poly(x, dst // g, src // g, window=("kaiser", 5.0))
     got = _polyphase(x, dst // g, src // g)
     assert len(got) == len(ref)
+    assert len(resample(AudioClip(x, src), dst).samples) == round(n * dst / src)
     bound = 1e-12 * np.max(np.abs(x)) + 4 * np.finfo(float).smallest_subnormal
     assert np.max(np.abs(got - ref)) <= bound
 
