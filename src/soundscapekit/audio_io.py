@@ -201,7 +201,7 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
 
 def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
     """The ceil(len(x) * up / down) samples of resample_poly(x, up, down) (see _polyphase_plan)."""
-    stride, cols, first, last, block_rows, groups = _polyphase_plan(up, down)
+    stride, cols, first, last, block_rows, phases, groups = _polyphase_plan(up, down)
     n_out = -(-len(x) * up // down)
     n_rows = -(-n_out // cols)
     y = np.empty((n_rows, cols))
@@ -213,6 +213,13 @@ def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
             continue
         origin = first + r0 * stride
         src = _zero_padded(x, origin, last + (r1 + 1) * stride)
+        if phases:  # one product per phase over the region: numpy's loop runs on this thread
+            windows = np.lib.stride_tricks.sliding_window_view(src, len(phases[0][1]))
+            out = y[r0:r1].reshape(-1)
+            n = len(out) // up
+            for j, (lead, taps) in enumerate(phases):
+                np.matmul(windows[lead - first :][: n * down : down], taps, out=out[j::up])
+            continue
         for b0 in range(r0, r1, block_rows):
             b1 = min(b0 + block_rows, r1)
             for q0, q1, lead, a, b in groups:
@@ -236,30 +243,70 @@ def _zero_padded(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
+#: Cephes's Chebyshev coefficients of exp(-x) * I0(x) on [0, 8], which scipy.special.i0 uses.
+_I0_CHEBYSHEV = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16, 1.715391285555133e-15,
+    -1.1685332877993451e-14, 7.676185498604936e-14, -4.856446783111929e-13, 2.95505266312964e-12,
+    -1.726826291441556e-11, 9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07, 1.1173875391201037e-06,
+    -4.4167383584587505e-06, 1.6448448070728896e-05, -5.754195010082104e-05, 0.00018850288509584165,
+    -0.0005763755745385824, 0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764, 0.17162090152220877,
+    -0.3046826723431984, 0.6767952744094761,
+)
+
+
+def _i0(x: np.ndarray) -> np.ndarray:
+    """The modified Bessel function I0 for 0 <= x <= 8, bit for bit scipy.special.i0.
+
+    Cephes's series exp(x) * chbevl(x/2 - 2), evaluated as Cephes does. The
+    exponential is the C library's: numpy's vectorised exp (and so np.i0)
+    differs from it in the last bit for some x, which moves the taps.
+    """
+    y = x / 2.0 - 2.0
+    b0, b1, b2 = np.full_like(x, _I0_CHEBYSHEV[0]), np.zeros_like(x), np.zeros_like(x)
+    for c in _I0_CHEBYSHEV[1:]:
+        b2, b1 = b1, b0
+        b0 = y * b1 - b2 + c
+    return np.array([math.exp(v) for v in x.tolist()]) * (0.5 * (b0 - b2))
+
+
 @lru_cache(maxsize=8)
 def _polyphase_plan(up: int, down: int):
     """resample_poly(x, up, down, window=("kaiser", 5.0)) as matrix products.
 
-    The taps h are scipy's: a Kaiser (beta 5) windowed sinc of 20*m + 1 taps
-    with cutoff 1/m, m = max(up, down), scaled to unit DC gain times up.
-    Output j is sum_i x[i] * h[half + j*down - i*up] with half = 10*m: one
-    polyphase branch of h (every up-th tap) against consecutive inputs.
+    The taps h are scipy's, bit for bit: a Kaiser (beta 5) windowed sinc of
+    20*m + 1 taps with cutoff 1/m, m = max(up, down), scaled to unit DC gain
+    times up. Output j is sum_i x[i] * h[half + j*down - i*up] with half =
+    10*m: one polyphase branch of h (every up-th tap) against consecutive
+    inputs.
 
     Outputs are laid out in rows of cols = k*up, and each row starts stride =
     k*down inputs after the one before, k the least integer that makes the
-    stride at least a branch long. Consecutive outputs of a row form a group
-    whose inputs, from `lead` on, span at most three branches and two strides;
-    over many rows a group is one BLAS product of the row matrix with `a`
-    plus, for the inputs past the stride, one of the next row with `b`.
+    stride at least a branch long. Outputs j, j + up, ... use the same branch
+    (phase j) on inputs down apart.
 
-    Returns (stride, cols, least lead, greatest lead, rows per block, groups).
+    When down is less than a branch, the inputs of consecutive outputs of a
+    phase overlap, and numpy computes the product of the phase's windows with
+    its branch without BLAS, adding the terms of each output in input order
+    as scipy does: the output equals scipy's bit for bit. `phases` then holds
+    (lead, branch) per phase, each branch padded with leading zeros to one
+    length, and `groups` is None.
+
+    Otherwise the branches are short against the stride, and consecutive
+    outputs of a row form a group whose inputs, from `lead` on, span at most
+    three branches and two strides; over many rows a group is one BLAS
+    product of the row matrix with `a` plus, for the inputs past the stride,
+    one of the next row with `b`. `phases` is then None.
+
+    Returns (stride, cols, least lead, greatest lead, rows per block, phases, groups).
     """
     m = max(up, down)
     half = 10 * m
     t = np.arange(-half, half + 1, dtype=np.float64)
     h = (1.0 / m) * np.sinc((1.0 / m) * t)
-    h *= np.i0(RESAMPLE_KAISER_BETA * np.sqrt(1 - (t / half) ** 2)) / np.i0(RESAMPLE_KAISER_BETA)
-    h /= h.sum()
+    h *= _i0(RESAMPLE_KAISER_BETA * np.sqrt(1 - (t / half) ** 2)) / _i0(np.array([RESAMPLE_KAISER_BETA]))
+    h /= np.sum(h)
     h *= up
 
     branch = -(-len(h) // up)
@@ -269,6 +316,14 @@ def _polyphase_plan(up: int, down: int):
     for j in range(cols):
         taps = h[(half + j * down) % up :: up][::-1]
         reads.append(((half + j * down) // up + 1 - len(taps), taps))
+
+    if down < branch:
+        phases = []
+        for first, taps in reads[:up]:
+            pad = branch - len(taps)
+            phases.append((first - pad, np.concatenate((np.zeros(pad), taps))))
+        leads = [p[0] for p in phases]
+        return stride, cols, min(leads), max(leads), None, phases, None
 
     width_cap = min(3 * branch, 2 * stride)
     groups, q0 = [], 0
@@ -287,4 +342,4 @@ def _polyphase_plan(up: int, down: int):
         q0 = q1
     leads = [g[2] for g in groups]
     block_rows = max(1, _POLYPHASE_BLOCK // max(q1 - q0 for q0, q1, *_ in groups))
-    return stride, cols, min(leads), max(leads), block_rows, groups
+    return stride, cols, min(leads), max(leads), block_rows, None, groups

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
-from soundscapekit.audio_io import AudioClip, _polyphase, decode_wav, resample, write_wav_pcm16
+from soundscapekit.audio_io import AudioClip, _i0, _polyphase, decode_wav, resample, write_wav_pcm16
 from soundscapekit.errors import AudioDecodeError
 
 from conftest import tone, write_wav, write_wav_24bit, write_wav_float
@@ -156,16 +157,25 @@ RATES = (8000, 11025, 16000, 22050, 44100, 48000, 96000, 32001)
 def test_polyphase_matches_resample_poly(rate, to_32k, n, amp, seed):
     """Same length as scipy's resample_poly with a Kaiser(5) window (resample keeps the
     rounded length), and the same samples to 1e-12 of the peak; where that bound underflows
-    (tiny inputs), to 4 subnormal spacings."""
+    (tiny inputs), to 4 subnormal spacings. Where the windows of a phase overlap (down less
+    than a branch of ceil((20*max(up, down) + 1) / up) taps), the same samples bit for bit."""
     src, dst = (rate, 32000) if to_32k else (32000, rate)
     g = math.gcd(src, dst)
+    up, down = dst // g, src // g
     x = np.random.default_rng(seed).uniform(-amp, amp, size=n)
-    ref = resample_poly(x, dst // g, src // g, window=("kaiser", 5.0))
-    got = _polyphase(x, dst // g, src // g)
+    ref = resample_poly(x, up, down, window=("kaiser", 5.0))
+    got = _polyphase(x, up, down)
     assert len(got) == len(ref)
     assert len(resample(AudioClip(x, src), dst).samples) == round(n * dst / src)
     bound = 1e-12 * np.max(np.abs(x)) + 4 * np.finfo(float).smallest_subnormal
     assert np.max(np.abs(got - ref)) <= bound
+    if down < -(-(20 * max(up, down) + 1) // up):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_kaiser_bessel_equals_scipy_i0():
+    x = np.linspace(0.0, 8.0, 20_001)
+    assert _i0(x).tobytes() == special.i0(x).tobytes()
 
 
 def old_decode(path):
