@@ -21,9 +21,9 @@ from .errors import AudioDecodeError
 #: Kaiser beta for the polyphase anti-aliasing filter used by :func:`resample`.
 RESAMPLE_KAISER_BETA = 5.0
 
-#: Outputs one polyphase matrix product computes at most. Small products keep
-#: their operands in cache and run on the calling thread: products four times
-#: larger woke OpenBLAS's worker threads, which then held cores that
+#: Outputs one BLAS product of the resampler computes at most. Small products
+#: keep their operands in cache and run on the calling thread: products four
+#: times larger woke OpenBLAS's worker threads, which then held cores that
 #: `mix --jobs 2` needed and slowed it by 15%.
 _POLYPHASE_BLOCK = 1 << 12
 
@@ -183,8 +183,9 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
 
     The filter and alignment are those of scipy.signal.resample_poly(x, up,
     down, window=("kaiser", 5.0)) with up/down = target/source in lowest
-    terms; the samples agree with it to within 1e-12 of the peak. Output
-    length is round(len * target / source). A clip already at the target
+    terms; the samples agree with it to within 1e-12 of the peak, and bit
+    for bit where the windows of a phase overlap (see _polyphase_plan).
+    Output length is round(len * target / source). A clip already at the target
     rate is returned unchanged.
     """
     if target_hz <= 0:
