@@ -27,10 +27,10 @@ from .decision import (
     window_max,
 )
 from ._table import Table, replacing, write_json, write_table
-from .errors import ConfigError, SchemaError, SoundscapeKitError
+from .errors import AudioDecodeError, ConfigError, SchemaError, SoundscapeKitError
 from .evaluation import CASE_STUDY_FILTERS, correlate, curve, evaluate, stratify_errors, tune_thresholds
 from .features import stft_magnitude
-from .indices import IndexResult, aci, adi, ndsi
+from .indices import aci, adi, ndsi
 from .labels import CLASSES, classes_for_combo
 from .scores import load_scores
 from .synthmix import SourcePool, build_corpus
@@ -93,20 +93,17 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
     _log(f"indices: {len(files)} files, seed={cfg.seed}")
 
     def process(path):
-        """(IndexResult, wall seconds), or the error that stopped this file."""
+        """The file's CSV row, with wall_s under --timing, or the error that stopped this file."""
         t0 = time.perf_counter()
         try:
             clip = resample(decode_wav(path), p.target_rate_hz)
             spec = stft_magnitude(clip, window_len=p.stft_window, hop=p.stft_hop)
-            result = IndexResult(
-                recording_id=path.stem,
-                aci=aci(spec, chunk_s=p.aci_chunk_s),
-                adi=adi(spec, p.adi_band_width_hz, p.adi_max_freq_hz, p.adi_db_threshold),
-                ndsi=ndsi(clip, p.ndsi_anthro_hz, p.ndsi_bio_hz),
-            )
+            row = [path.stem, aci(spec, chunk_s=p.aci_chunk_s),
+                   adi(spec, p.adi_band_width_hz, p.adi_max_freq_hz, p.adi_db_threshold),
+                   ndsi(clip, p.ndsi_anthro_hz, p.ndsi_bio_hz)]
         except (SoundscapeKitError, ValueError) as exc:
             return exc
-        return result, time.perf_counter() - t0
+        return row + [f"{time.perf_counter() - t0:.6f}"] if timing else row
 
     # results buffered and emitted in input order regardless of worker count
     if jobs > 1 and files:
@@ -115,19 +112,15 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
     else:
         outcomes = list(map(process, files))
 
-    failures = 0
     rows = []
-
     for f, outcome in zip(files, outcomes):
-        if isinstance(outcome, Exception):
-            failures += 1
+        if isinstance(outcome, AudioDecodeError):  # its message starts with the path
+            _log(f"indices: FAILED {outcome}")
+        elif isinstance(outcome, Exception):
             _log(f"indices: FAILED {f}: {outcome}")
-            continue
-        result, wall = outcome
-        row = [result.recording_id, result.aci, result.adi, result.ndsi]
-        if timing:
-            row.append(f"{wall:.6f}")
-        rows.append(row)
+        else:
+            rows.append(outcome)
+    failures = len(files) - len(rows)
 
     header = _INDICES_HEADER + (["wall_s"] if timing else [])
     comments = [
@@ -286,11 +279,12 @@ def cmd_tune(scores_csv, annotations_csv, objective, config_path, grid, out_path
 
 
 def _read_indices_csv(path):
+    """{recording_id: [aci, adi, ndsi]}, NaN for an empty (undefined) NDSI cell."""
     table = Table(path, [_INDICES_HEADER, _INDICES_HEADER + ["wall_s"]], comments=True)
     out = {}
     for line, (rec_id, aci_cell, adi_cell, ndsi_cell, *_) in table.keyed():
-        ndsi_val = table.number(ndsi_cell, line) if ndsi_cell else None
-        out[rec_id] = IndexResult(rec_id, table.number(aci_cell, line), table.number(adi_cell, line), ndsi_val)
+        ndsi_val = table.number(ndsi_cell, line) if ndsi_cell else np.nan
+        out[rec_id] = [table.number(aci_cell, line), table.number(adi_cell, line), ndsi_val]
     return out
 
 
@@ -313,7 +307,7 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
     index_by_id = _read_indices_csv(indices_csv)
     diversity = _read_diversity_csv(diversity_csv)
     label_files = {"truth": labels_csv, "model": model_labels_csv}
-    sources = {s: {d.recording_id: d.active for d in load_decisions(p)} for s, p in label_files.items() if p}
+    sources = {s: load_decisions(p) for s, p in label_files.items() if p}
 
     filter_names = [f.strip() for f in filters.split(",") if f.strip()]
     for name in filter_names:
@@ -325,18 +319,18 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
     if missing:
         raise SoundscapeKitError(f"recordings missing diversity or labels: {sorted(set(missing))[:5]}")
 
+    # columns in the indices file's row order
+    values = np.array(list(index_by_id.values()), dtype=float).reshape(-1, 3)
+    species = [diversity[rid] for rid in index_by_id]
+    labels = {s: [flags[rid] for rid in index_by_id] for s, flags in sources.items()}
     rows = []
     failures = 0
-    results = list(index_by_id.values())
-    for index_name in ("aci", "adi", "ndsi"):
+    for j, index_name in enumerate(("aci", "adi", "ndsi")):
         for fname in filter_names:
-            for source, label_sets in sources.items():
+            for source, source_labels in labels.items():
                 try:
-                    res = correlate(
-                        results, index_name, diversity, label_sets,
-                        CASE_STUDY_FILTERS[fname], filter_name=fname,
-                    )
-                    rows.append([index_name, fname, source, res.n, res.rho, ""])
+                    n, r = correlate(values[:, j], species, source_labels, CASE_STUDY_FILTERS[fname])
+                    rows.append([index_name, fname, source, n, r, ""])
                 except ValueError as exc:
                     failures += 1
                     rows.append([index_name, fname, source, "", "", str(exc)])

@@ -22,7 +22,7 @@ from .indices import (
 from .evaluation import DEFAULT_BOOTSTRAP_RESAMPLES, DEFAULT_CONFIDENCE
 from .labels import CLASSES
 from .scores import WindowSpec
-from .synthmix import DEFAULT_COUNT_PMFS, TARGET_RATE_HZ
+from .synthmix import DEFAULT_COUNT_PMFS, NORMALIZATION_MODES, TARGET_RATE_HZ
 
 
 @dataclass
@@ -106,7 +106,7 @@ class RunConfig:
                     raise ValueError(f"mixer count_pmfs {count} must be probabilities >= 0 with a positive sum, got {pmf}")
                 cfg.mixer_count_pmfs[int(count)] = {int(n): p for n, p in pmf.items()}
             cfg.mixer_normalization = d["mixer"]["normalization"]
-            if cfg.mixer_normalization not in ("peak", "rms"):
+            if cfg.mixer_normalization not in NORMALIZATION_MODES:
                 raise ValueError(f"unknown mixer normalization {cfg.mixer_normalization!r}")
             cfg.bootstrap_resamples = d["bootstrap"]["resamples"]
             cfg.bootstrap_confidence = d["bootstrap"]["confidence"]

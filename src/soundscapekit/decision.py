@@ -226,7 +226,8 @@ def load_annotations(path, duration_s: float) -> dict:
     """
     table = Table(path, [["recording_id", "class", "start_s", "end_s"], _FLAGS_HEADER])
     if table.header == _FLAGS_HEADER:
-        return {rid: AnnotationSet.from_weak_labels(rid, duration_s, active) for rid, active in _active_sets(table)}
+        return {rid: AnnotationSet.from_weak_labels(rid, duration_s, compress(CLASSES, flags))
+                for rid, flags in _flag_rows(table)}
 
     segments: dict = {}
     for line, (rec_id, cls, start, end) in table:
@@ -242,13 +243,13 @@ def load_annotations(path, duration_s: float) -> dict:
     }
 
 
-def _active_sets(table):
-    """(recording_id, active classes) per row of a flag table; a silence flag must agree."""
+def _flag_rows(table):
+    """(recording_id, [CLASSES] flags) per row of a flag table; a silence flag must agree."""
     for line, fields in table.keyed():
-        active = frozenset(c for c, v in zip(CLASSES, fields[1:4]) if table.flag(v, line))
-        if len(fields) == len(_DECISIONS_HEADER) and table.flag(fields[4], line) == bool(active):
+        flags = [table.flag(v, line) for v in fields[1:4]]
+        if len(fields) == len(_DECISIONS_HEADER) and table.flag(fields[4], line) == any(flags):
             raise table.error("silence flag inconsistent with active classes", line)
-        yield fields[0], active
+        yield fields[0], flags
 
 
 def dump_decisions(recording_ids, flags, path) -> None:
@@ -258,7 +259,7 @@ def dump_decisions(recording_ids, flags, path) -> None:
     write_table(path, _DECISIONS_HEADER, ([rid, *row] for rid, row in zip(recording_ids, rows, strict=True)))
 
 
-def load_decisions(path) -> list:
-    """Read a decisions CSV (see :func:`dump_decisions`), or the same without silence: weak labels."""
-    table = Table(path, [_FLAGS_HEADER, _DECISIONS_HEADER])
-    return [Decision(rec_id, active) for rec_id, active in _active_sets(table)]
+def load_decisions(path) -> dict:
+    """{recording_id: [CLASSES] flags} from a decisions CSV (see :func:`dump_decisions`),
+    or the same without silence: weak labels."""
+    return dict(_flag_rows(Table(path, [_FLAGS_HEADER, _DECISIONS_HEADER])))

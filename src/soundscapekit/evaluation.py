@@ -327,14 +327,6 @@ def stratify_errors(pred, true) -> StratifiedErrors:
     return out
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    filter_name: str
-    index_name: str
-    rho: float
-    n: int
-
-
 def pearson(x, y) -> float:
     """Pearson correlation; raises on fewer than 2 points or zero variance."""
     x = np.asarray(x, dtype=float)
@@ -351,33 +343,16 @@ def pearson(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def correlate(
-    index_results,
-    index_name: str,
-    diversity: dict,
-    label_sets: dict,
-    filter_classes,
-    filter_name: str = "",
-) -> CorrelationResult:
-    """Pearson r between one acoustic index and species counts on filtered recordings.
+def correlate(values, species, labels, filter_classes) -> tuple:
+    """(n, Pearson r) of index values against species counts over the recordings a filter keeps.
 
-    A recording passes the filter when its label set is non-empty and
-    contained in filter_classes. Recordings where the index is undefined
-    (NDSI with empty bands) are skipped.
+    values and species hold one number per recording and labels its
+    [recordings x CLASSES] flags, rows aligned. A recording is kept when it
+    has at least one label, every label is in filter_classes, and its value
+    is not NaN (an undefined NDSI).
     """
-    filter_classes = frozenset(filter_classes)
-    xs, ys = [], []
-    for res in index_results:
-        rec_id = res.recording_id
-        if rec_id not in diversity or rec_id not in label_sets:
-            raise ValueError(f"recording {rec_id!r} missing diversity or labels")
-        labels = frozenset(label_sets[rec_id]) & frozenset(CLASSES)
-        if not labels or not labels <= filter_classes:
-            continue
-        value = getattr(res, index_name)
-        if value is None:
-            continue
-        xs.append(value)
-        ys.append(diversity[rec_id])
-    r = pearson(xs, ys)
-    return CorrelationResult(filter_name=filter_name, index_name=index_name, rho=r, n=len(xs))
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels, dtype=bool).reshape(len(values), len(CLASSES))
+    outside = [c not in filter_classes for c in CLASSES]
+    kept = labels.any(axis=1) & ~labels[:, outside].any(axis=1) & ~np.isnan(values)
+    return int(kept.sum()), pearson(values[kept], np.asarray(species, dtype=float)[kept])

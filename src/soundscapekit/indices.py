@@ -7,8 +7,6 @@ difference (bio - anthro) / (bio + anthro) from a Welch PSD, which is
 built on the same framed-FFT kernel as the STFT.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio_io import AudioClip
@@ -26,16 +24,6 @@ DEFAULT_BIO_BAND_HZ = (2000.0, 8000.0)
 DEFAULT_ADI_BAND_WIDTH_HZ = 1000.0
 DEFAULT_ADI_MAX_FREQ_HZ = 10000.0
 DEFAULT_ADI_DB_THRESHOLD = -50.0
-
-
-@dataclass
-class IndexResult:
-    """Per-recording index values; ndsi is None when both bands are empty."""
-
-    recording_id: str
-    aci: float
-    adi: float
-    ndsi: float | None
 
 
 def check_bands(nyquist_hz: float, adi_bands=None, ndsi_bands=None) -> int | None:

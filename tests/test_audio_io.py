@@ -312,3 +312,51 @@ def test_write_equals_scipy_write(tmp_path, n, rate):
     write_wav_pcm16(ours, AudioClip(samples=x, sample_rate_hz=rate))
     wavfile.write(ref, rate, np.rint(np.clip(x, -1.0, 1.0) * 32767.0).astype(np.int16))
     assert ours.read_bytes() == ref.read_bytes()
+
+
+# --- decode_wav on arbitrary and damaged input: one AudioDecodeError or a sane clip ---
+
+#: Valid files whose headers the fuzz damages: the plain PCM16 header is 44 bytes, the extensible one 68.
+FUZZ_BASES = [wav_bytes("int16", 1, "plain", frames=64), wav_bytes("int24", 2, "extensible", frames=64)]
+#: Field values that sit on a check's edge: zero, one, a format tag, all ones.
+EDGE_FIELDS = [b"\x00\x00", b"\x01\x00", b"\x03\x00", b"\xfe\xff", b"\xff\xff", b"\xff\xff\xff\xff", b"\x00" * 4]
+
+
+def decodes_or_rejects(path, raw):
+    """decode_wav of raw raises only AudioDecodeError, or gives a 1-D, finite clip in [-1, 1].
+
+    The clip is not resampled: an odd rate would build a 20 * max(up, down) + 1-tap filter.
+    """
+    path.write_bytes(raw)
+    try:
+        clip = decode_wav(path)
+    except AudioDecodeError:
+        return
+    x = clip.samples
+    assert x.ndim == 1 and len(x) > 0 and clip.sample_rate_hz > 0
+    assert np.isfinite(x).all() and np.abs(x).max() <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.one_of(
+    st.binary(max_size=128),
+    st.binary(max_size=128).map(lambda b: b"RIFF" + b[:4] + b"WAVE" + b[4:]),  # past the container check
+))
+def test_arbitrary_bytes_decode_or_raise_a_decode_error(tmp_path_factory, raw):
+    decodes_or_rejects(tmp_path_factory.getbasetemp() / "fuzz.wav", raw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    base=st.sampled_from(FUZZ_BASES),
+    edits=st.lists(st.tuples(st.integers(12, 67), st.one_of(st.binary(min_size=1, max_size=4),
+                                                           st.sampled_from(EDGE_FIELDS))), min_size=1, max_size=6),
+    cut=st.one_of(st.none(), st.integers(0, 400)),
+)
+def test_damaged_header_decodes_or_raises_a_decode_error(tmp_path_factory, base, edits, cut):
+    """Bytes written over the chunk headers of a PCM16 mono or 24-bit stereo extensible file (past
+    the 12-byte RIFF header, which the arbitrary-bytes property covers), then maybe a cut."""
+    raw = bytearray(base)
+    for offset, field in edits:
+        raw[offset:offset + len(field)] = field
+    decodes_or_rejects(tmp_path_factory.getbasetemp() / "damaged.wav", bytes(raw[:cut]))

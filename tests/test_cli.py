@@ -85,16 +85,22 @@ class TestIndicesCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_failed_file_logged_and_nonzero_exit(self, runner, tmp_path):
+        """Each failed file is named once: a decode error's message starts with the path, other errors get it."""
         audio = tmp_path / "audio"
         audio.mkdir()
         (audio / "broken.wav").write_bytes(b"not really a wav")
         write_wav_pcm16(audio / "fine.wav", AudioClip(samples=tone(2500, 0.5, 32000), sample_rate_hz=32000))
+        write_wav_pcm16(audio / "short.wav", AudioClip(samples=tone(2500, 0.01, 32000), sample_rate_hz=32000))
         out = tmp_path / "idx.csv"
         result = runner.invoke(main, ["indices", str(audio), "--out", str(out)])
         assert result.exit_code == 1
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert len(rows) == 2  # header + the one good file
         assert rows[1].startswith("fine,")
+        assert [ln for ln in result.output.splitlines() if ln.startswith("indices: FAILED")] == [
+            f"indices: FAILED {audio / 'broken.wav'}: not a decodable linear-PCM WAV (not a RIFF or RIFX WAVE file)",
+            f"indices: FAILED {audio / 'short.wav'}: clip of 320 samples shorter than one 1024-sample window",
+        ]
 
     def test_timing_column_optional(self, runner, tmp_path):
         audio = tmp_path / "audio"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,6 @@ from soundscapekit.evaluation import (
     stratify_errors,
     tune_thresholds,
 )
-from soundscapekit.indices import IndexResult
 from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY
 
 from conftest import flags
@@ -459,44 +460,67 @@ class TestPearson:
 class TestCorrelate:
     @pytest.fixture
     def fixture(self):
-        results = [
-            IndexResult("r1", aci=1.0, adi=0.5, ndsi=0.1),
-            IndexResult("r2", aci=2.0, adi=1.0, ndsi=None),
-            IndexResult("r3", aci=3.0, adi=1.5, ndsi=0.3),
-            IndexResult("r4", aci=4.0, adi=9.0, ndsi=0.4),
-        ]
-        diversity = {"r1": 2.0, "r2": 4.0, "r3": 6.0, "r4": 1.0}
-        labels = {
-            "r1": {BIOPHONY},
-            "r2": {BIOPHONY},
-            "r3": {BIOPHONY},
-            "r4": {ANTHROPOPHONY, GEOPHONY},
-        }
-        return results, diversity, labels
+        """aci, adi and ndsi columns (r2's NDSI undefined), species counts and truth flags of r1-r4."""
+        values = np.array([[1.0, 0.5, 0.1], [2.0, 1.0, np.nan], [3.0, 1.5, 0.3], [4.0, 9.0, 0.4]])
+        species = [2.0, 4.0, 6.0, 1.0]
+        labels = flags([{BIOPHONY}, {BIOPHONY}, {BIOPHONY}, {ANTHROPOPHONY, GEOPHONY}])
+        return values, species, labels
 
     def test_linear_subset(self, fixture):
-        results, diversity, labels = fixture
-        res = correlate(results, "aci", diversity, labels, CASE_STUDY_FILTERS["B"], filter_name="B")
-        assert res.rho == 1.0
-        assert res.n == 3
+        values, species, labels = fixture
+        assert correlate(values[:, 0], species, labels, CASE_STUDY_FILTERS["B"]) == (3, 1.0)
 
     def test_undefined_index_skipped(self, fixture):
-        results, diversity, labels = fixture
-        res = correlate(results, "ndsi", diversity, labels, CASE_STUDY_FILTERS["B"])
-        assert res.n == 2
+        values, species, labels = fixture
+        n, _ = correlate(values[:, 2], species, labels, CASE_STUDY_FILTERS["B"])
+        assert n == 2
 
     def test_filter_containment(self, fixture):
-        results, diversity, labels = fixture
-        res = correlate(results, "aci", diversity, labels, CASE_STUDY_FILTERS["all"])
-        assert res.n == 4
+        values, species, labels = fixture
+        n, _ = correlate(values[:, 0], species, labels, CASE_STUDY_FILTERS["all"])
+        assert n == 4
 
     def test_too_few_after_filter(self, fixture):
-        results, diversity, labels = fixture
-        with pytest.raises(ValueError):
-            correlate(results, "aci", diversity, labels, frozenset({GEOPHONY}))
+        values, species, labels = fixture
+        with pytest.raises(ValueError, match=r"^need >= 2 paired points, got 0 and 0$"):
+            correlate(values[:, 0], species, labels, frozenset({GEOPHONY}))
 
-    def test_missing_join_key(self, fixture):
-        results, diversity, labels = fixture
-        del diversity["r3"]
-        with pytest.raises(ValueError, match="missing"):
-            correlate(results, "aci", diversity, labels, CASE_STUDY_FILTERS["all"])
+
+def correlate_by_label_sets(values, species, label_sets, filter_classes):
+    """The case study's filter applied one recording at a time to frozensets of labels."""
+    xs, ys = [], []
+    for value, count, labels in zip(values, species, label_sets):
+        if labels and labels <= filter_classes and not np.isnan(value):
+            xs.append(value)
+            ys.append(count)
+    return len(xs), pearson(xs, ys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(np.nan), st.floats(-1e3, 1e3)),
+            st.integers(0, 30).map(float),
+            st.lists(st.booleans(), min_size=len(CLASSES), max_size=len(CLASSES)),
+        ),
+        max_size=12,
+    ),
+    st.sampled_from(sorted(CASE_STUDY_FILTERS)),
+)
+@example([(1.0, 1.0, [False, True, False]), (np.nan, 2.0, [False, True, False]),
+          (2.0, 3.0, [False, False, False]), (3.0, 5.0, [False, True, False])], "B")
+def test_correlate_equals_the_per_recording_label_set_rule(recordings, filter_name):
+    """correlate's mask keeps exactly the recordings the frozenset rule keeps, in order, so n and r agree."""
+    values = [v for v, _, _ in recordings]
+    species = [c for _, c, _ in recordings]
+    rows = [row for _, _, row in recordings]
+    label_sets = [frozenset(c for c, on in zip(CLASSES, row) if on) for row in rows]
+    filter_classes = CASE_STUDY_FILTERS[filter_name]
+    try:
+        want = correlate_by_label_sets(values, species, label_sets, filter_classes)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            correlate(values, species, rows, filter_classes)
+        return
+    assert correlate(values, species, rows, filter_classes) == want
