@@ -321,8 +321,8 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
 
     # columns in the indices file's row order
     values = np.array(list(index_by_id.values()), dtype=float).reshape(-1, 3)
-    species = [diversity[rid] for rid in index_by_id]
-    labels = {s: [flags[rid] for rid in index_by_id] for s, flags in sources.items()}
+    species = np.array([diversity[rid] for rid in index_by_id], dtype=float)
+    labels = {s: np.array([flags[rid] for rid in index_by_id], dtype=bool) for s, flags in sources.items()}
     rows = []
     failures = 0
     for j, index_name in enumerate(("aci", "adi", "ndsi")):
