@@ -81,10 +81,6 @@ class Table:
             raise self.error(f"expected a finite number, got {text!r}", line)
         return value
 
-    def numbers(self, cells, line) -> list:
-        """:meth:`number` of each cell; the first bad cell raises."""
-        return [self.number(text, line) for text in cells]
-
     def flag(self, text, line) -> bool:
         """A cell holding a 0/1 flag."""
         if text not in ("0", "1"):

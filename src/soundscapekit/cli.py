@@ -44,22 +44,17 @@ def _log(msg: str) -> None:
 
 
 def _load_config(path, thresholds_path=None) -> RunConfig:
-    """The run config, with the policy of a threshold fragment if one is given.
-
-    Any ConfigError ends the command with a one-line error and exit 1.
-    """
-    try:
-        cfg = RunConfig.load(path) if path else RunConfig()
-        if thresholds_path:
-            cfg.threshold_mode, cfg.thresholds = load_threshold_fragment(thresholds_path)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
+    """The run config, with the policy of a threshold fragment if one is given."""
+    cfg = RunConfig.load(path) if path else RunConfig()
+    if thresholds_path:
+        cfg.threshold_mode, cfg.thresholds = load_threshold_fragment(thresholds_path)
     return cfg
 
 
 def _fail(command, exc):
-    """End the command with exit 1; a schema error already starts with path:line."""
-    _log(str(exc) if isinstance(exc, SchemaError) else f"{command}: FAILED: {exc}")
+    """End the command with exit 1; a schema error already starts with path:line, a config error with its path."""
+    prefix = "" if isinstance(exc, SchemaError) else "Error: " if isinstance(exc, ConfigError) else f"{command}: FAILED: "
+    _log(f"{prefix}{exc}")
     sys.exit(1)
 
 
@@ -188,11 +183,9 @@ def _scores_and_truth(scores_path, annotations_path, cfg):
     if unknown:
         raise SoundscapeKitError(f"annotations for recordings without scores: {sorted(unknown)[:5]}")
 
-    true = np.zeros((len(scores), len(CLASSES)), dtype=bool)
-    for i, rid in enumerate(scores.recording_ids):
-        if rid in anns:
-            true[i] = pda_kept(anns[rid], cfg.pda)
-    return scores, true
+    absent = [False] * len(CLASSES)
+    true = [pda_kept(anns[rid], cfg.pda) if rid in anns else absent for rid in scores.recording_ids]
+    return scores, np.array(true, dtype=bool).reshape(-1, len(CLASSES))
 
 
 @main.command("evaluate")

@@ -9,6 +9,7 @@ threshold does not activate a class.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import compress
 
@@ -184,9 +185,9 @@ def window_max(scores) -> np.ndarray:
 
 def window_active(scores, policy: ThresholdPolicy) -> np.ndarray:
     """Active flags per recording, [recordings x CLASSES]: at least
-    policy.count_for(cls) windows score strictly above the class threshold."""
-    columns = [scores.class_order.index(cls) for cls in CLASSES]
-    above = scores.class_scores[:, columns] > [policy.thresholds[cls] for cls in CLASSES]
+    policy.count_for(cls) windows score strictly above the class threshold
+    (every class_order starts with CLASSES, so their scores are its first columns)."""
+    above = scores.class_scores[:, :len(CLASSES)] > [policy.thresholds[cls] for cls in CLASSES]
     counts = np.add.reduceat(above, scores.offsets, axis=0, dtype=np.intp)
     return counts >= [policy.count_for(cls) for cls in CLASSES]
 
@@ -229,14 +230,14 @@ def load_annotations(path, duration_s: float) -> dict:
         return {rid: AnnotationSet.from_weak_labels(rid, duration_s, compress(CLASSES, flags))
                 for rid, flags in _flag_rows(table)}
 
-    segments: dict = {}
+    segments = defaultdict(lambda: {c: [] for c in CLASSES})
     for line, (rec_id, cls, start, end) in table:
         if cls not in CLASSES:
             raise table.error(f"unknown class {cls!r}", line)
         start, end = table.number(start, line), table.number(end, line)
         if not _inside(start, end, duration_s):
             raise table.error(_outside(start, end, duration_s), line)
-        segments.setdefault(rec_id, {c: [] for c in CLASSES})[cls].append((start, end))
+        segments[rec_id][cls].append((start, end))
     return {
         rec_id: AnnotationSet(recording_id=rec_id, duration_s=duration_s, segments=segs)
         for rec_id, segs in segments.items()

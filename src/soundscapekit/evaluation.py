@@ -168,7 +168,7 @@ def _bootstrap_macros(tp_i, fp_i, fn_i, resamples, seed) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
         idx = rng.integers(0, n, size=n)
         # draws per recording times its outcomes: integer sums, exact in float64
-        macros[r] = f1_score(*np.split(np.bincount(idx, minlength=n) @ outcomes, 3)).mean()
+        macros[r] = f1_score(*(np.bincount(idx, minlength=n) @ outcomes).reshape(3, -1)).mean()
     return macros
 
 

@@ -96,7 +96,7 @@ def load_scores(path, window_len_s: float = 10.0, duration_s: float | None = Non
 
 
 def _check_row(table, line, fields, duration_s):
-    start, *scores = table.numbers(fields[1:], line)
+    start, *scores = [table.number(text, line) for text in fields[1:]]
     if start < 0:
         raise table.error(f"window_start_s must be >= 0, got {fields[1]!r}", line)
     if duration_s is not None and start >= duration_s:

@@ -347,6 +347,21 @@ class TestEvaluateCommand:
             f"Error: {cfg}: invalid configuration: bootstrap confidence must be in (0, 1), got 1.7\n"
         )
 
+    @pytest.mark.parametrize("option, data, message", [
+        ("--config", {"seed": 1.7}, "invalid configuration: seed must be an integer, got 1.7"),
+        ("--thresholds", {"thresholds": {"mode": "bogus"}}, "invalid threshold policy: unknown threshold mode 'bogus'"),
+    ])
+    def test_config_error_ends_in_exit_1_when_embedded(self, runner, tmp_path, option, data, message):
+        """Without standalone mode (an embedding caller) a bad config still ends in one line and SystemExit(1)."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                      option, str(path), "--out", str(tmp_path / "rep")], standalone_mode=False)
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {path}: {message}\n"
+        assert not (tmp_path / "rep").exists()
+
     def test_invalid_threshold_fragment_is_one_line_error(self, runner, tmp_path):
         frag = tmp_path / "thresholds.json"
         frag.write_text(json.dumps({"thresholds": {"mode": "bogus"}}))

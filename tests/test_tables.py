@@ -62,13 +62,10 @@ class TestTable:
         t = table(tmp_path, "a,b\n")
         with pytest.raises(SchemaError, match=r"t\.csv:7: expected a"):
             t.number(text, 7)
-        with pytest.raises(SchemaError, match=r"t\.csv:7: expected a"):
-            t.numbers(["1", text, "2"], 7)
 
     def test_number_parses_finite(self, tmp_path):
         t = table(tmp_path, "a,b\n")
         assert t.number("-0.25", 2) == -0.25
-        assert t.numbers(["1e-3", " 2 ", "0"], 2) == [0.001, 2.0, 0.0]
 
     @pytest.mark.parametrize("text", ["", "yes", "true", " 1", "1.0", "2", "-0"])
     def test_flag_accepts_only_0_and_1(self, tmp_path, text):
