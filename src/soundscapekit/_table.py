@@ -28,7 +28,7 @@ class Table:
     def __init__(self, path, headers, comments=False):
         self.path = path
         self._skip = 0  # lines before the first row: leading '#' lines, then the header
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             try:
                 first = fh.readline()
                 while comments and first.startswith("#"):
@@ -47,7 +47,7 @@ class Table:
 
     def __iter__(self):
         width = len(self.header)
-        with open(self.path, newline="") as fh:
+        with open(self.path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(itertools.islice(fh, self._skip, None))
             try:
                 for fields in reader:
@@ -95,7 +95,7 @@ def replacing(path, binary=False):
     A symlink's target is replaced, not the link; a path that exists and is
     not a regular file (a FIFO, a device) is written to directly instead.
     """
-    mode, text = ("wb", {}) if binary else ("w", {"newline": "", "encoding": "utf-8"})
+    mode, text = ("wb", {}) if binary else ("w", {"newline": "", "encoding": "utf-8", "errors": "surrogateescape"})
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except OSError:  # missing or unreachable: opening the temporary file reports it

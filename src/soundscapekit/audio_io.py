@@ -21,6 +21,10 @@ from .errors import AudioDecodeError
 #: Kaiser beta for the polyphase anti-aliasing filter used by :func:`resample`.
 RESAMPLE_KAISER_BETA = 5.0
 
+#: Most taps of the resampler's filter, 20 * max(up, down) + 1: building a larger
+#: one takes seconds and gigabytes whatever the clip's length.
+RESAMPLE_MAX_TAPS = 2_000_001
+
 #: Outputs one BLAS product of the resampler computes at most. Small products
 #: keep their operands in cache and run on the calling thread: products four
 #: times larger woke OpenBLAS's worker threads, which then held cores that
@@ -186,7 +190,8 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     terms; the samples agree with it to within 1e-12 of the peak, and bit
     for bit where the windows of a phase overlap (see _polyphase_plan).
     Output length is round(len * target / source). A clip already at the target
-    rate is returned unchanged.
+    rate is returned unchanged. A ratio whose filter would exceed RESAMPLE_MAX_TAPS
+    is a ValueError.
     """
     if target_hz <= 0:
         raise ValueError(f"target_hz must be positive, got {target_hz}")
@@ -194,7 +199,12 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
         return clip
 
     g = math.gcd(target_hz, clip.sample_rate_hz)
-    out = _polyphase(np.ascontiguousarray(clip.samples, dtype=np.float64), target_hz // g, clip.sample_rate_hz // g)
+    up, down = target_hz // g, clip.sample_rate_hz // g
+    taps = 20 * max(up, down) + 1
+    if taps > RESAMPLE_MAX_TAPS:
+        raise ValueError(f"resampling {clip.sample_rate_hz} Hz to {target_hz} Hz needs a filter of {taps} taps, "
+                         f"more than {RESAMPLE_MAX_TAPS}")
+    out = _polyphase(np.ascontiguousarray(clip.samples, dtype=np.float64), up, down)
     # the filter yields ceil(len * up / down) samples, never fewer than the rounded length
     n_expected = round(len(clip.samples) * target_hz / clip.sample_rate_hz)
     return AudioClip(samples=out[:n_expected], sample_rate_hz=target_hz, source_id=clip.source_id)

@@ -81,14 +81,17 @@ def main():
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel workers.")
 @click.option("--timing", is_flag=True, help="Add a wall_s column with per-file processing time.")
 def cmd_indices(audio_dir, out, config_path, jobs, timing):
-    """Compute ACI, ADI, and NDSI for every WAV file in AUDIO_DIR."""
+    """Compute ACI, ADI, and NDSI for every WAV file (.wav in any case) in AUDIO_DIR."""
     cfg = _load_config(config_path)
     p = cfg.indices
-    files = sorted(Path(audio_dir).glob("*.wav"))
+    files = sorted(f for f in Path(audio_dir).iterdir() if f.name.lower().endswith(".wav"))
+    first = {f.stem: f for f in reversed(files)}  # recording_id -> its first file in sort order
     _log(f"indices: {len(files)} files, seed={cfg.seed}")
 
     def process(path):
         """The file's CSV row, with wall_s under --timing, or the error that stopped this file."""
+        if first[path.stem] != path:
+            return SoundscapeKitError(f"recording_id {path.stem!r} already taken by {first[path.stem].name}")
         t0 = time.perf_counter()
         try:
             clip = resample(decode_wav(path), p.target_rate_hz)

@@ -111,7 +111,11 @@ class SourcePool:
             with self._lock:
                 x = self._cache.get(key)
             if x is None:
-                x = resample(decode_wav(self.files[cls][index]), rate_hz).samples
+                path = self.files[cls][index]
+                try:
+                    x = resample(decode_wav(path), rate_hz).samples
+                except ValueError as exc:  # a rate beyond the resampler's filter: name the file
+                    raise ValueError(f"{path}: {exc}") from None
                 with self._lock:
                     if self._cache_bytes + x.nbytes <= SOURCE_CACHE_BYTES:
                         x.flags.writeable = False

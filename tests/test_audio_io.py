@@ -9,6 +9,7 @@ from scipy import special
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
+from soundscapekit import audio_io
 from soundscapekit.audio_io import AudioClip, _i0, _polyphase, decode_wav, resample, write_wav_pcm16
 from soundscapekit.errors import AudioDecodeError
 
@@ -120,6 +121,26 @@ class TestResample:
         clip = AudioClip(samples=np.zeros(10), sample_rate_hz=48000)
         with pytest.raises(ValueError):
             resample(clip, 0)
+
+    @pytest.mark.parametrize("rate, target, accepted", [
+        (100_000, 99_999, True),  # max(up, down) = 100 000: 2 000 001 taps, the limit
+        (96_001, 32_000, True),
+        (32_001, 32_000, True),
+        (100_001, 100_000, False),
+        (200_003, 32_000, False),
+    ])
+    def test_filter_tap_limit(self, monkeypatch, rate, target, accepted):
+        """A ratio past RESAMPLE_MAX_TAPS is rejected before any filter is built; one at the limit is not."""
+        built = []
+        monkeypatch.setattr(audio_io, "_polyphase", lambda x, up, down: built.append((up, down)) or x)
+        clip = AudioClip(samples=np.zeros(8), sample_rate_hz=rate)
+        if accepted:
+            resample(clip, target)
+            assert 20 * max(built[0]) + 1 <= audio_io.RESAMPLE_MAX_TAPS
+        else:
+            with pytest.raises(ValueError, match=f"^resampling {rate} Hz to {target} Hz needs a filter of "):
+                resample(clip, target)
+            assert built == []
 
 
 def test_write_read_round_trip(tmp_path):

@@ -1,6 +1,9 @@
 import csv
 import errno
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from soundscapekit.labels import CLASSES
 from conftest import tone
 
 FIXTURES = Path(__file__).parent / "data" / "cst_fixture"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -102,6 +106,51 @@ class TestIndicesCommand:
             f"indices: FAILED {audio / 'short.wav'}: clip of 320 samples shorter than one 1024-sample window",
         ]
 
+    def test_wav_extension_in_any_case(self, runner, tmp_path):
+        """Recorder-style .WAV names are found like .wav ones; other files are not."""
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        for name in ("20240101_000000.WAV", "b.Wav", "c.wav"):
+            write_wav_pcm16(audio / name, AudioClip(samples=tone(2000, 0.5, 32000), sample_rate_hz=32000))
+        (audio / "notes.txt").write_text("not audio")
+        out = tmp_path / "idx.csv"
+        result = invoke(runner, ["indices", str(audio), "--out", str(out)])
+        assert result.exit_code == 0
+        assert "indices: 3 files" in result.output
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+        assert [r.split(",")[0] for r in rows] == ["20240101_000000", "b", "c"]
+
+    def test_one_recording_id_from_two_files_fails_the_later(self, runner, tmp_path):
+        """a.WAV and a.wav would both be recording a: the later in sort order fails in one line."""
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        for name in ("a.WAV", "a.wav", "b.wav"):
+            write_wav_pcm16(audio / name, AudioClip(samples=tone(2000, 0.5, 32000), sample_rate_hz=32000))
+        out = tmp_path / "idx.csv"
+        result = runner.invoke(main, ["indices", str(audio), "--out", str(out)])
+        assert result.exit_code == 1
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+        assert [r.split(",")[0] for r in rows] == ["a", "b"]
+        assert [ln for ln in result.output.splitlines() if ln.startswith("indices: FAILED")] == [
+            f"indices: FAILED {audio / 'a.wav'}: recording_id 'a' already taken by a.WAV",
+        ]
+
+    def test_odd_sample_rate_is_that_files_failure(self, runner, tmp_path):
+        """A rate whose resampling filter is too large fails its file in one line, without building the filter."""
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        write_wav_pcm16(audio / "fine.wav", AudioClip(samples=tone(2500, 0.5, 32000), sample_rate_hz=32000))
+        write_wav_pcm16(audio / "odd.wav", AudioClip(samples=np.zeros(8), sample_rate_hz=200_003))
+        out = tmp_path / "idx.csv"
+        result = runner.invoke(main, ["indices", str(audio), "--out", str(out)])
+        assert result.exit_code == 1
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert [r.split(",")[0] for r in rows] == ["recording_id", "fine"]
+        assert [ln for ln in result.output.splitlines() if ln.startswith("indices: FAILED")] == [
+            f"indices: FAILED {audio / 'odd.wav'}: resampling 200003 Hz to 32000 Hz needs a filter of "
+            "4000061 taps, more than 2000001",
+        ]
+
     def test_timing_column_optional(self, runner, tmp_path):
         audio = tmp_path / "audio"
         audio.mkdir()
@@ -151,6 +200,16 @@ class TestMixCommand:
         result = invoke(runner, ["mix", str(manifest), str(out_dir), "--count", "AB=1", "--config", str(cfg)])
         assert result.exit_code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == ["000000_AB.wav", "manifest.csv"]
+
+    def test_odd_sample_rate_source_is_one_line_error(self, runner, tmp_path):
+        manifest = write_pool(tmp_path)
+        odd = manifest.parent / "anthropophony.wav"
+        write_wav_pcm16(odd, AudioClip(samples=np.zeros(8), sample_rate_hz=200_003))
+        result = runner.invoke(main, ["mix", str(manifest), str(tmp_path / "corpus"), "--count", "A=1"])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == (
+            f"mix: FAILED: {odd}: resampling 200003 Hz to 32000 Hz needs a filter of 4000061 taps, more than 2000001"
+        )
 
     def test_bad_count_spec(self, runner, tmp_path):
         manifest = tmp_path / "pool.csv"
@@ -695,3 +754,34 @@ class TestBadInputTables:
         result = runner.invoke(main, [command, str(scores), str(anns), *out])
         assert_table_error(result, anns, 3)
         assert f"{anns}:3: segment (50.0, 70.0) outside [0, 60.0]" in result.output
+
+
+def run_in_ascii_locale(*args):
+    """The CLI in a fresh process under the C locale, with UTF-8 mode and locale coercion off."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=str(SRC), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    return subprocess.run([sys.executable, "-m", "soundscapekit.cli", *map(str, args)], env=env,
+                          capture_output=True, timeout=120)
+
+
+class TestNonUtf8Locale:
+    def test_tables_are_read_as_utf8(self, tmp_path):
+        """Score and weak-label tables holding a non-ASCII id load, and the id is written back as UTF-8."""
+        scores, weak = tmp_path / "scores.csv", tmp_path / "weak.csv"
+        rows = [f"{rid},{10.0 * k},0.1,{0.2 + 0.1 * k},0.3" for rid in ("café_01", "r2") for k in range(6)]
+        scores.write_text("\n".join(["recording_id,window_start_s,anthropophony,biophony,geophony", *rows]) + "\n",
+                          encoding="utf-8")
+        weak.write_text("recording_id,anthropophony,biophony,geophony\ncafé_01,0,1,0\nr2,1,0,0\n", encoding="utf-8")
+        done = run_in_ascii_locale("evaluate", scores, weak, "--out", tmp_path / "rep")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "rep" / "decisions.csv").read_bytes().splitlines()[1].startswith("café_01,".encode())
+
+    def test_ids_from_file_names_keep_their_bytes(self, tmp_path):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        write_wav_pcm16(audio / "a.wav", AudioClip(samples=tone(2000, 0.5, 32000), sample_rate_hz=32000))
+        os.rename(os.fsencode(audio / "a.wav"), os.fsencode(audio) + "/café.wav".encode())  # a name in UTF-8 bytes
+        out = tmp_path / "x.csv"
+        done = run_in_ascii_locale("indices", audio, "--out", out)
+        assert done.returncode == 0, done.stderr
+        assert out.read_bytes().splitlines()[-1].startswith("café,".encode())

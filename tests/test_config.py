@@ -254,7 +254,7 @@ def test_defaults_are_a_fixed_point():
 
 def test_formats_config_block_is_the_schema():
     """The Config JSON block in FORMATS.md is RunConfig().to_dict(), key order and number types included."""
-    text = (Path(__file__).parents[1] / "FORMATS.md").read_text()
+    text = (Path(__file__).parents[1] / "FORMATS.md").read_text(encoding="utf-8")
     block = text.split("## Config JSON", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     assert json.dumps(json.loads(block)) == json.dumps(RunConfig().to_dict())
 

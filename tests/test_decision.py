@@ -306,7 +306,68 @@ class TestCountForFraction:
             count_for_fraction(0.5, 0)
 
 
+@st.composite
+def strong_tables(draw):
+    """(T, rows) of a strong annotation table: up to 12 segments of four interleaved recordings, each
+    placed freely, abutting or overlapping the last segment of its recording and class, with lengths
+    on p * T and 1e-9 either side of it for p in {0.05, 0.25}, or anywhere up to T / 2."""
+    duration = draw(st.sampled_from([60.0, 45.0, 37.5]))
+    near = [p * duration + d for p in (0.05, 0.25) for d in (-1e-9, 0.0, 1e-9)]
+    rows, last_end = [], {}
+    for _ in range(draw(st.integers(1, 12))):
+        rid, cls = draw(st.sampled_from(["r0", "r1", "r2", "r3"])), draw(st.sampled_from(CLASSES))
+        length = draw(st.sampled_from(near) | st.floats(0.001, duration / 2))
+        placement = draw(st.sampled_from(["free", "abut", "overlap"]))
+        prev = last_end.get((rid, cls))
+        if prev is None or placement == "free":
+            start = draw(st.floats(0.0, duration - length))
+        else:
+            start = prev if placement == "abut" else max(0.0, prev - length / 2)
+        if start + length <= duration:
+            rows.append((rid, cls, start, start + length))
+            last_end[rid, cls] = start + length
+    return duration, rows
+
+
+def brute_force_kept(segments, duration, policy):
+    """The PDA rule over raw segments: sort, merge, take the sum or the longest, compare with p * T - 1e-9."""
+    kept = []
+    for cls in CLASSES:
+        merged = []
+        for start, end in sorted(segments.get(cls, ())):
+            if merged and start <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], end)
+            else:
+                merged.append([start, end])
+        lengths = [end - start for start, end in merged]
+        measured = sum(lengths) if policy.measure == "sum" else max(lengths, default=0.0)
+        p = policy.fractions.get(cls)
+        kept.append(bool(lengths) and (p is None or measured >= p * duration - 1e-9))
+    return kept
+
+
 class TestAnnotationIO:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=strong_tables(),
+        fractions=st.fixed_dictionaries({c: st.sampled_from([None, 0.05, 0.25]) for c in CLASSES}),
+        measure=st.sampled_from(["sum", "longest-segment"]),
+    )
+    def test_strong_table_equals_brute_force(self, tmp_path_factory, table, fractions, measure):
+        """Recordings come in order of their first row, and their PDA flags equal the rule over the raw rows."""
+        duration, rows = table
+        path = tmp_path_factory.mktemp("strong") / "ann.csv"
+        path.write_text("recording_id,class,start_s,end_s\n" + "".join(f"{r},{c},{s!r},{e!r}\n" for r, c, s, e in rows))
+        anns = load_annotations(path, duration)
+        assert list(anns) == list(dict.fromkeys(rid for rid, *_ in rows))
+        policy = PdaPolicy(fractions, measure=measure)
+        for rid, ann in anns.items():
+            segments = {}
+            for r, cls, start, end in rows:
+                if r == rid:
+                    segments.setdefault(cls, []).append((start, end))
+            assert pda_kept(ann, policy) == brute_force_kept(segments, duration, policy)
+
     def test_strong_schema(self, tmp_path):
         p = tmp_path / "ann.csv"
         p.write_text(

@@ -25,9 +25,10 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
   error naming its line), ``evaluate`` with an ``--out`` under a regular
   file, ``mix`` with ``--count BA=1`` and with ``--count A=-1`` (usage
   errors, exit 2), ``mix`` of a pool without geophony with
-  ``--count B=2 --count G=1``, and ``indices`` of a directory holding one
-  good WAV and one ``.wav`` file that is not RIFF (its CSV goes to
-  standard output, which is not kept).
+  ``--count B=2 --count G=1``, ``indices`` of a directory holding one
+  good WAV and one ``.wav`` file that is not RIFF, and ``indices`` of one
+  good WAV and an 8-sample WAV at 200 003 Hz, whose resampling filter is
+  past the tap limit (both CSVs go to standard output, which is not kept).
 
 Each output line is ``<sha256>  <variant>/<file>``, sorted, after one
 ``# exit <code> <variant>`` line per command, so the listings of two
@@ -47,6 +48,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +201,16 @@ def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool:
     shutil.copyfile(wav, not_wav / "a.wav")
     (not_wav / "b.wav").write_bytes(b"ID3\x04\x00\x00\x00\x00\x00\x00 an MP3 tag, not a RIFF header")
     yield "fail-indices-not-wav", ["indices", not_wav, "--out", "-"], out / "fail-indices-not-wav.csv"
+
+    odd_rate = work / "in" / "indices-odd-rate"
+    odd_rate.mkdir()
+    shutil.copyfile(wav, odd_rate / "a.wav")
+    with wave.open(str(odd_rate / "b.wav"), "wb") as w:  # 8 silent samples at a rate with a 4 000 061-tap filter
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(200_003)
+        w.writeframes(bytes(16))
+    yield "fail-indices-odd-rate", ["indices", odd_rate, "--out", "-"], out / "fail-indices-odd-rate.csv"
 
 
 def main(argv=None) -> int:
