@@ -47,7 +47,7 @@ def _load_config(path, thresholds_path=None) -> RunConfig:
     """The run config, with the policy of a threshold fragment if one is given."""
     cfg = RunConfig.load(path) if path else RunConfig()
     if thresholds_path:
-        cfg.threshold_mode, cfg.thresholds = load_threshold_fragment(thresholds_path)
+        cfg.thresholds = load_threshold_fragment(thresholds_path)
     return cfg
 
 
@@ -204,7 +204,7 @@ def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed
     cfg = _load_config(config_path, thresholds_path)
     if seed is not None:
         cfg.seed = seed
-    _log(f"evaluate: seed={cfg.seed} mode={cfg.threshold_mode}")
+    _log(f"evaluate: seed={cfg.seed} mode={cfg.thresholds.mode}")
 
     out = Path(out_dir)
     scores, true = _scores_and_truth(scores_csv, annotations_csv, cfg)
@@ -267,7 +267,7 @@ def cmd_tune(scores_csv, annotations_csv, objective, config_path, grid, out_path
     tuned = tune_thresholds({cls: maxes[:, j] for j, cls in enumerate(CLASSES)},
                             {cls: true[:, j] for j, cls in enumerate(CLASSES)},
                             objective=objective, grid_step=0.001 if grid else None)
-    dump_threshold_fragment("per-class", ThresholdPolicy(thresholds=tuned), out_path)
+    dump_threshold_fragment(ThresholdPolicy(tuned), out_path)
 
     for cls in CLASSES:
         _log(f"tune: {cls} -> {tuned[cls]:.6g}")

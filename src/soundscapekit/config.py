@@ -46,7 +46,6 @@ class RunConfig:
     seed: int = 0
     recording_duration_s: float = 60.0
     window: WindowSpec = field(default_factory=lambda: WindowSpec(10.0, 10.0))
-    threshold_mode: str = "global"
     thresholds: ThresholdPolicy = field(default_factory=lambda: ThresholdPolicy.global_threshold(0.5))
     pda: PdaPolicy = field(default_factory=PdaPolicy)
     indices: IndexParams = field(default_factory=IndexParams)
@@ -60,7 +59,7 @@ class RunConfig:
             "seed": self.seed,
             "recording_duration_s": self.recording_duration_s,
             "window": {"window_len_s": self.window.window_len_s, "step_s": self.window.step_s},
-            "thresholds": threshold_policy_to_dict(self.threshold_mode, self.thresholds),
+            "thresholds": threshold_policy_to_dict(self.thresholds),
             "pda": {c: self.pda.fractions.get(c) for c in CLASSES},
             "pda_measure": self.pda.measure,
             "indices": self.indices.to_dict(),
@@ -90,7 +89,7 @@ class RunConfig:
                 raise ValueError("recording_duration_s must be positive")
             cfg.window = WindowSpec(float(d["window"]["window_len_s"]), float(d["window"]["step_s"]))
             if "thresholds" in data:
-                cfg.threshold_mode, cfg.thresholds = parse_threshold_policy(data["thresholds"])
+                cfg.thresholds = parse_threshold_policy(data["thresholds"])
             cfg.pda = PdaPolicy({c: p for c, p in d["pda"].items() if p is not None}, measure=d["pda_measure"])
             idx = d["indices"]  # values keep their JSON types, as the indices CSV header echoes them
             for name in ("stft_window", "stft_hop", "target_rate_hz"):
@@ -182,7 +181,7 @@ def _same_type(value, default) -> bool:
     return isinstance(value, int) if isinstance(default, int) else math.isfinite(value)
 
 
-def parse_threshold_policy(data: dict):
+def parse_threshold_policy(data: dict) -> ThresholdPolicy:
     """Parse the thresholds section (also emitted standalone by the tune command).
 
     Its schema (see _checked) is the JSON form, in its mode, of a policy with counts.
@@ -191,27 +190,21 @@ def parse_threshold_policy(data: dict):
         if not isinstance(data, dict):
             raise ValueError(f"thresholds must be an object, got {data!r}")
         mode = _checked(data.get("mode"), "", "thresholds mode")
-        if mode not in ("global", "per-class"):
-            raise ValueError(f"unknown threshold mode {mode!r}")
-        with_counts = ThresholdPolicy.global_threshold(0.5, counts=dict.fromkeys(CLASSES, 1))
-        _checked(data, threshold_policy_to_dict(mode, with_counts), "thresholds")
+        with_counts = ThresholdPolicy(dict.fromkeys(CLASSES, 0.5), dict.fromkeys(CLASSES, 1), mode)
+        _checked(data, threshold_policy_to_dict(with_counts), "thresholds")
         key = "global" if mode == "global" else "per_class"
         if key not in data:
             raise ValueError(f"missing required key {key!r} in thresholds")
-        counts = data.get("counts")
-        if mode == "global":
-            policy = ThresholdPolicy.global_threshold(data[key], counts=counts)
-        else:
-            policy = ThresholdPolicy(thresholds=data[key], counts=counts)
-        return mode, policy
+        thresholds = dict.fromkeys(CLASSES, data[key]) if mode == "global" else data[key]
+        return ThresholdPolicy(thresholds, data.get("counts"), mode)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid threshold policy: {exc}") from exc
 
 
-def threshold_policy_to_dict(mode: str, policy: ThresholdPolicy) -> dict:
-    """The thresholds section for mode and policy; inverse of parse_threshold_policy."""
-    data: dict = {"mode": mode}
-    if mode == "global":
+def threshold_policy_to_dict(policy: ThresholdPolicy) -> dict:
+    """The thresholds section for policy, in its mode; inverse of parse_threshold_policy."""
+    data: dict = {"mode": policy.mode}
+    if policy.mode == "global":
         data["global"] = policy.thresholds[CLASSES[0]]
     else:
         data["per_class"] = dict(policy.thresholds)
@@ -220,7 +213,7 @@ def threshold_policy_to_dict(mode: str, policy: ThresholdPolicy) -> dict:
     return data
 
 
-def load_threshold_fragment(path):
+def load_threshold_fragment(path) -> ThresholdPolicy:
     """Read a thresholds-only JSON fragment, as written by the tune command."""
     try:
         data = _read_json(path)
@@ -235,5 +228,5 @@ def load_threshold_fragment(path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def dump_threshold_fragment(mode: str, policy: ThresholdPolicy, path) -> None:
-    write_json(path, {"thresholds": threshold_policy_to_dict(mode, policy)})
+def dump_threshold_fragment(policy: ThresholdPolicy, path) -> None:
+    write_json(path, {"thresholds": threshold_policy_to_dict(policy)})

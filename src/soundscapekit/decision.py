@@ -129,12 +129,17 @@ class ThresholdPolicy:
     Without counts a class is active when its max window score exceeds
     the class threshold; with a count c it is active when at least c
     windows exceed the threshold (c = 1 reproduces max aggregation).
+    mode is how the policy is written: "per-class", or "global" (from
+    global_threshold) for one threshold shared by every class.
     """
 
     thresholds: dict
     counts: dict | None = None
+    mode: str = "per-class"
 
     def __post_init__(self):
+        if self.mode not in ("global", "per-class"):
+            raise ValueError(f"unknown threshold mode {self.mode!r}")
         for cls in [*self.thresholds, *(self.counts or ())]:
             if cls not in CLASSES:
                 raise ValueError(f"unknown class {cls!r}")
@@ -143,13 +148,15 @@ class ThresholdPolicy:
                 raise ValueError(f"missing threshold for {cls}")
             if not 0 <= self.thresholds[cls] <= 1:
                 raise ValueError(f"threshold for {cls} outside [0, 1]: {self.thresholds[cls]}")
+        if self.mode == "global" and len(set(self.thresholds.values())) > 1:
+            raise ValueError(f"a global policy has one threshold, got {self.thresholds}")
         for cls, c in (self.counts or {}).items():
             if c < 1:
                 raise ValueError(f"count for {cls} must be >= 1, got {c}")
 
     @classmethod
     def global_threshold(cls, theta: float, counts=None) -> "ThresholdPolicy":
-        return cls(thresholds={c: theta for c in CLASSES}, counts=counts)
+        return cls(thresholds=dict.fromkeys(CLASSES, theta), counts=counts, mode="global")
 
     def count_for(self, class_name: str) -> int:
         if self.counts is None:

@@ -25,7 +25,6 @@ def test_defaults():
 def test_round_trip(tmp_path):
     cfg = RunConfig()
     cfg.seed = 99
-    cfg.threshold_mode = "per-class"
     cfg.thresholds = ThresholdPolicy(
         thresholds={ANTHROPOPHONY: 0.722, BIOPHONY: 0.920, GEOPHONY: 0.571},
         counts={ANTHROPOPHONY: 2, BIOPHONY: 5, GEOPHONY: 10},
@@ -83,9 +82,9 @@ FRAGMENT_COUNTS = pytest.mark.parametrize(
 def test_threshold_fragment_round_trip(tmp_path, counts):
     policy = ThresholdPolicy(thresholds={ANTHROPOPHONY: 0.722, BIOPHONY: 0.92, GEOPHONY: 0.571}, counts=counts)
     p = tmp_path / "thresholds.json"
-    dump_threshold_fragment("per-class", policy, p)
-    mode, back = load_threshold_fragment(p)
-    assert mode == "per-class"
+    dump_threshold_fragment(policy, p)
+    back = load_threshold_fragment(p)
+    assert back.mode == "per-class"
     assert back == policy
     data = json.loads(p.read_text())
     assert data["thresholds"]["per_class"][BIOPHONY] == 0.92
@@ -96,9 +95,9 @@ def test_threshold_fragment_round_trip(tmp_path, counts):
 def test_global_fragment_round_trip(tmp_path, counts):
     policy = ThresholdPolicy.global_threshold(0.5, counts=counts)
     p = tmp_path / "g.json"
-    dump_threshold_fragment("global", policy, p)
-    mode, back = load_threshold_fragment(p)
-    assert mode == "global"
+    dump_threshold_fragment(policy, p)
+    back = load_threshold_fragment(p)
+    assert back.mode == "global"
     assert back == policy
     assert json.loads(p.read_text())["thresholds"].get("counts") == counts
 
@@ -435,13 +434,18 @@ def test_valid_values_cover_every_leaf():
     assert set(VALID) == {path for path, _ in LEAVES if path[0] != "thresholds"}
 
 
+def _valid_partial(data) -> dict:
+    """A random valid partial config without a thresholds section."""
+    partial = {}
+    for path in data.draw(st.lists(st.sampled_from(sorted(VALID)), unique=True)):
+        _set(partial, path, data.draw(VALID[path]))
+    return partial
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_well_typed_partial_config_round_trips(data):
-    paths = data.draw(st.lists(st.sampled_from(sorted(VALID)), unique=True))
-    partial = {}
-    for path in paths:
-        _set(partial, path, data.draw(VALID[path]))
+    partial = _valid_partial(data)
     thresholds = data.draw(st.none() | THRESHOLDS)
     if thresholds is not None:
         partial["thresholds"] = thresholds
@@ -454,3 +458,34 @@ def test_well_typed_partial_config_round_trips(data):
             assert node == value
     if thresholds is not None:
         assert back["thresholds"] == thresholds
+
+
+POLICIES = st.builds(
+    ThresholdPolicy, thresholds=st.fixed_dictionaries({c: st.floats(0.0, 1.0) for c in CLASSES}),
+    counts=st.none() | COUNTS,
+) | st.builds(ThresholdPolicy.global_threshold, st.integers(0, 1) | st.floats(0.0, 1.0), counts=st.none() | COUNTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_config_with_any_policy_round_trips(data):
+    """A config read back from its own to_dict() equals it, whichever way its policy was built."""
+    cfg = RunConfig.from_dict(_valid_partial(data))
+    cfg.thresholds = data.draw(POLICIES)
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_per_class_policy_is_written_per_class():
+    per_class = {ANTHROPOPHONY: 0.2, BIOPHONY: 0.5, GEOPHONY: 0.9}
+    data = RunConfig(thresholds=ThresholdPolicy(per_class)).to_dict()
+    assert data["thresholds"] == {"mode": "per-class", "per_class": per_class}
+    assert RunConfig.from_dict(data).thresholds.thresholds == per_class
+
+
+@READERS
+def test_unknown_threshold_mode_rejected(tmp_path, read):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"thresholds": {"mode": "x", "per_class": PER_CLASS}}))
+    with pytest.raises(ConfigError) as err:
+        read(p)
+    assert str(err.value) == f"{p}: invalid threshold policy: unknown threshold mode 'x'"

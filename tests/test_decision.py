@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,25 @@ class TestDecisionInvariant:
 def test_threshold_policy_rejects_an_unknown_class(thresholds, counts):
     with pytest.raises(ValueError, match="^unknown class 'birds'$"):
         ThresholdPolicy(thresholds, counts)
+
+
+def test_threshold_policy_mode():
+    assert ThresholdPolicy(dict.fromkeys(CLASSES, 0.5)).mode == "per-class"
+    assert ThresholdPolicy.global_threshold(0.5).mode == "global"
+
+
+@pytest.mark.parametrize(
+    "thresholds, mode, message",
+    [
+        (dict(zip(CLASSES, (0.2, 0.5, 0.9))), "global", "a global policy has one threshold, got "),
+        (dict.fromkeys(CLASSES, 0.5), "x", "unknown threshold mode 'x'"),
+        (dict.fromkeys(CLASSES, 0.5), "per_class", "unknown threshold mode 'per_class'"),
+    ],
+    ids=["unequal-global", "unknown-mode", "key-as-mode"],
+)
+def test_threshold_policy_rejects_a_mode_it_does_not_fit(thresholds, mode, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        ThresholdPolicy(thresholds, mode=mode)
 
 
 class TestCountForFraction:
