@@ -12,8 +12,6 @@ from pathlib import Path
 
 from .errors import SchemaError
 
-_UNREADABLE = (csv.Error, UnicodeDecodeError)
-
 
 class Table:
     """An input CSV table: ``header``, then its non-blank rows as ``(line_no, fields)``.
@@ -21,24 +19,26 @@ class Table:
     The header must equal one of headers (lists of column names); rows must
     have as many fields. line_no counts the '#' lines that comments=True
     skips before the header (a quoted multi-line row gives its last line).
-    Every violation, here or in a cell parser, raises SchemaError with path and line.
+    Every violation, here or in a cell parser, raises SchemaError with path and line;
+    bytes that are not UTF-8 name their own line.
     The header is read on construction; each iteration opens the file anew.
     """
 
     def __init__(self, path, headers, comments=False):
         self.path = path
         self._skip = 0  # lines before the first row: leading '#' lines, then the header
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            lines = self._lines(fh, 0)
             try:
-                first = fh.readline()
+                first = next(lines, "")
                 while comments and first.startswith("#"):
                     self._skip += 1
-                    first = fh.readline()
+                    first = next(lines, "")
                 if not first:
                     raise self.error("empty file, expected a header row", self._skip + 1)
-                reader = csv.reader(itertools.chain([first], fh))
+                reader = csv.reader(itertools.chain([first], lines))
                 self.header = next(reader)
-            except _UNREADABLE as exc:
+            except csv.Error as exc:
                 raise self.error(f"unreadable CSV ({exc})", self._skip + 1) from None
         if self.header not in headers:
             expected = " or ".join(repr(",".join(h)) for h in headers)
@@ -47,8 +47,8 @@ class Table:
 
     def __iter__(self):
         width = len(self.header)
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(itertools.islice(fh, self._skip, None))
+        with open(self.path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            reader = csv.reader(self._lines(itertools.islice(fh, self._skip, None), self._skip))
             try:
                 for fields in reader:
                     if fields:
@@ -56,8 +56,21 @@ class Table:
                         if len(fields) != width:
                             raise self.error(f"expected {width} fields, got {len(fields)}", line)
                         yield line, fields
-            except _UNREADABLE as exc:
+            except csv.Error as exc:
                 raise self.error(f"unreadable CSV ({exc})", self._skip + reader.line_num) from None
+
+    def _lines(self, lines, skipped):
+        """The text lines after skipped ones; a line that held bytes that are not UTF-8 is an error there.
+
+        The file is decoded with surrogateescape, so such bytes reach their own line.
+        """
+        for line_no, text in enumerate(lines, skipped + 1):
+            if not text.isascii():
+                try:
+                    text.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise self.error(f"unreadable CSV ({exc})", line_no) from None
+            yield text
 
     def keyed(self):
         """The rows of a table with one row per recording_id (column 0); a repeated id is an error."""

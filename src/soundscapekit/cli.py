@@ -6,6 +6,7 @@ commands print the effective seed they used. Exit status is 0 only when
 every per-item operation succeeded.
 """
 
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -92,6 +93,10 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
         """The file's CSV row, with wall_s under --timing, or the error that stopped this file."""
         if first[path.stem] != path:
             return SoundscapeKitError(f"recording_id {path.stem!r} already taken by {first[path.stem].name}")
+        try:  # the bytes of the name, in any locale: its recording_id must read back from the CSV
+            os.fsencode(path.name).decode("utf-8")
+        except UnicodeDecodeError:
+            return SoundscapeKitError("file name is not UTF-8, so its recording_id would not read back")
         t0 = time.perf_counter()
         try:
             clip = resample(decode_wav(path), p.target_rate_hz)

@@ -17,6 +17,7 @@ import hashlib
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -416,17 +417,16 @@ def render_silence(seed: int) -> MixedClip:
 MANIFEST_HEADER = ("file", "anthropophony", "biophony", "geophony", "silence", "seed", "recipe")
 
 
-def _render_corpus_file(out_dir: Path, pool, index: int, combo: str, master_seed: int, count_pmfs, normalization):
+def _render_corpus_file(path: Path, pool, index: int, combo: str, master_seed: int, count_pmfs, normalization):
     fseed = subseed(master_seed, index)
-    name = f"{index:06d}_{combo}.wav"
     if combo == SILENCE_COMBO:
         mixed = render_silence(fseed)
     else:
         recipe = draw_recipe(pool, classes_for_combo(combo), fseed, count_pmfs=count_pmfs)
         mixed = render_mix(recipe, pool, normalization=normalization)
-    write_wav_pcm16(out_dir / name, mixed.clip)
+    write_wav_pcm16(path, mixed.clip)
     flags = [int(c in mixed.labels) for c in (*CLASSES, SILENCE)]
-    return (name, *flags, fseed, recipe_digest(mixed.recipe))
+    return (path.name, *flags, fseed, recipe_digest(mixed.recipe))
 
 
 def build_corpus(
@@ -444,7 +444,9 @@ def build_corpus(
     of files to render. Each file derives an independent sub-seed from
     (seed, file index), so serial and parallel runs are byte-identical. An
     unknown code, a negative count, or a class to render that the pool has no
-    files for raises ValueError before anything is created.
+    files for raises ValueError before anything is created. Any later failure
+    removes the files and directories this call created, and leaves what was
+    there before.
     """
     for combo, n in counts.items():  # validate before the output directory is made
         classes = classes_for_combo(combo)
@@ -452,20 +454,29 @@ def build_corpus(
             raise ValueError(f"negative count for combination {combo!r}")
         if n > 0:
             _check_sources(pool, classes)
-    tasks = list(enumerate(combo for combo in sorted(counts, key=COMBOS.index) for _ in range(counts[combo])))
+    combos = [combo for combo in sorted(counts, key=COMBOS.index) for _ in range(counts[combo])]
     out_dir = Path(out_dir)
+    files = [out_dir / f"{i:06d}_{combo}.wav" for i, combo in enumerate(combos)]
+    new_files = [f for f in files if not f.exists()]
+    new_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run(task):
-        i, combo = task
-        return _render_corpus_file(out_dir, pool, i, combo, seed, count_pmfs, normalization)
-
-    if jobs > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            rows = list(pool_exec.map(run, tasks))
-    else:
-        rows = [run(t) for t in tasks]
+    def run(i):
+        return _render_corpus_file(files[i], pool, i, combos[i], seed, count_pmfs, normalization)
 
     manifest = out_dir / "manifest.csv"
-    write_table(manifest, MANIFEST_HEADER, rows)
+    try:
+        if jobs > 1 and combos:
+            with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
+                rows = list(pool_exec.map(run, range(len(combos))))
+        else:
+            rows = [run(i) for i in range(len(combos))]
+        write_table(manifest, MANIFEST_HEADER, rows)
+    except BaseException:
+        for f in new_files:
+            f.unlink(missing_ok=True)
+        with suppress(OSError):  # a directory someone else wrote into stays
+            for d in new_dirs:
+                d.rmdir()
+        raise
     return manifest

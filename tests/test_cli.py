@@ -199,6 +199,36 @@ class TestMixCommand:
             f"mix: FAILED: {odd}: resampling 200003 Hz to 32000 Hz needs a filter of 4000061 taps, more than 2000001"
         )
 
+    @staticmethod
+    def pool_with_a_bad_source(tmp_path):
+        """write_pool's pool plus a geophony entry that is not a WAV, which mix meets only when it draws it."""
+        manifest = write_pool(tmp_path)
+        (manifest.parent / "bad.wav").write_bytes(b"not a wav")
+        with open(manifest, "a", newline="") as fh:
+            fh.write("bad.wav,geophony\r\n")
+        return manifest
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_render_leaves_nothing_behind(self, runner, tmp_path, jobs):
+        manifest = self.pool_with_a_bad_source(tmp_path)
+        out_dir = tmp_path / "new" / "corpus"
+        args = ["mix", str(manifest), str(out_dir), "--count", "B=2", "--count", "G=5", "--seed", "1", "--jobs", jobs]
+        lines = failed_lines(runner.invoke(main, args), "mix")
+        assert lines == [f"mix: FAILED: {manifest.parent / 'bad.wav'}: not a decodable linear-PCM WAV "
+                         "(not a RIFF or RIFX WAVE file)"]
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_render_keeps_what_was_there(self, runner, tmp_path):
+        manifest = self.pool_with_a_bad_source(tmp_path)
+        out_dir = tmp_path / "corpus"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("mine")
+        (out_dir / "000000_B.wav").write_bytes(b"an earlier clip")
+        args = ["mix", str(manifest), str(out_dir), "--count", "B=2", "--count", "G=5", "--seed", "1", "--jobs", "2"]
+        assert len(failed_lines(runner.invoke(main, args), "mix")) == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == ["000000_B.wav", "notes.txt"]
+        assert (out_dir / "notes.txt").read_text() == "mine"
+
     def test_bad_count_spec(self, runner, tmp_path):
         manifest = tmp_path / "pool.csv"
         manifest.write_text("file,class\n")
@@ -773,3 +803,18 @@ class TestNonUtf8Locale:
         done = run_in_ascii_locale("indices", audio, "--out", out)
         assert done.returncode == 0, done.stderr
         assert out.read_bytes().splitlines()[-1].startswith("café,".encode())
+
+    def test_file_name_that_is_not_utf8_fails_alone(self, tmp_path):
+        """A Latin-1 name would give an id that no reader of the CSV accepts: that file fails, the others are written."""
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        for name in ("a.wav", "b.wav"):
+            write_wav_pcm16(audio / name, AudioClip(samples=tone(2000, 0.5, 32000), sample_rate_hz=32000))
+        os.rename(os.fsencode(audio / "b.wav"), os.fsencode(audio) + b"/caf\xe9.wav")
+        out = tmp_path / "x.csv"
+        done = run_in_ascii_locale("indices", audio, "--out", out)
+        assert done.returncode == 1
+        failed = [ln for ln in done.stderr.splitlines() if b"FAILED" in ln]
+        assert failed == [b"indices: FAILED " + os.fsencode(audio) + b"/caf?.wav: file name is not UTF-8, "
+                          b"so its recording_id would not read back"]
+        assert [row.split(b",")[0] for row in out.read_bytes().splitlines()[4:]] == [b"a"]

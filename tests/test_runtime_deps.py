@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,19 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     assert sorted(p.suffix for p in (tmp_path / "corpus").iterdir()) == [".csv", ".wav", ".wav"]
     assert json.loads((tmp_path / "t.json").read_text())["thresholds"]["mode"]
     assert (tmp_path / "report" / "report.json").exists()
+
+
+def toml_strings(section, key):
+    """The strings of ``key = [...]`` under [section] of pyproject.toml, read as text (no tomllib on Python 3.10)."""
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    body = text.split(f"\n[{section}]\n", 1)[1].split("\n[", 1)[0]
+    return re.findall(r'"([^"]+)"', re.search(rf"^{key} = \[(.*?)\]", body, re.M | re.S).group(1))
+
+
+def test_pyproject_lists_numpy_and_click_as_the_runtime_dependencies():
+    runtime = [re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in toml_strings("project", "dependencies")]
+    assert sorted(runtime) == ["click", "numpy"]
+    assert "scipy>=1.10" in toml_strings("project.optional-dependencies", "test")
 
 
 def test_the_blocker_blocks():

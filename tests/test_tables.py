@@ -52,6 +52,33 @@ class TestTable:
         with pytest.raises(SchemaError, match=r"t\.csv:3: unreadable CSV"):
             list(table(tmp_path, "a,b\n1,2\n" + "x" * 200_000 + ",1\n"))
 
+    @pytest.mark.parametrize(
+        "lines, newline, comments, line",
+        [
+            ([b"a,b", b"r1,1", b"caf\xc3\xa9,2", b"r3,3", b"caf\xe9,4", b"r5,5"], b"\n", False, 5),
+            ([b"a,b"] + [b"r%d,1" % k for k in range(2000)] + [b"r\xff,2"], b"\n", False, 2002),  # past 8 KiB
+            ([b"# p=1", b"# name=caf\xe9", b"a,b", b"r1,1"], b"\n", True, 2),
+            ([b"a,\xe9"], b"\n", False, 1),
+            ([b"a,b", b'"x\r\ny\xe9",1'], b"\n", False, 3),
+            ([b"a,b", b"r1,1", b"r\xe9,2"], b"\r\n", False, 3),
+            ([b"a,b", b"r1,1", b"r\xe9,2"], b"\r", False, 3),
+        ],
+        ids=["line-5", "past-8KiB", "comment", "header", "multi-line-row", "crlf", "cr"],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, lines, newline, comments, line):
+        p = tmp_path / "t.csv"
+        p.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(SchemaError, match=rf"^{p}:{line}: unreadable CSV \('utf-8' codec can't decode byte 0x"):
+            list(Table(p, [["a", "b"]], comments=comments))
+
+    def test_an_earlier_row_error_comes_first(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b\nr1,x\nr\xe9,2\n")
+        t = Table(p, [["a", "b"]])
+        with pytest.raises(SchemaError, match=r"t\.csv:2: expected a number, got 'x'"):
+            for line, (_, b) in t:
+                t.number(b, line)
+
     def test_keyed_rejects_repeated_ids(self, tmp_path):
         t = table(tmp_path, "a,b\nr1,1\nr2,1\nr1,2\n")
         with pytest.raises(SchemaError, match=r"t\.csv:4: duplicate recording_id 'r1'"):

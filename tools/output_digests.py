@@ -25,7 +25,9 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
   error naming its line), ``evaluate`` with an ``--out`` under a regular
   file, ``mix`` with ``--count BA=1`` and with ``--count A=-1`` (usage
   errors, exit 2), ``mix`` of a pool without geophony with
-  ``--count B=2 --count G=1``, ``indices`` of a directory holding one
+  ``--count B=2 --count G=1``, ``mix --jobs 2`` of a pool with a geophony
+  entry that is not a WAV, which fails after some files are rendered,
+  ``indices`` of a directory holding one
   good WAV and one ``.wav`` file that is not RIFF, and ``indices`` of one
   good WAV and an 8-sample WAV at 200 003 Hz, whose resampling filter is
   past the tap limit (both CSVs go to standard output, which is not kept).
@@ -195,6 +197,11 @@ def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool:
     no_geophony.write_text("".join(r for r in pool.read_text().splitlines(keepends=True) if "geophony" not in r))
     yield "fail-mix-no-geophony", ["mix", no_geophony, out / "fail-mix-no-geophony", "--count", "B=2",
                                    "--count", "G=1"], out / "fail-mix-no-geophony"
+    bad_source = pool.with_name("pool-bad-source.csv")  # a geophony entry that is not a WAV, met mid-render
+    (pool.parent / "not-a-wav.wav").write_bytes(b"not a RIFF header")
+    bad_source.write_text(pool.read_text() + "not-a-wav.wav,geophony\n")
+    yield "fail-mix-bad-source", ["mix", bad_source, out / "fail-mix-bad-source", "--count", "B=30", "--count", "G=30",
+                                  "--seed", 1, "--jobs", 2], out / "fail-mix-bad-source"
 
     not_wav = work / "in" / "indices-not-wav"
     not_wav.mkdir()
