@@ -303,9 +303,8 @@ def test_threshold_policy_mode():
     [
         (dict(zip(CLASSES, (0.2, 0.5, 0.9))), "global", "a global policy has one threshold, got "),
         (dict.fromkeys(CLASSES, 0.5), "x", "unknown threshold mode 'x'"),
-        (dict.fromkeys(CLASSES, 0.5), "per_class", "unknown threshold mode 'per_class'"),
     ],
-    ids=["unequal-global", "unknown-mode", "key-as-mode"],
+    ids=["unequal-global", "unknown-mode"],
 )
 def test_threshold_policy_rejects_a_mode_it_does_not_fit(thresholds, mode, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
