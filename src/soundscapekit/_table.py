@@ -10,6 +10,8 @@ import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
+import numpy as np
+
 from .errors import SchemaError
 
 
@@ -131,13 +133,36 @@ def replacing(path, binary=False):
         tmp.unlink(missing_ok=True)
 
 
-def write_table(path, header, rows, comments=()) -> None:
-    """CSV after '#' comment lines; path "-" streams to stdout."""
+def write_table(path, header, rows=(), comments=(), blocks=()) -> None:
+    """CSV after '#' comment lines: the rows, then the blocks of columns; path "-" streams to stdout.
+
+    A block is a list of two or more equal-length columns, each a numpy array
+    of numbers or a sequence of str; its rows are written as csv.writer
+    writes them (a number as its repr, a str quoted only where it must be).
+    """
     with nullcontext(sys.stdout) if path == "-" else replacing(path) as fh:
         fh.writelines(line + "\n" for line in comments)
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        for block in blocks:
+            lines = list(map(",".join, zip(*map(_cells, block), strict=True)))
+            if lines:
+                fh.write("\r\n".join(lines) + "\r\n")
+
+
+_QUOTED = ',"\r\n'  # csv.QUOTE_MINIMAL quotes a cell holding one of these
+
+
+def _cells(column) -> list:
+    """The CSV cells of a column: the repr of each number (one repr of the whole list), or each str as csv writes it."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return repr(column.tolist())[1:-1].split(", ") if len(column) else []
+    cells = list(column)
+    joined = "".join(cells)
+    if not any(c in joined for c in _QUOTED):
+        return cells
+    return ['"' + s.replace('"', '""') + '"' if any(c in s for c in _QUOTED) else s for s in cells]
 
 
 def write_json(path, data) -> None:

@@ -21,9 +21,8 @@ from .config import RunConfig, dump_threshold_fragment, load_threshold_fragment
 from .decision import (
     ThresholdPolicy,
     dump_decisions,
-    load_annotations,
     load_decisions,
-    pda_kept,
+    pda_truth,
     window_active,
     window_max,
 )
@@ -120,7 +119,7 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
         if isinstance(outcome, AudioDecodeError):  # its message starts with the path
             _log(f"indices: FAILED {outcome}")
         elif isinstance(outcome, Exception):
-            _log(f"indices: FAILED {f}: {outcome}")
+            _log(f"indices: FAILED {_shown(f)}: {outcome}")
         else:
             rows.append(outcome)
     failures = len(files) - len(rows)
@@ -136,6 +135,16 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
     if failures:
         _log(f"indices: {failures} file(s) failed")
         sys.exit(1)
+
+
+def _shown(path) -> str:
+    """path for a log line; bytes that are not UTF-8 show as \\xNN escapes, the same in every locale."""
+    raw = os.fsencode(path)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return raw.decode("utf-8", "backslashreplace")
+    return str(path)
 
 
 def _combo_counts(ctx, param, items) -> dict:
@@ -186,14 +195,9 @@ def _scores_and_truth(scores_path, annotations_path, cfg):
     """The score table and its PDA-filtered truth, [recordings x CLASSES] flags in table row order."""
     duration = cfg.recording_duration_s
     scores = load_scores(scores_path, window_len_s=cfg.window.window_len_s, duration_s=duration)
-    anns = load_annotations(annotations_path, duration_s=duration)
-    unknown = set(anns).difference(scores.recording_ids)
-    if unknown:
-        raise SoundscapeKitError(f"annotations for recordings without scores: {sorted(unknown)[:5]}")
-
-    absent = [False] * len(CLASSES)
-    true = [pda_kept(anns[rid], cfg.pda) if rid in anns else absent for rid in scores.recording_ids]
-    return scores, np.array(true, dtype=bool).reshape(-1, len(CLASSES))
+    if not len(scores):
+        raise SchemaError("no score rows", path=scores_path)
+    return scores, pda_truth(annotations_path, scores.recording_ids, duration, cfg.pda)
 
 
 @main.command("evaluate")
@@ -213,8 +217,7 @@ def cmd_evaluate(scores_csv, annotations_csv, config_path, thresholds_path, seed
 
     out = Path(out_dir)
     scores, true = _scores_and_truth(scores_csv, annotations_csv, cfg)
-    if len(scores):
-        cfg.thresholds.check_counts(int(scores.n_windows.min()))
+    cfg.thresholds.check_counts(int(scores.n_windows.min()))
     pred = window_active(scores, cfg.thresholds)
     report = evaluate(
         pred,
@@ -237,13 +240,13 @@ def _write_evaluation(out, scores, pred, true, report, stratified):
     write_json(out / "report.json", report.to_dict())
     with replacing(out / "report.txt") as fh:
         fh.write(report.to_table() + "\n")
-    write_table(out / "curves.csv", ["class", "kind", "threshold", "x", "y"], _curve_rows(scores, true))
+    write_table(out / "curves.csv", ["class", "kind", "threshold", "x", "y"], blocks=_curve_blocks(scores, true))
     write_table(out / "stratified.csv", ["target", "combination", "kind", "count", "rate"], stratified.to_rows())
     dump_decisions(scores.recording_ids, pred, out / "decisions.csv")
 
 
-def _curve_rows(scores, true):
-    """curves.csv rows, one curve at a time: PR per class, and ROC where both labels occur."""
+def _curve_blocks(scores, true):
+    """curves.csv columns, one curve at a time: PR per class, and ROC where both labels occur."""
     maxes = window_max(scores)
     for j, cls in enumerate(CLASSES):
         kinds = ["PR"]
@@ -252,8 +255,8 @@ def _curve_rows(scores, true):
         else:
             _log(f"evaluate: skipping ROC for {cls} (degenerate labels)")
         for kind in kinds:
-            for point in curve(maxes[:, j], true[:, j], kind).points.tolist():
-                yield [cls, kind, *point]
+            points = curve(maxes[:, j], true[:, j], kind).points
+            yield [[cls] * len(points), [kind] * len(points), *points.T]
 
 
 @main.command("tune")

@@ -9,6 +9,7 @@ threshold does not activate a class.
 """
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import compress
@@ -16,6 +17,7 @@ from itertools import compress
 import numpy as np
 
 from ._table import Table, write_table
+from .errors import SchemaError
 from .labels import CLASSES, SILENCE
 from .scores import ScoreMatrix
 
@@ -223,6 +225,7 @@ def count_for_fraction(p: float, w: int) -> int:
 
 _FLAGS_HEADER = ["recording_id", *CLASSES]
 _DECISIONS_HEADER = _FLAGS_HEADER + [SILENCE]
+_SEGMENTS_HEADER = ["recording_id", "class", "start_s", "end_s"]
 
 
 def load_annotations(path, duration_s: float) -> dict:
@@ -232,23 +235,98 @@ def load_annotations(path, duration_s: float) -> dict:
     Weak schema: recording_id,anthropophony,biophony,geophony (0/1 flags).
     Recordings absent from a strong file simply have no annotated segments.
     """
-    table = Table(path, [["recording_id", "class", "start_s", "end_s"], _FLAGS_HEADER])
+    table = Table(path, [_SEGMENTS_HEADER, _FLAGS_HEADER])
     if table.header == _FLAGS_HEADER:
         return {rid: AnnotationSet.from_weak_labels(rid, duration_s, compress(CLASSES, flags))
                 for rid, flags in _flag_rows(table)}
 
     segments = defaultdict(lambda: {c: [] for c in CLASSES})
+    for rec_id, cls, start, end in _segment_rows(table, duration_s):
+        segments[rec_id][cls].append((start, end))
+    return {
+        rec_id: AnnotationSet(recording_id=rec_id, duration_s=duration_s, segments=segs)
+        for rec_id, segs in segments.items()
+    }
+
+
+def pda_truth(path, recording_ids, duration_s: float, policy: PdaPolicy) -> np.ndarray:
+    """The PDA-filtered truth of an annotation CSV, [recordings x CLASSES] flags in recording_ids order.
+
+    Equals load_annotations plus pda_kept per recording, computed on columns:
+    a recording without rows has no class, and a weak table's flags pass
+    through (a flagged class spans the recording, which no p < 1 drops).
+    Annotations for a recording not in recording_ids are a ValueError. When a
+    row breaks a rule, the file is checked again row by row, so the error is
+    the first bad row's in file order, with its line.
+    """
+    table = Table(path, [_SEGMENTS_HEADER, _FLAGS_HEADER])
+    if table.header == _FLAGS_HEADER:
+        rows = dict(_flag_rows(table))
+        kept = np.array([rows.pop(rid, [False] * len(CLASSES)) for rid in recording_ids], dtype=bool)
+        unknown = list(rows)
+    else:
+        kept, unknown = _pda_columns(table, recording_ids, duration_s, policy)
+    if unknown:
+        raise ValueError(f"annotations for recordings without scores: {sorted(unknown)[:5]}")
+    return kept.reshape(-1, len(CLASSES))
+
+
+def _pda_columns(table, recording_ids, duration_s, policy):
+    """pda_kept per recording of recording_ids from one read of a strong table, and the table's other ids."""
+    codes = {rid: k for k, rid in enumerate(recording_ids)}  # recording_id -> row; the other ids follow
+    class_codes = {cls: k for k, cls in enumerate(CLASSES)}
+    group, bounds = array("q"), array("d")  # per row: its (recording, class) cell; start and end, flat
+    try:
+        for _, (rid, cls, start, end) in table:
+            group.append(codes.setdefault(rid, len(codes)) * len(CLASSES) + class_codes[cls])
+            bounds.append(float(start))
+            bounds.append(float(end))
+    except (SchemaError, KeyError, ValueError):
+        _raise_first_bad_segment(table, duration_s)
+    starts, ends = np.array(bounds).reshape(-1, 2).T
+    if not ((starts >= 0) & (starts < ends) & (ends <= duration_s + _DUR_TOL)).all():  # _inside; NaN fails
+        _raise_first_bad_segment(table, duration_s)
+
+    group = np.array(group)
+    order = np.lexsort((ends, starts, group))  # per cell, as sorted() orders (start, end) pairs
+    group, starts, ends = group[order], starts[order], ends[order]
+    # the running max of end within each cell, taken over ranks of the ends so that it stays exact
+    values, rank = np.unique(ends, return_inverse=True)
+    reach = values[np.maximum.accumulate(group * len(values) + rank) - group * len(values)]
+    opens = np.ones(len(group), dtype=bool)  # the row starts a merged segment, as in _merge
+    opens[1:] = (group[1:] != group[:-1]) | (starts[1:] > reach[:-1])
+    closes = np.ones(len(group), dtype=bool)
+    closes[:-1] = opens[1:]
+    cell, lengths = group[opens], reach[closes] - starts[opens]
+
+    cells = len(codes) * len(CLASSES)
+    if policy.measure == "sum":  # each cell's lengths added in ascending start order, as pda_kept's sum adds them
+        measured = np.bincount(cell, weights=lengths, minlength=cells)
+    else:
+        measured = np.zeros(cells)
+        np.maximum.at(measured, cell, lengths)
+    min_dur = [policy.min_duration_s(c, duration_s) for c in CLASSES]
+    long_enough = measured.reshape(-1, len(CLASSES)) + _DUR_TOL >= [-np.inf if m is None else m for m in min_dur]
+    kept = (np.bincount(cell, minlength=cells) > 0).reshape(-1, len(CLASSES)) & long_enough
+    return kept[:len(recording_ids)], list(codes)[len(recording_ids):]
+
+
+def _segment_rows(table, duration_s):
+    """(recording_id, class, start, end) per row of a strong table; a bad row is an error at its line."""
     for line, (rec_id, cls, start, end) in table:
         if cls not in CLASSES:
             raise table.error(f"unknown class {cls!r}", line)
         start, end = table.number(start, line), table.number(end, line)
         if not _inside(start, end, duration_s):
             raise table.error(_outside(start, end, duration_s), line)
-        segments[rec_id][cls].append((start, end))
-    return {
-        rec_id: AnnotationSet(recording_id=rec_id, duration_s=duration_s, segments=segs)
-        for rec_id, segs in segments.items()
-    }
+        yield rec_id, cls, start, end
+
+
+def _raise_first_bad_segment(table, duration_s):
+    """Raise the SchemaError of the first bad row of a strong table, with its line."""
+    for _ in _segment_rows(table, duration_s):
+        pass
+    raise SchemaError("file changed while it was read", path=table.path)
 
 
 def _flag_rows(table):
@@ -263,8 +341,8 @@ def _flag_rows(table):
 def dump_decisions(recording_ids, flags, path) -> None:
     """Write [recordings x CLASSES] active flags as CSV: 0/1 per class plus the silence flag."""
     flags = np.asarray(flags, dtype=bool)
-    rows = np.column_stack((flags, ~flags.any(axis=1))).astype(int).tolist()
-    write_table(path, _DECISIONS_HEADER, ([rid, *row] for rid, row in zip(recording_ids, rows, strict=True)))
+    columns = np.column_stack((flags, ~flags.any(axis=1))).astype(int).T
+    write_table(path, _DECISIONS_HEADER, blocks=[[recording_ids, *columns]])
 
 
 def load_decisions(path) -> dict:

@@ -161,15 +161,17 @@ def _bootstrap_macro_ci(tp_i, fp_i, fn_i, point, resamples, confidence, seed):
 def _bootstrap_macros(tp_i, fp_i, fn_i, resamples, seed) -> np.ndarray:
     """Macro F1 of each resample; resample r draws n recordings with replacement
     from its own stream SeedSequence([seed, r])."""
-    n = tp_i.shape[0]
-    outcomes = np.hstack([tp_i, fp_i, fn_i]).astype(float)  # [n x 3 classes]: tp | fp | fn
-    macros = np.empty(resamples)
+    n, k = tp_i.shape
+    # a recording's outcome code: per class 0 tn, 1 tp, 2 fp or 3 fn, in base 4
+    codes = ((tp_i + 2 * fp_i + 3 * fn_i) << 2 * np.arange(k)).sum(axis=1)
+    drawn = np.empty((resamples, 4**k), dtype=np.intp)  # per resample: draws of each outcome code
     for r in range(resamples):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
-        idx = rng.integers(0, n, size=n)
-        # draws per recording times its outcomes: integer sums, exact in float64
-        macros[r] = f1_score(*(np.bincount(idx, minlength=n) @ outcomes).reshape(3, -1)).mean()
-    return macros
+        drawn[r] = np.bincount(codes[rng.integers(0, n, size=n)], minlength=4**k)
+    state = np.arange(4**k)[:, None] >> 2 * np.arange(k) & 3  # [codes x classes]
+    # [resamples x classes] each of tp, fp and fn: integer counts, exact in float64
+    tp, fp, fn = np.hsplit((drawn @ np.hstack([state == 1, state == 2, state == 3])).astype(float), 3)
+    return f1_score(tp, fp, fn).mean(axis=1)
 
 
 @dataclass

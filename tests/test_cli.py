@@ -763,6 +763,18 @@ class TestBadInputTables:
         assert f"{scores}:4: window_start_s {start} is not inside the 60.0 s recording" in result.output
 
     @pytest.mark.parametrize("command", ["evaluate", "tune"])
+    def test_score_table_without_rows(self, runner, tmp_path, command):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("recording_id,window_start_s,anthropophony,biophony,geophony\n")
+        anns = tmp_path / "annotations.csv"
+        write_weak_annotations(anns, {})
+        out = tmp_path / ("rep" if command == "evaluate" else "t.json")
+        result = runner.invoke(main, [command, str(scores), str(anns), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[1:] == [f"{scores}: no score rows"]  # after the command's start line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "tune"])
     def test_strong_segment_outside_the_recording(self, runner, tmp_path, command):
         scores = tmp_path / "scores.csv"
         scores.write_text("recording_id,window_start_s,anthropophony,biophony,geophony\nr0,0.0,0.1,0.9,0.1\n")
@@ -774,12 +786,21 @@ class TestBadInputTables:
         assert f"{anns}:3: segment (50.0, 70.0) outside [0, 60.0]" in result.output
 
 
-def run_in_ascii_locale(*args):
-    """The CLI in a fresh process under the C locale, with UTF-8 mode and locale coercion off."""
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}
+
+
+def run_in_locale(locale, *args):
+    """The CLI in a fresh process under the given locale settings."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
-    env.update(PYTHONPATH=str(SRC), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env.update(PYTHONPATH=str(SRC), **locale)
     return subprocess.run([sys.executable, "-m", "soundscapekit.cli", *map(str, args)], env=env,
                           capture_output=True, timeout=120)
+
+
+def run_in_ascii_locale(*args):
+    """The CLI in a fresh process under the C locale, with UTF-8 mode and locale coercion off."""
+    return run_in_locale(ASCII_LOCALE, *args)
 
 
 class TestNonUtf8Locale:
@@ -806,15 +827,23 @@ class TestNonUtf8Locale:
 
     def test_file_name_that_is_not_utf8_fails_alone(self, tmp_path):
         """A Latin-1 name would give an id that no reader of the CSV accepts: that file fails, the others are written."""
+        self.check_name_that_is_not_utf8(tmp_path, ASCII_LOCALE)
+
+    def test_file_name_that_is_not_utf8_fails_alone_in_a_utf8_locale(self, tmp_path):
+        self.check_name_that_is_not_utf8(tmp_path, UTF8_LOCALE)
+
+    @staticmethod
+    def check_name_that_is_not_utf8(tmp_path, locale):
+        """The failed file is named with its byte as a \\xNN escape, the same in every locale."""
         audio = tmp_path / "audio"
         audio.mkdir()
         for name in ("a.wav", "b.wav"):
             write_wav_pcm16(audio / name, AudioClip(samples=tone(2000, 0.5, 32000), sample_rate_hz=32000))
         os.rename(os.fsencode(audio / "b.wav"), os.fsencode(audio) + b"/caf\xe9.wav")
         out = tmp_path / "x.csv"
-        done = run_in_ascii_locale("indices", audio, "--out", out)
+        done = run_in_locale(locale, "indices", audio, "--out", out)
         assert done.returncode == 1
         failed = [ln for ln in done.stderr.splitlines() if b"FAILED" in ln]
-        assert failed == [b"indices: FAILED " + os.fsencode(audio) + b"/caf?.wav: file name is not UTF-8, "
+        assert failed == [b"indices: FAILED " + os.fsencode(audio) + b"/caf\\xe9.wav: file name is not UTF-8, "
                           b"so its recording_id would not read back"]
         assert [row.split(b",")[0] for row in out.read_bytes().splitlines()[4:]] == [b"a"]

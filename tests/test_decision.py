@@ -19,6 +19,7 @@ from soundscapekit.decision import (
     load_annotations,
     load_decisions,
     pda_kept,
+    pda_truth,
     window_active,
     window_max,
 )
@@ -329,23 +330,28 @@ class TestCountForFraction:
 @st.composite
 def strong_tables(draw):
     """(T, rows) of a strong annotation table: up to 12 segments of four interleaved recordings, each
-    placed freely, abutting or overlapping the last segment of its recording and class, with lengths
-    on p * T and 1e-9 either side of it for p in {0.05, 0.25}, or anywhere up to T / 2."""
+    placed freely, abutting, overlapping or nested in the last segment of its recording and class, with
+    lengths on p * T and 1e-9 either side of it for p in {0.05, 0.25}, half of those (two halves sum to
+    them), or anywhere up to T / 2."""
     duration = draw(st.sampled_from([60.0, 45.0, 37.5]))
     near = [p * duration + d for p in (0.05, 0.25) for d in (-1e-9, 0.0, 1e-9)]
-    rows, last_end = [], {}
+    rows, last = [], {}
     for _ in range(draw(st.integers(1, 12))):
         rid, cls = draw(st.sampled_from(["r0", "r1", "r2", "r3"])), draw(st.sampled_from(CLASSES))
-        length = draw(st.sampled_from(near) | st.floats(0.001, duration / 2))
-        placement = draw(st.sampled_from(["free", "abut", "overlap"]))
-        prev = last_end.get((rid, cls))
+        length = draw(st.sampled_from(near) | st.sampled_from([v / 2 for v in near]) | st.floats(0.001, duration / 2))
+        placement = draw(st.sampled_from(["free", "abut", "overlap", "nest"]))
+        prev = last.get((rid, cls))
         if prev is None or placement == "free":
             start = draw(st.floats(0.0, duration - length))
+        elif placement == "abut":
+            start = prev[1]
+        elif placement == "overlap":
+            start = max(0.0, prev[1] - length / 2)
         else:
-            start = prev if placement == "abut" else max(0.0, prev - length / 2)
+            start = prev[0] + max(0.0, prev[1] - prev[0] - length) / 2
         if start + length <= duration:
             rows.append((rid, cls, start, start + length))
-            last_end[rid, cls] = start + length
+            last[rid, cls] = (start, start + length)
     return duration, rows
 
 
@@ -372,21 +378,74 @@ class TestAnnotationIO:
         table=strong_tables(),
         fractions=st.fixed_dictionaries({c: st.sampled_from([None, 0.05, 0.25]) for c in CLASSES}),
         measure=st.sampled_from(["sum", "longest-segment"]),
+        ids=st.permutations(["r0", "r1", "r2", "r3", "r4"]),
+        weak=st.booleans(),
     )
-    def test_strong_table_equals_brute_force(self, tmp_path_factory, table, fractions, measure):
-        """Recordings come in order of their first row, and their PDA flags equal the rule over the raw rows."""
+    def test_strong_table_equals_brute_force(self, tmp_path_factory, table, fractions, measure, ids, weak):
+        """Recordings come in order of their first row, and their PDA flags equal the rule over the raw rows.
+
+        pda_truth gives the same flags in the order of ids, none to a recording without rows (r4 never
+        has one), and, for the weak table of the same classes, the flags of load_annotations.
+        """
         duration, rows = table
         path = tmp_path_factory.mktemp("strong") / "ann.csv"
-        path.write_text("recording_id,class,start_s,end_s\n" + "".join(f"{r},{c},{s!r},{e!r}\n" for r, c, s, e in rows))
+        if weak:
+            present = {}
+            for rid, cls, _, _ in rows:
+                present.setdefault(rid, set()).add(cls)
+            path.write_text("recording_id,anthropophony,biophony,geophony\n"
+                            + "".join(f"{rid},{','.join(str(int(c in got)) for c in CLASSES)}\n"
+                                      for rid, got in present.items()))
+        else:
+            path.write_text("recording_id,class,start_s,end_s\n" + "".join(f"{r},{c},{s!r},{e!r}\n" for r, c, s, e in rows))
         anns = load_annotations(path, duration)
         assert list(anns) == list(dict.fromkeys(rid for rid, *_ in rows))
         policy = PdaPolicy(fractions, measure=measure)
+        expected = [pda_kept(anns[rid], policy) if rid in anns else [False] * len(CLASSES) for rid in ids]
+        assert pda_truth(path, ids, duration, policy).tolist() == expected
         for rid, ann in anns.items():
             segments = {}
             for r, cls, start, end in rows:
                 if r == rid:
                     segments.setdefault(cls, []).append((start, end))
+            if weak:
+                segments = {cls: [(0.0, duration)] for cls in segments}
             assert pda_kept(ann, policy) == brute_force_kept(segments, duration, policy)
+
+    @pytest.mark.parametrize("line3, line5, message", [
+        ("r0,traffic,0,10", "r1,geophony,0,inf", "unknown class 'traffic'"),
+        ("r0,biophony,0,inf", "r1,traffic,0,10", "expected a finite number, got 'inf'"),
+        ("r0,biophony,20,10", "r1,biophony,0,x", "segment (20.0, 10.0) outside [0, 60.0]"),
+        ("r0,biophony,0,x", "r1,biophony,20,10", "expected a number, got 'x'"),
+        ("r0,biophony,0,60.000001", "r1,geophony,0,10", "segment (0.0, 60.000001) outside [0, 60.0]"),
+    ], ids=["class-before-inf", "inf-before-class", "order-before-number", "number-before-order", "end-past-T"])
+    def test_first_bad_row_in_file_order_wins(self, tmp_path, line3, line5, message):
+        p = tmp_path / "ann.csv"
+        p.write_text(f"recording_id,class,start_s,end_s\nr0,biophony,0,10\n{line3}\nr1,geophony,5,20\n{line5}\n")
+        for read in (lambda: load_annotations(p, 60.0), lambda: pda_truth(p, ["r0", "r1"], 60.0, PdaPolicy())):
+            with pytest.raises(SchemaError) as err:
+                read()
+            assert str(err.value) == f"{p}:3: {message}"
+
+    def test_sum_adds_lengths_in_start_order(self, tmp_path):
+        """Three segments whose lengths sum one ulp higher in start order than in reverse, with p * T on the
+        higher sum plus 1e-9: the class is kept only when the lengths are added in start order, as pda_kept does."""
+        segments = [(1.248939768477921, 11.788799765695673), (12.046137083765515, 23.858482125263556),
+                    (24.06431557306498, 26.388809888206612)]
+        a, b, c = (end - start for start, end in segments)
+        duration = 2 * (a + b + c + 1e-9)  # p = 0.5: p * T is exactly the start-order sum plus 1e-9
+        assert c + b + a + 1e-9 < duration / 2
+        p = tmp_path / "ann.csv"
+        p.write_text("recording_id,class,start_s,end_s\n" + "".join(f"r0,biophony,{s!r},{e!r}\n" for s, e in segments[::-1]))
+        policy = PdaPolicy({BIOPHONY: 0.5})
+        assert pda_kept(load_annotations(p, duration)["r0"], policy) == [False, True, False]
+        assert pda_truth(p, ["r0"], duration, policy).tolist() == [[False, True, False]]
+
+    def test_annotations_of_a_recording_not_listed(self, tmp_path):
+        p = tmp_path / "ann.csv"
+        p.write_text("recording_id,class,start_s,end_s\nr9,biophony,0,10\nr0,biophony,0,10\nr8,geophony,0,1\n")
+        with pytest.raises(ValueError, match=r"^annotations for recordings without scores: \['r8', 'r9'\]$"):
+            pda_truth(p, ["r0"], 60.0, PdaPolicy())
 
     def test_strong_schema(self, tmp_path):
         p = tmp_path / "ann.csv"

@@ -150,6 +150,18 @@ def fancy_index_macros(tp_i, fp_i, fn_i, resamples, seed):
     return macros
 
 
+def bincount_macros(tp_i, fp_i, fn_i, resamples, seed):
+    """The bootstrap as one loop over resamples: draws per recording times its outcomes."""
+    n = tp_i.shape[0]
+    outcomes = np.hstack([tp_i, fp_i, fn_i]).astype(float)
+    macros = np.empty(resamples)
+    for r in range(resamples):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
+        idx = rng.integers(0, n, size=n)
+        macros[r] = f1_score(*(np.bincount(idx, minlength=n) @ outcomes).reshape(3, -1)).mean()
+    return macros
+
+
 @st.composite
 def outcome_matrices(draw):
     """tp/fp/fn flags of n recordings x 3 classes, some columns forced to all zero."""
@@ -166,6 +178,12 @@ class TestBootstrap:
     def test_bincount_equals_fancy_index_bit_for_bit(self, outcomes, resamples, seed):
         got = _bootstrap_macros(*outcomes, resamples, seed)
         assert np.array_equal(got, fancy_index_macros(*outcomes, resamples, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(outcome_matrices(), st.integers(1, 50), st.sampled_from([0, 2**31 - 1]) | st.integers(0, 2**63 - 1))
+    def test_outcome_codes_equal_the_per_resample_loop_bit_for_bit(self, outcomes, resamples, seed):
+        got = _bootstrap_macros(*outcomes, resamples, seed)
+        assert np.array_equal(got, bincount_macros(*outcomes, resamples, seed))
 
     def test_all_zero_outcomes(self):
         zeros = np.zeros((5, 3), dtype=bool)

@@ -44,6 +44,45 @@ def test_table_cells_are_formatted_by_the_writer(tmp_path_factory, x, n):
     assert p.read_bytes() == f"x,none,n\r\n{x!r},,{n}\r\n".encode()
 
 
+#: Floats whose repr is easy to get wrong, and cell text that csv.writer must quote or pass through.
+AWKWARD_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 0.1, 1.0, float("nan"), float("inf")])
+CELL_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "0", "é", "漢", "\udce9", "\udc80"]), max_size=6)
+
+
+@st.composite
+def column_blocks(draw):
+    """Blocks of columns of one table: float, int and bool arrays and lists of str, 0-8 rows a block."""
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "bool", "str"]), min_size=2, max_size=5))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 8))
+        cells = {
+            "float": AWKWARD_FLOATS | st.floats(),
+            "int": st.integers(-(2**62), 2**62),
+            "bool": st.booleans(),
+            "str": CELL_TEXT,
+        }
+        columns = [draw(st.lists(cells[kind], min_size=n, max_size=n)) for kind in kinds]
+        blocks.append([c if kind == "str" else np.array(c, dtype=kind) for kind, c in zip(kinds, columns)])
+    return blocks
+
+
+@given(column_blocks())
+def test_table_columns_are_written_as_csv_writer_writes_their_rows(tmp_path_factory, blocks):
+    d = tmp_path_factory.mktemp("columns")
+    header = [f"c{k}" for k in range(len(blocks[0]))] if blocks else ["a", "b"]
+    write_table(d / "columns.csv", header, blocks=blocks)
+    rows = [row for block in blocks for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))]
+    write_table(d / "rows.csv", header, rows)
+    assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+
+def test_table_columns_of_unequal_length_are_an_error(target):
+    with pytest.raises(ValueError):
+        write_table(target, ["a", "b"], blocks=[[["x", "y"], np.array([1.0])]])
+    assert_untouched(target)
+
+
 def test_table_dash_is_stdout(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_table("-", ["a"], [[1]], comments=["# c"])
