@@ -14,15 +14,19 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
 - ``mix`` serial and ``--jobs 2``, with ``peak`` and with ``rms`` normalisation;
 - ``tune`` with ``f1`` and ``youden``, each with and without ``--grid``;
 - ``evaluate`` with the config's policy and with the tuned ``f1`` fragment;
+- ``evaluate`` of the bench inputs with ``"pda_measure": "longest-segment"``;
 - ``evaluate`` of the bench scores against weak (flag) labels, under a
-  per-class policy that needs 2 windows above the biophony threshold;
+  per-class policy that needs 2 windows above the biophony threshold, and
+  ``tune`` on those weak labels;
 - ``case-study`` with and without ``--model-labels``;
 - failures whose one-line error must not change: ``evaluate`` with a count
   above the windows of the shortest recording, ``case-study`` with a
   recording missing from the diversity CSV, ``tune`` with a ``nan`` window
   start, ``tune`` with a recording whose window starts are 0, 10, 25 (an
   error naming the path alone), ``evaluate`` with a score of ``1.5`` (an
-  error naming its line), ``evaluate`` with an ``--out`` under a regular
+  error naming its line), ``evaluate`` with annotations holding an unknown
+  class on line 3 and an ``inf`` end on line 5 (an error naming line 3),
+  ``evaluate`` with an ``--out`` under a regular
   file, ``mix`` with ``--count BA=1`` and with ``--count A=-1`` (usage
   errors, exit 2), ``mix`` of a pool without geophony with
   ``--count B=2 --count G=1``, ``mix --jobs 2`` of a pool with a geophony
@@ -122,6 +126,11 @@ def variants(seed: int, work: Path):
                                          "--out", out / f"evaluate-{name}-tuned"], out / f"evaluate-{name}-tuned"
 
     bench = tune_sets["bench"]
+    longest = work / "in" / "longest.json"
+    longest.write_text(json.dumps({**json.loads(bench.config.read_text()), "pda_measure": "longest-segment"}))
+    yield "evaluate-bench-longest", ["evaluate", bench.scores, bench.annotations, "--config", longest,
+                                     "--out", out / "evaluate-bench-longest"], out / "evaluate-bench-longest"
+
     weak, weak_cfg = work / "in" / "weak-labels.csv", work / "in" / "weak-counts.json"
     annotated = ["".join(letter for letter, cls in zip("ABG", inputs.CLASSES) if cls in segs)
                  for segs in bench.raw_segments]
@@ -132,6 +141,8 @@ def variants(seed: int, work: Path):
     weak_cfg.write_text(json.dumps(cfg))
     yield "evaluate-bench-weak-counts", ["evaluate", bench.scores, weak, "--config", weak_cfg,
                                          "--out", out / "evaluate-bench-weak-counts"], out / "evaluate-bench-weak-counts"
+    yield "tune-bench-weak", ["tune", bench.scores, weak, "--config", bench.config,
+                              "--out", out / "tune-bench-weak.json"], out / "tune-bench-weak.json"
 
     ids = [p.stem for p in ind.files]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
@@ -187,6 +198,12 @@ def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool:
     above_one = scores_with("scores-above-one.csv", 1, f"{rid},{start},1.5,{scores}")
     yield "fail-evaluate-above-one", ["evaluate", above_one, fixture[1], "--out", out / "fail-evaluate-above-one"], \
         out / "fail-evaluate-above-one"
+
+    ann_order = work / "in" / "annotations-order.csv"  # two bad rows: the first in file order is named
+    ann_order.write_text("recording_id,class,start_s,end_s\nrec00,biophony,0,10\nrec00,traffic,0,10\n"
+                         "rec01,geophony,5,20\nrec01,geophony,0,inf\n")
+    yield "fail-evaluate-ann-order", ["evaluate", fixture[0], ann_order, "--out", out / "fail-evaluate-ann-order"], \
+        out / "fail-evaluate-ann-order"
 
     blocked = diversity / "report"  # a directory under a regular file
     yield "fail-evaluate-unwritable", ["evaluate", *fixture, "--out", blocked], blocked
