@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import SchemaError
 
+_BLOCK = 1 << 16  # bytes that Table.columns splits at a time: few enough that their cells add little to peak memory
+
 
 class Table:
     """An input CSV table: ``header``, then its non-blank rows as ``(line_no, fields)``.
@@ -23,7 +25,8 @@ class Table:
     skips before the header (a quoted multi-line row gives its last line).
     Every violation, here or in a cell parser, raises SchemaError with path and line;
     bytes that are not UTF-8 name their own line.
-    The header is read on construction; each iteration opens the file anew.
+    The header is read on construction; each iteration, and each call of
+    columns(), opens the file anew.
     """
 
     def __init__(self, path, headers, comments=False):
@@ -48,18 +51,63 @@ class Table:
         self._skip += reader.line_num
 
     def __iter__(self):
+        return self._rows(self._skip)
+
+    def _rows(self, skip):
+        """The rows after the file's first skip lines, which hold the header and no part of a row."""
         width = len(self.header)
         with open(self.path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-            reader = csv.reader(self._lines(itertools.islice(fh, self._skip, None), self._skip))
+            reader = csv.reader(self._lines(itertools.islice(fh, skip, None), skip))
             try:
                 for fields in reader:
                     if fields:
-                        line = self._skip + reader.line_num
+                        line = skip + reader.line_num
                         if len(fields) != width:
                             raise self.error(f"expected {width} fields, got {len(fields)}", line)
                         yield line, fields
             except csv.Error as exc:
-                raise self.error(f"unreadable CSV ({exc})", self._skip + reader.line_num) from None
+                raise self.error(f"unreadable CSV ({exc})", skip + reader.line_num) from None
+
+    def columns(self):
+        """The rows as blocks of str columns: per block, one list of cells per header column.
+
+        Concatenated, the blocks hold the fields of the rows that iteration
+        yields, and the errors are the same. A plain block of whole lines is
+        split directly; from the first block that is not plain, the rows come
+        from iteration. Plain lines are valid UTF-8 with no '"' or NUL, end as
+        the file's first line ends, are not blank, are no longer than
+        csv.field_size_limit() and have the header's field count.
+        """
+        width, limit = len(self.header), csv.field_size_limit()
+        done = 0  # lines split so far, the header's included
+        with open(self.path, "rb") as fh:
+            sep = "\r\n" if fh.readline().endswith(b"\r\n") else "\n"
+            fh.seek(0)
+            while block := fh.read(_BLOCK) + fh.readline():  # whole lines: the last one is read to its end
+                try:
+                    text = block.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+                lines = text.split(sep)
+                if not lines[-1]:
+                    lines.pop()  # the empty text after the last line end
+                header = max(self._skip - done, 0)  # the header's lines in this block
+                head, rows = lines[:header], lines[header:]
+                flat = ",".join(rows)
+                if ('"' in text or "\0" in text or "" in rows
+                        or any("\r" in s or "\n" in s for s in (flat, *head))  # another line end
+                        or max(map(len, rows), default=0) > limit
+                        or set(map(str.count, rows, itertools.repeat(","))) - {width - 1}):
+                    break
+                done += len(lines)
+                if rows:
+                    cells = flat.split(",")
+                    yield [cells[k::width] for k in range(width)]
+            else:  # every block was plain
+                return
+        rows = [fields for _, fields in self._rows(max(done, self._skip))]
+        if rows:
+            yield [list(column) for column in zip(*rows)]
 
     def _lines(self, lines, skipped):
         """The text lines after skipped ones; a line that held bytes that are not UTF-8 is an error there.
@@ -101,6 +149,18 @@ class Table:
         if text not in ("0", "1"):
             raise self.error(f"flag must be 0 or 1, got {text!r}", line)
         return text == "1"
+
+
+def coded(cells, codes) -> np.ndarray:
+    """The code of each cell in codes, a dict that first gives each new cell the next code, in order of appearance."""
+    for cell in dict.fromkeys(cells):
+        codes.setdefault(cell, len(codes))
+    return np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))
+
+
+def floats(cells, parse=float) -> np.ndarray:
+    """parse of each cell as float64; a cell that parse rejects raises its error."""
+    return np.fromiter(map(parse, cells), float, len(cells))
 
 
 @contextmanager

@@ -54,17 +54,20 @@ def _load_config(path, thresholds_path=None) -> RunConfig:
 def _fail(command, exc):
     """End the command with exit 1; a schema error already starts with path:line, a config error with its path."""
     prefix = "" if isinstance(exc, SchemaError) else "Error: " if isinstance(exc, ConfigError) else f"{command}: FAILED: "
-    _log(f"{prefix}{exc}")
+    _log(f"{prefix}{str(exc) or type(exc).__name__}")
     sys.exit(1)
 
 
 class _Commands(click.Group):
-    """The command group; any error a command lets through ends it in one line and exit 1."""
+    """The command group; any error a command lets through ends it in one line and exit 1.
+
+    Running out of memory or stack ends a command the same way; an interrupt or an exit is not caught.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (SoundscapeKitError, ValueError, OSError) as exc:
+        except (SoundscapeKitError, ValueError, OSError, MemoryError, RecursionError) as exc:
             _fail(ctx.invoked_subcommand, exc)
 
 

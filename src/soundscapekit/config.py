@@ -19,7 +19,7 @@ from .indices import (
     DEFAULT_BIO_BAND_HZ,
     check_bands,
 )
-from .evaluation import DEFAULT_BOOTSTRAP_RESAMPLES, DEFAULT_CONFIDENCE
+from .evaluation import DEFAULT_BOOTSTRAP_RESAMPLES, DEFAULT_CONFIDENCE, MAX_BOOTSTRAP_RESAMPLES
 from .labels import CLASSES
 from .scores import WindowSpec
 from .synthmix import DEFAULT_COUNT_PMFS, NORMALIZATION_MODES, TARGET_RATE_HZ
@@ -109,8 +109,9 @@ class RunConfig:
                 raise ValueError(f"unknown mixer normalization {cfg.mixer_normalization!r}")
             cfg.bootstrap_resamples = d["bootstrap"]["resamples"]
             cfg.bootstrap_confidence = d["bootstrap"]["confidence"]
-            if cfg.bootstrap_resamples < 1:
-                raise ValueError(f"bootstrap resamples must be >= 1, got {cfg.bootstrap_resamples}")
+            if not 1 <= cfg.bootstrap_resamples <= MAX_BOOTSTRAP_RESAMPLES:
+                raise ValueError(f"bootstrap resamples must be in [1, {MAX_BOOTSTRAP_RESAMPLES}], "
+                                 f"got {cfg.bootstrap_resamples}")
             if not 0 < cfg.bootstrap_confidence < 1:
                 raise ValueError(f"bootstrap confidence must be in (0, 1), got {cfg.bootstrap_confidence}")
             return cfg
@@ -132,7 +133,7 @@ def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_float=_finite, parse_constant=_finite)
-    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+    except (RecursionError, ValueError) as exc:  # also JSONDecodeError, UnicodeDecodeError and a document too deep
         raise ConfigError(f"not valid JSON ({exc})") from exc
 
 

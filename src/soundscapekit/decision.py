@@ -9,14 +9,13 @@ threshold does not activate a class.
 """
 
 import math
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import compress
 
 import numpy as np
 
-from ._table import Table, write_table
+from ._table import Table, coded, floats, write_table
 from .errors import SchemaError
 from .labels import CLASSES, SILENCE
 from .scores import ScoreMatrix
@@ -275,19 +274,19 @@ def _pda_columns(table, recording_ids, duration_s, policy):
     """pda_kept per recording of recording_ids from one read of a strong table, and the table's other ids."""
     codes = {rid: k for k, rid in enumerate(recording_ids)}  # recording_id -> row; the other ids follow
     class_codes = {cls: k for k, cls in enumerate(CLASSES)}
-    group, bounds = array("q"), array("d")  # per row: its (recording, class) cell; start and end, flat
+    group, bounds = [np.empty(0, np.intp)], [np.empty((2, 0))]  # per block: each row's cell; its start and end
     try:
-        for _, (rid, cls, start, end) in table:
-            group.append(codes.setdefault(rid, len(codes)) * len(CLASSES) + class_codes[cls])
-            bounds.append(float(start))
-            bounds.append(float(end))
+        for ids, classes, start_cells, end_cells in table.columns():
+            cls = np.fromiter(map(class_codes.__getitem__, classes), np.intp, len(classes))  # KeyError: unknown
+            group.append(coded(ids, codes) * len(CLASSES) + cls)
+            bounds.append(np.array([floats(start_cells), floats(end_cells)]))
     except (SchemaError, KeyError, ValueError):
         _raise_first_bad_segment(table, duration_s)
-    starts, ends = np.array(bounds).reshape(-1, 2).T
+    starts, ends = np.concatenate(bounds, axis=1)
     if not ((starts >= 0) & (starts < ends) & (ends <= duration_s + _DUR_TOL)).all():  # _inside; NaN fails
         _raise_first_bad_segment(table, duration_s)
 
-    group = np.array(group)
+    group = np.concatenate(group)
     order = np.lexsort((ends, starts, group))  # per cell, as sorted() orders (start, end) pairs
     group, starts, ends = group[order], starts[order], ends[order]
     # the running max of end within each cell, taken over ranks of the ends so that it stays exact

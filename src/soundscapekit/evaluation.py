@@ -13,6 +13,8 @@ import numpy as np
 from .labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY, combo_string
 
 DEFAULT_BOOTSTRAP_RESAMPLES = 1000
+#: At most this many resamples: their draw counts take 51 MB, and they run ~100 µs each.
+MAX_BOOTSTRAP_RESAMPLES = 100_000
 DEFAULT_CONFIDENCE = 0.95
 
 #: Named recording filters for the correlation case study: a recording passes
@@ -115,8 +117,8 @@ def evaluate(
     decided classes and the (possibly PDA-filtered) annotated classes.
     """
     pred, true = _flag_arrays(pred, true)
-    if bootstrap_resamples < 1:
-        raise ValueError(f"need at least 1 bootstrap resample, got {bootstrap_resamples}")
+    if not 1 <= bootstrap_resamples <= MAX_BOOTSTRAP_RESAMPLES:
+        raise ValueError(f"need 1 to {MAX_BOOTSTRAP_RESAMPLES} bootstrap resamples, got {bootstrap_resamples}")
 
     n = len(pred)
     tp_i = pred & true

@@ -6,13 +6,12 @@ per-recording matrices. Nothing here runs a model; any command
 that produces the documented CSV can feed the decision layer.
 """
 
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import Table
+from ._table import Table, coded, floats
 from .errors import SchemaError
 from .labels import CLASSES, SILENCE
 
@@ -66,20 +65,21 @@ def load_scores(path, window_len_s: float = 10.0, duration_s: float | None = Non
     table = Table(path, [base, base + [SILENCE]])
     class_order = tuple(table.header[2:])
     codes: dict = {}  # recording_id -> index in order of first appearance
-    rec, values = array("q"), array("d")  # per row: recording index; start and scores, flat
+    rec, starts, scores = [np.empty(0, np.intp)], [np.empty(0)], [np.empty((0, len(class_order)))]  # per block
     try:
-        for _, fields in table:
-            rec.append(codes.setdefault(fields[0], len(codes)))
-            values.extend(map(float, fields[1:]))
+        for ids, start_cells, *score_cells in table.columns():
+            rec.append(coded(ids, codes))
+            value = {cell: float(cell) for cell in set(start_cells)}  # a few distinct starts
+            starts.append(floats(start_cells, value.__getitem__))
+            scores.append(np.column_stack([floats(cells) for cells in score_cells]))
     except (SchemaError, ValueError):
         _raise_first_bad_row(table, duration_s)
 
-    rows = np.array(values).reshape(-1, 1 + len(class_order))
-    starts, scores = rows[:, 0], rows[:, 1:]
+    starts, scores = np.concatenate(starts), np.concatenate(scores)
     if duration_s is not None and not (starts < duration_s).all():
         _raise_first_bad_row(table, duration_s)
 
-    rec = np.array(rec)
+    rec = np.concatenate(rec)
     order = np.lexsort((starts, rec))
     counts = np.bincount(rec, minlength=len(codes))
     try:

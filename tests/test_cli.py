@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from soundscapekit import _table
+from soundscapekit import _table, cli, synthmix
 from soundscapekit.audio_io import AudioClip, write_wav_pcm16
 from soundscapekit.cli import main
 from soundscapekit.labels import CLASSES
@@ -405,13 +405,30 @@ class TestEvaluateCommand:
         assert "exceeds" in result.output
 
     def test_invalid_bootstrap_config_rejected_before_inputs(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bootstrap": {"confidence": 1.7}}))
+        for bootstrap, message in [
+            ({"confidence": 1.7}, "bootstrap confidence must be in (0, 1), got 1.7"),
+            ({"resamples": 100_001}, "bootstrap resamples must be in [1, 100000], got 100001"),
+            ({"resamples": 10**12}, "bootstrap resamples must be in [1, 100000], got 1000000000000"),
+        ]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"bootstrap": bootstrap}))
+            result = runner.invoke(main, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                          "--config", str(cfg), "--out", str(tmp_path / "rep")])
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert result.output == f"Error: {cfg}: invalid configuration: {message}\n"
+            assert not (tmp_path / "rep").exists()
+
+    def test_config_nested_too_deep_is_one_line_error(self, runner, tmp_path):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
         result = runner.invoke(main, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
                                       "--config", str(cfg), "--out", str(tmp_path / "rep")])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "bootstrap confidence" in result.output
+        assert "Traceback" not in result.output
+        assert len(result.output.splitlines()) == 1
+        assert result.output.startswith(f"Error: {cfg}: not valid JSON (maximum recursion depth exceeded")
         assert not (tmp_path / "rep").exists()
 
     def test_config_error_names_the_file(self, runner, tmp_path):
@@ -654,6 +671,57 @@ def test_unreadable_input_table_is_one_line_error(runner, tmp_path, monkeypatch,
     monkeypatch.setattr(_table, "open", denied, raising=False)
     lines = failed_lines(runner.invoke(main, [command, *args]), command)
     assert len(lines) == 1 and "Permission denied" in lines[0], lines
+
+
+@pytest.mark.parametrize("command", ["tune", "evaluate"])
+@pytest.mark.parametrize("error, shown", [
+    (MemoryError("Unable to allocate 466. TiB"), "Unable to allocate 466. TiB"),
+    (MemoryError(), "MemoryError"),
+    (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+])
+def test_out_of_memory_or_stack_is_one_line_error(runner, tmp_path, monkeypatch, command, error, shown):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "load_scores", exhausted)
+    out = tmp_path / ("t.json" if command == "tune" else "rep")
+    result = runner.invoke(main, [command, str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                  "--out", str(out)])
+    lines = failed_lines(result, command)
+    assert lines == [f"{command}: FAILED: {shown}"]
+    assert result.output.splitlines()[-1] == lines[0]
+    assert not out.exists()
+
+
+def test_interrupt_is_not_a_failed_line(runner, tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "load_scores", interrupted)
+    result = runner.invoke(main, ["tune", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                  "--out", str(tmp_path / "t.json")])
+    assert result.exit_code == 1
+    assert "FAILED" not in result.output
+    assert result.output.splitlines()[-1] == "Aborted!"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_mix_out_of_memory_leaves_nothing_behind(runner, tmp_path, monkeypatch, jobs):
+    """The third clip's render runs out of memory: the clips written before it are removed, then one line."""
+    render, calls = synthmix.render_mix, []
+
+    def exhausted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise MemoryError("Unable to allocate 1.00 GiB")
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(synthmix, "render_mix", exhausted)
+    out_dir = tmp_path / "new" / "corpus"
+    args = ["mix", str(write_pool(tmp_path)), str(out_dir), "--count", "B=6", "--seed", "1", "--jobs", jobs]
+    assert failed_lines(runner.invoke(main, args), "mix") == ["mix: FAILED: Unable to allocate 1.00 GiB"]
+    assert len(calls) >= 3
+    assert not (tmp_path / "new").exists()
 
 
 def test_failed_report_file_keeps_the_others_whole(runner, tmp_path):

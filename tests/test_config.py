@@ -10,6 +10,7 @@ from soundscapekit._table import write_json
 from soundscapekit.config import RunConfig, dump_threshold_fragment, load_threshold_fragment
 from soundscapekit.decision import ThresholdPolicy
 from soundscapekit.errors import ConfigError
+from soundscapekit.evaluation import MAX_BOOTSTRAP_RESAMPLES
 from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, GEOPHONY
 from soundscapekit.synthmix import DEFAULT_COUNT_PMFS
 
@@ -102,10 +103,17 @@ def test_global_fragment_round_trip(tmp_path, counts):
     assert json.loads(p.read_text())["thresholds"].get("counts") == counts
 
 
-@pytest.mark.parametrize("bootstrap", [{"resamples": 0}, {"confidence": 1.7}, {"confidence": 0.0}, {"confidence": 1.0}])
+@pytest.mark.parametrize("bootstrap", [{"resamples": 0}, {"confidence": 1.7}, {"confidence": 0.0}, {"confidence": 1.0},
+                                       {"resamples": MAX_BOOTSTRAP_RESAMPLES + 1}, {"resamples": 10**12}])
 def test_invalid_bootstrap_rejected_on_load(bootstrap):
     with pytest.raises(ConfigError, match="bootstrap"):
         RunConfig.from_dict({"bootstrap": bootstrap})
+
+
+@pytest.mark.parametrize("resamples", [1, MAX_BOOTSTRAP_RESAMPLES])
+def test_bootstrap_resamples_bounds_are_accepted(resamples):
+    assert MAX_BOOTSTRAP_RESAMPLES == 100_000
+    assert RunConfig.from_dict({"bootstrap": {"resamples": resamples}}).bootstrap_resamples == resamples
 
 
 @pytest.mark.parametrize(
@@ -226,6 +234,14 @@ def test_non_utf8_json_is_a_config_error(tmp_path, read):
         read(p)
     assert str(err.value).startswith(f"{p}: not valid JSON (")
     assert str(err.value).count(str(p)) == 1
+
+
+@READERS
+def test_json_nested_too_deep_is_a_config_error(tmp_path, read):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: not valid JSON \\(maximum recursion depth"):
+        read(p)
 
 
 @READERS
@@ -419,7 +435,7 @@ VALID = {
     ("indices", "ndsi_bio_hz"): st.tuples(st.floats(2000.0, 4000.0), st.integers(5000, 10000)).map(list),
     **{path: st.integers(1, 3) | st.floats(0.01, 1.0) for path, _ in LEAVES if path[:2] == ("mixer", "count_pmfs")},
     ("mixer", "normalization"): st.sampled_from(["peak", "rms"]),
-    ("bootstrap", "resamples"): st.integers(1, 10**6),
+    ("bootstrap", "resamples"): st.integers(1, MAX_BOOTSTRAP_RESAMPLES),
     ("bootstrap", "confidence"): st.floats(0.01, 0.99),
 }
 COUNTS = st.dictionaries(st.sampled_from(CLASSES), st.integers(1, 50))

@@ -418,7 +418,10 @@ class TestAnnotationIO:
         ("r0,biophony,20,10", "r1,biophony,0,x", "segment (20.0, 10.0) outside [0, 60.0]"),
         ("r0,biophony,0,x", "r1,biophony,20,10", "expected a number, got 'x'"),
         ("r0,biophony,0,60.000001", "r1,geophony,0,10", "segment (0.0, 60.000001) outside [0, 60.0]"),
-    ], ids=["class-before-inf", "inf-before-class", "order-before-number", "number-before-order", "end-past-T"])
+        ("r0,traffic,0,10", "r1,geophony,0", "unknown class 'traffic'"),
+        ("r0,biophony,0,x", 'r1,"geophony",0,10', "expected a number, got 'x'"),
+    ], ids=["class-before-inf", "inf-before-class", "order-before-number", "number-before-order", "end-past-T",
+            "class-before-width", "number-before-quotes"])
     def test_first_bad_row_in_file_order_wins(self, tmp_path, line3, line5, message):
         p = tmp_path / "ann.csv"
         p.write_text(f"recording_id,class,start_s,end_s\nr0,biophony,0,10\n{line3}\nr1,geophony,5,20\n{line5}\n")

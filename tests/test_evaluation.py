@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from soundscapekit.evaluation import (
     CASE_STUDY_FILTERS,
+    MAX_BOOTSTRAP_RESAMPLES,
     ClassMetrics,
     EvalReport,
     _bootstrap_macros,
@@ -88,6 +89,12 @@ class TestEvaluate:
         a = evaluate(pred, true, bootstrap_resamples=50, bootstrap_seed=7)
         b = evaluate(pred, true, bootstrap_resamples=50, bootstrap_seed=7)
         assert a.macro_f1_ci == b.macro_f1_ci
+
+    @pytest.mark.parametrize("resamples", [0, MAX_BOOTSTRAP_RESAMPLES + 1, 10**12])
+    def test_resample_count_outside_the_bound_is_rejected_before_drawing(self, resamples):
+        pred = true = flags([{BIOPHONY}, set()])
+        with pytest.raises(ValueError, match=f"need 1 to {MAX_BOOTSTRAP_RESAMPLES} bootstrap resamples, got {resamples}"):
+            evaluate(pred, true, bootstrap_resamples=resamples)
 
     def test_id_mismatch(self):
         one_by_two_rows = (flags([set()]), flags([set(), set()]))

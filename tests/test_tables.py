@@ -1,9 +1,13 @@
 """The shared input-table reader and a fuzz test for every loader built on it."""
 
+import csv
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soundscapekit import _table
 from soundscapekit._table import Table
 from soundscapekit.cli import _read_diversity_csv, _read_indices_csv
 from soundscapekit.decision import load_annotations, load_decisions
@@ -100,6 +104,125 @@ class TestTable:
         assert (t.flag("0", 2), t.flag("1", 2)) == (False, True)
         with pytest.raises(SchemaError, match=r"t\.csv:5: flag must be 0 or 1"):
             t.flag(text, 5)
+
+
+# --- columns: the rows as blocks of columns, split directly where plain -------
+
+
+def collected(t):
+    """The blocks of t.columns() joined into one list per column."""
+    columns = [[] for _ in t.header]
+    for block in t.columns():
+        assert len(block) == len(columns) and len({len(cells) for cells in block}) == 1
+        for column, cells in zip(columns, block):
+            column.extend(cells)
+    return columns
+
+
+def rows_or_error(t):
+    """The row iterator's fields as columns, or its SchemaError message."""
+    try:
+        return [list(column) for column in zip(*(fields for _, fields in t))] or [[] for _ in t.header]
+    except SchemaError as exc:
+        return str(exc)
+
+
+def columns_or_error(t):
+    try:
+        return collected(t)
+    except SchemaError as exc:
+        return str(exc)
+
+
+GOOD_CELLS = st.sampled_from([b"", b"r1", b"0.5", b"x y", b"#", "é".encode(), b"\t", b"1e999"])
+ODD_CELLS = st.sampled_from([b'"a,b"', b'"a""b"', b'"a\nb"', b'"a\r\nb"', b'"a\rb"', b'a"b', b"\0", b"r\xe9",
+                             b"\xed\xa0\x80", b"x" * 40])
+
+
+@st.composite
+def table_bytes(draw):
+    """A header a,b,c and rows, mostly plain; some quoted, odd, blank or of the wrong width, some ends mixed."""
+    mostly = st.sampled_from([True] * 7 + [False])
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    lines = [] if draw(mostly) else [b"# p=1"] * draw(st.integers(0, 2))
+    lines.append(b"a,b,c")
+    for _ in range(draw(st.integers(0, 12))):
+        cells = draw(st.lists(GOOD_CELLS, min_size=3, max_size=3))
+        kind = draw(st.sampled_from(["good"] * 6 + ["odd", "width"]))
+        if kind == "odd":
+            cells[draw(st.integers(0, 2))] = draw(ODD_CELLS)
+        elif kind == "width":  # no cell at all is a blank line
+            cells = draw(st.lists(GOOD_CELLS | ODD_CELLS, max_size=4))
+        lines.append(b",".join(cells))
+    ends = [end if draw(mostly) else draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], b""]))  # a missing final line end
+    return b"".join(line + e for line, e in zip(lines, ends)), lines[0].startswith(b"#")
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=table_bytes(), block=st.sampled_from([1, 8, 40, 1 << 16]))
+def test_columns_equal_the_rows_with_the_same_errors(tmp_path_factory, drawn, block):
+    """Whatever the bytes, the collected blocks equal the rows, or both raise the same error at the same line.
+
+    Small blocks put line-end changes and bad rows after the first block; the
+    field limit is lowered so that a 40-character cell exceeds it.
+    """
+    data, comments = drawn
+    p = tmp_path_factory.mktemp("columns") / "t.csv"
+    p.write_bytes(data)
+    limit = csv.field_size_limit(32)
+    try:
+        with mock.patch.object(_table, "_BLOCK", block):
+            t = Table(p, [["a", "b", "c"]], comments=comments)
+            assert columns_or_error(t) == rows_or_error(t)
+    except SchemaError as exc:  # a header that is not a,b,c (split by a lone \r) or not UTF-8
+        assert "header" in str(exc) or "unreadable" in str(exc) or "empty file" in str(exc)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def big_table(tmp_path, tail):
+    """A plain 2-column table past the first block of Table.columns, then tail's lines."""
+    p = tmp_path / "big.csv"
+    p.write_bytes(b"a,b\n" + b"r1,0.5\n" * 20_000 + tail)
+    assert p.stat().st_size > 2 * _table._BLOCK
+    return Table(p, [["a", "b"]])
+
+
+@pytest.mark.parametrize("tail", [b"", b"r2,1\r\nr3,2\r\n", b"r2,1\rr3,2\r", b'"r\n2",1\nr3,2\n', b"\n\nr2,1\n",
+                                  b"r2,\xe9\n", b"r2,1,2\n", b"r2\n", b"r2,1"])
+def test_columns_of_a_table_past_one_block(tmp_path, tail):
+    t = big_table(tmp_path, tail)
+    assert columns_or_error(t) == rows_or_error(t)
+
+
+def test_columns_of_a_field_over_the_csv_limit(tmp_path):
+    t = table(tmp_path, "a,b\n1,2\n" + "x" * 200_000 + ",1\n")
+    assert columns_or_error(t) == rows_or_error(t) == f"{t.path}:3: unreadable CSV (field larger than field limit (131072))"
+
+
+def test_columns_skip_blank_lines_of_a_one_column_table(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a\nx\n\ny\n")
+    t = Table(p, [["a"]])
+    assert collected(t) == rows_or_error(t) == [["x", "y"]]
+
+
+def test_plain_table_is_split_without_the_row_iterator(tmp_path, monkeypatch):
+    t = big_table(tmp_path, b"r2,1\n")
+    monkeypatch.setattr(Table, "_rows", lambda self, skip: pytest.fail("the row iterator was used"))
+    columns = collected(t)
+    assert columns == [["r1"] * 20_000 + ["r2"], ["0.5"] * 20_000 + ["1"]]
+
+
+@pytest.mark.parametrize("tail", [b'"x",1\n', b"r2,1\r\n", b"\n", b"r2,\xe9\n", b"r2,1,3\n"])
+def test_the_row_iterator_takes_over_at_the_first_block_that_is_not_plain(tmp_path, monkeypatch, tail):
+    t = big_table(tmp_path, tail)
+    rows = Table._rows
+    starts = []
+    monkeypatch.setattr(Table, "_rows", lambda self, skip: starts.append(skip) or rows(self, skip))
+    columns_or_error(t)
+    assert len(starts) == 1 and 1 < starts[0] < 20_002  # the plain blocks before the tail's line are not read again
 
 
 # --- fuzz: arbitrary tables may only load or raise SchemaError ----------------

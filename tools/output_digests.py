@@ -14,6 +14,9 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
 - ``mix`` serial and ``--jobs 2``, with ``peak`` and with ``rms`` normalisation;
 - ``tune`` with ``f1`` and ``youden``, each with and without ``--grid``;
 - ``evaluate`` with the config's policy and with the tuned ``f1`` fragment;
+- both of the above on ``bench-quoted``: the bench score and annotation
+  CSVs rewritten with every ``recording_id`` quoted and ``\n`` line ends,
+  so that they are read row by row as CSV rather than split into columns;
 - ``evaluate`` of the bench inputs with ``"pda_measure": "longest-segment"``;
 - ``evaluate`` of the bench scores against weak (flag) labels, under a
   per-class policy that needs 2 windows above the biophony threshold, and
@@ -41,8 +44,9 @@ Each output line is ``<sha256>  <variant>/<file>``, sorted, after one
 checkouts (or two runs of one) can be compared with ``diff``. Each
 variant's stderr is digested as ``<variant>/stderr``, with the temporary
 directory written as ``<tmp>``. The script exits 1 when a serial and a
-``--jobs 2`` run of the same command write different files, or when a
-failure leaves its output path (even an empty directory) behind.
+``--jobs 2`` run of the same command write different files, when a
+``bench-quoted`` variant writes other files than its ``bench`` twin, or when
+a failure leaves its output path (even an empty directory) behind.
 """
 
 import argparse
@@ -92,6 +96,13 @@ def write_flags(path, ids, combos, silence):
             w.writerow([rid, *flags] + ([int(not any(flags))] if silence else []))
 
 
+def quoted_ids(src: Path, dst: Path) -> Path:
+    """dst: the CSV src with every recording_id (its first cell) quoted and \\n line ends."""
+    header, *rows = src.read_text().splitlines()
+    dst.write_text("".join(line + "\n" for line in [header, *('"' + r.replace(",", '",', 1) for r in rows)]))
+    return dst
+
+
 def variants(seed: int, work: Path):
     """(variant name, CLI args, output path) in run order; later commands may read earlier outputs."""
     ind = inputs.make_indices_inputs(seed, work / "in" / "indices")
@@ -113,6 +124,10 @@ def variants(seed: int, work: Path):
                          "--jobs", jobs], out / name
 
     sets = {name: (s.scores, s.annotations, ["--config", s.config]) for name, s in tune_sets.items()}
+    bench = tune_sets["bench"]
+    sets["bench-quoted"] = (quoted_ids(bench.scores, work / "in" / "scores-quoted.csv"),
+                            quoted_ids(bench.annotations, work / "in" / "annotations-quoted.csv"),
+                            ["--config", bench.config])
     sets["cst"] = (FIXTURE / "scores.csv", FIXTURE / "annotations.csv", [])
     for name, (scores, anns, config) in sets.items():
         for objective in ("f1", "youden"):
@@ -125,7 +140,6 @@ def variants(seed: int, work: Path):
         yield f"evaluate-{name}-tuned", ["evaluate", scores, anns, *config, "--thresholds", out / f"tune-{name}-f1.json",
                                          "--out", out / f"evaluate-{name}-tuned"], out / f"evaluate-{name}-tuned"
 
-    bench = tune_sets["bench"]
     longest = work / "in" / "longest.json"
     longest.write_text(json.dumps({**json.loads(bench.config.read_text()), "pda_measure": "longest-segment"}))
     yield "evaluate-bench-longest", ["evaluate", bench.scores, bench.annotations, "--config", longest,
@@ -257,17 +271,18 @@ def main(argv=None) -> int:
                 if name.startswith("fail-"):
                     left.append(name)
 
-    mismatched = []
-    for serial in [v for v in listing if "-jobs1" in v]:
-        parallel = serial.replace("-jobs1", "-jobs2", 1)
-        if listing[serial] != listing.get(parallel):
-            mismatched.append(f"{serial} != {parallel}")
+    mismatched = []  # serial and --jobs 2 runs, and quoted inputs and plain ones, must write the same files
+    for one, other in (("-jobs1", "-jobs2"), ("-bench-quoted", "-bench")):
+        for name in [v for v in listing if one in v]:
+            twin = name.replace(one, other, 1)
+            if listing[name] != listing.get(twin):
+                mismatched.append(f"{name} != {twin}")
     listing.update(logs)
     print("\n".join(exits))
     for path in sorted(listing):
         print(f"{listing[path]}  {path}")
     for line in mismatched:
-        print(f"output_digests: serial and --jobs 2 outputs differ: {line}", file=sys.stderr)
+        print(f"output_digests: outputs differ: {line}", file=sys.stderr)
     for name in left:
         print(f"output_digests: failed variant {name} left its output behind", file=sys.stderr)
     return 1 if mismatched or left else 0
