@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
@@ -15,6 +16,11 @@ import numpy as np
 from .errors import SchemaError
 
 _BLOCK = 1 << 16  # bytes that Table.columns splits at a time: few enough that their cells add little to peak memory
+
+#: A numeric cell (FORMATS.md, "Reading rules"). Of float()'s other spellings of a finite number, each
+#: holds a character that is not ASCII (a digit) or one of _NOT_NUMBER ('_' between digits, whitespace around).
+_NUMBER = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_NOT_NUMBER = "_ \t\n\r\x0b\x0c"
 
 
 class Table:
@@ -68,15 +74,17 @@ class Table:
             except csv.Error as exc:
                 raise self.error(f"unreadable CSV ({exc})", skip + reader.line_num) from None
 
-    def columns(self):
+    def columns(self, numbers=()):
         """The rows as blocks of str columns: per block, one list of cells per header column.
 
         Concatenated, the blocks hold the fields of the rows that iteration
-        yields, and the errors are the same. A plain block of whole lines is
-        split directly; from the first block that is not plain, the rows come
-        from iteration. Plain lines are valid UTF-8 with no '"' or NUL, end as
-        the file's first line ends, are not blank, are no longer than
-        csv.field_size_limit() and have the header's field count.
+        yields, and the errors are the same, but for one more: ValueError where
+        a cell of a column in numbers holds a character that is not ASCII or
+        is in _NOT_NUMBER, which _NUMBER never spells. A plain block of whole
+        lines is split directly; from the first block that is not plain, the
+        rows come from iteration. Plain lines are valid UTF-8 with no '"' or
+        NUL, end as the file's first line ends, are not blank, are no longer
+        than csv.field_size_limit() and have the header's field count.
         """
         width, limit = len(self.header), csv.field_size_limit()
         done = 0  # lines split so far, the header's included
@@ -102,12 +110,12 @@ class Table:
                 done += len(lines)
                 if rows:
                     cells = flat.split(",")
-                    yield [cells[k::width] for k in range(width)]
+                    yield _screened([cells[k::width] for k in range(width)], numbers, flat)
             else:  # every block was plain
                 return
         rows = [fields for _, fields in self._rows(max(done, self._skip))]
         if rows:
-            yield [list(column) for column in zip(*rows)]
+            yield _screened([list(column) for column in zip(*rows)], numbers)
 
     def _lines(self, lines, skipped):
         """The text lines after skipped ones; a line that held bytes that are not UTF-8 is an error there.
@@ -135,13 +143,15 @@ class Table:
         return SchemaError(message, path=self.path, line=line)
 
     def number(self, text, line) -> float:
-        """A cell holding a finite number."""
+        """A cell holding a finite number, spelt as _NUMBER."""
         try:
             value = float(text)
         except ValueError:
             raise self.error(f"expected a number, got {text!r}", line) from None
         if not math.isfinite(value):
             raise self.error(f"expected a finite number, got {text!r}", line)
+        if not _NUMBER.fullmatch(text):
+            raise self.error(f"expected a number, got {text!r}", line)
         return value
 
     def flag(self, text, line) -> bool:
@@ -149,6 +159,23 @@ class Table:
         if text not in ("0", "1"):
             raise self.error(f"flag must be 0 or 1, got {text!r}", line)
         return text == "1"
+
+
+def _screened(columns, numbers, text=None):
+    """columns, or ValueError if a cell of a column in numbers holds a character that is not ASCII or is in
+    _NOT_NUMBER. text, the whole block's cells joined, is screened first, so that only a block holding such a
+    character in any column (an id may) is screened column by column."""
+    if text is None or not _number_chars(text):
+        for k in numbers:
+            if not _number_chars("".join(columns[k])):
+                raise ValueError(f"a cell of column {k} is not a number")
+    return columns
+
+
+def _number_chars(text) -> bool:
+    """Whether text holds no character that is not ASCII or is in _NOT_NUMBER: of the rest, float() reads
+    a number only as _NUMBER spells it."""
+    return text.isascii() and not any(c in text for c in _NOT_NUMBER)
 
 
 def coded(cells, codes) -> np.ndarray:

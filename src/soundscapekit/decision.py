@@ -38,14 +38,13 @@ class AnnotationSet:
     def __post_init__(self):
         if self.duration_s <= 0:
             raise ValueError(f"{self.recording_id}: duration must be positive")
-        merged = {}
-        for cls in CLASSES:
-            segs = sorted(self.segments.get(cls, ()))
-            for start, end in segs:
-                if not _inside(start, end, self.duration_s):
-                    raise ValueError(f"{self.recording_id}: {_outside(start, end, self.duration_s)}")
-            merged[cls] = tuple(_merge(segs))
-        object.__setattr__(self, "segments", merged)
+        cell, starts, ends = _segment_columns(self.segments)
+        bad = np.flatnonzero(~_inside(starts, ends, self.duration_s))  # in class order, then as given
+        if len(bad):
+            raise ValueError(f"{self.recording_id}: {_outside(starts[bad[0]], ends[bad[0]], self.duration_s)}")
+        cell, starts, ends = _merged(cell, starts, ends)
+        pairs, bounds = list(zip(starts.tolist(), ends.tolist())), np.searchsorted(cell, range(len(CLASSES) + 1))
+        object.__setattr__(self, "segments", {c: tuple(pairs[a:b]) for c, a, b in zip(CLASSES, bounds, bounds[1:])})
 
     @property
     def active_classes(self) -> frozenset:
@@ -61,22 +60,34 @@ class AnnotationSet:
         )
 
 
-def _inside(start, end, duration_s) -> bool:
-    return 0 <= start < end <= duration_s + _DUR_TOL
+def _inside(start, end, duration_s):
+    """0 <= start < end <= duration_s, within _DUR_TOL: a bool, or flags where start and end are arrays (NaN fails)."""
+    return (0 <= start) & (start < end) & (end <= duration_s + _DUR_TOL)
 
 
 def _outside(start, end, duration_s) -> str:
     return f"segment ({start}, {end}) outside [0, {duration_s}]"
 
 
-def _merge(segs):
-    out = []
-    for start, end in segs:
-        if out and start <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], end))
-        else:
-            out.append((start, end))
-    return out
+def _segment_columns(segments):
+    """(cell, start, end) columns of {class: [(start, end), ...]}, cell being the class's index in CLASSES."""
+    rows = [(k, start, end) for k, cls in enumerate(CLASSES) for start, end in segments.get(cls, ())]
+    cell, starts, ends = np.array(rows, float).reshape(-1, 3).T
+    return cell.astype(np.intp), starts, ends
+
+
+def _merged(cell, starts, ends):
+    """Each cell's segments merged: (cell, start, end) columns, sorted by cell and start as sorted() orders pairs."""
+    order = np.lexsort((ends, starts, cell))
+    cell, starts, ends = cell[order], starts[order], ends[order]
+    # the running max of end within each cell, taken over ranks of the ends so that it stays exact
+    values, rank = np.unique(ends, return_inverse=True)
+    reach = values[np.maximum.accumulate(cell * len(values) + rank) - cell * len(values)]
+    opens = np.ones(len(cell), dtype=bool)  # the segment starts a merged one
+    opens[1:] = (cell[1:] != cell[:-1]) | (starts[1:] > reach[:-1])
+    closes = np.ones(len(cell), dtype=bool)
+    closes[:-1] = opens[1:]
+    return cell[opens], starts[opens], reach[closes]
 
 
 @dataclass(frozen=True)
@@ -109,13 +120,22 @@ class PdaPolicy:
 
 def pda_kept(ann: AnnotationSet, policy: PdaPolicy) -> list:
     """Per class of CLASSES, whether the PDA rule keeps it: annotated, and not short of p * T."""
-    kept = []
-    for cls in CLASSES:
-        lengths = [e - s for s, e in ann.segments[cls]]
-        min_dur = policy.min_duration_s(cls, ann.duration_s)
-        measured = sum(lengths) if policy.measure == "sum" else max(lengths, default=0.0)
-        kept.append(bool(lengths) and (min_dur is None or measured + _DUR_TOL >= min_dur))
-    return kept
+    return _kept(*_segment_columns(ann.segments), 1, ann.duration_s, policy)[0].tolist()
+
+
+def _kept(cell, starts, ends, recordings, duration_s, policy):
+    """The PDA rule over merged segments: [recordings x CLASSES] flags, cell being recording * len(CLASSES) + class.
+
+    The sum adds a cell's lengths one by one in the given (ascending start) order."""
+    cells, lengths = recordings * len(CLASSES), ends - starts
+    if policy.measure == "sum":
+        measured = np.bincount(cell, weights=lengths, minlength=cells)
+    else:
+        measured = np.zeros(cells)
+        np.maximum.at(measured, cell, lengths)
+    min_dur = [policy.min_duration_s(c, duration_s) for c in CLASSES]
+    long_enough = measured.reshape(-1, len(CLASSES)) + _DUR_TOL >= [-np.inf if m is None else m for m in min_dur]
+    return (np.bincount(cell, minlength=cells) > 0).reshape(-1, len(CLASSES)) & long_enough
 
 
 def apply_pda(ann: AnnotationSet, policy: PdaPolicy) -> AnnotationSet:
@@ -276,37 +296,16 @@ def _pda_columns(table, recording_ids, duration_s, policy):
     class_codes = {cls: k for k, cls in enumerate(CLASSES)}
     group, bounds = [np.empty(0, np.intp)], [np.empty((2, 0))]  # per block: each row's cell; its start and end
     try:
-        for ids, classes, start_cells, end_cells in table.columns():
+        for ids, classes, start_cells, end_cells in table.columns(numbers=(2, 3)):
             cls = np.fromiter(map(class_codes.__getitem__, classes), np.intp, len(classes))  # KeyError: unknown
             group.append(coded(ids, codes) * len(CLASSES) + cls)
             bounds.append(np.array([floats(start_cells), floats(end_cells)]))
     except (SchemaError, KeyError, ValueError):
         _raise_first_bad_segment(table, duration_s)
     starts, ends = np.concatenate(bounds, axis=1)
-    if not ((starts >= 0) & (starts < ends) & (ends <= duration_s + _DUR_TOL)).all():  # _inside; NaN fails
+    if not _inside(starts, ends, duration_s).all():
         _raise_first_bad_segment(table, duration_s)
-
-    group = np.concatenate(group)
-    order = np.lexsort((ends, starts, group))  # per cell, as sorted() orders (start, end) pairs
-    group, starts, ends = group[order], starts[order], ends[order]
-    # the running max of end within each cell, taken over ranks of the ends so that it stays exact
-    values, rank = np.unique(ends, return_inverse=True)
-    reach = values[np.maximum.accumulate(group * len(values) + rank) - group * len(values)]
-    opens = np.ones(len(group), dtype=bool)  # the row starts a merged segment, as in _merge
-    opens[1:] = (group[1:] != group[:-1]) | (starts[1:] > reach[:-1])
-    closes = np.ones(len(group), dtype=bool)
-    closes[:-1] = opens[1:]
-    cell, lengths = group[opens], reach[closes] - starts[opens]
-
-    cells = len(codes) * len(CLASSES)
-    if policy.measure == "sum":  # each cell's lengths added in ascending start order, as pda_kept's sum adds them
-        measured = np.bincount(cell, weights=lengths, minlength=cells)
-    else:
-        measured = np.zeros(cells)
-        np.maximum.at(measured, cell, lengths)
-    min_dur = [policy.min_duration_s(c, duration_s) for c in CLASSES]
-    long_enough = measured.reshape(-1, len(CLASSES)) + _DUR_TOL >= [-np.inf if m is None else m for m in min_dur]
-    kept = (np.bincount(cell, minlength=cells) > 0).reshape(-1, len(CLASSES)) & long_enough
+    kept = _kept(*_merged(np.concatenate(group), starts, ends), len(codes), duration_s, policy)
     return kept[:len(recording_ids)], list(codes)[len(recording_ids):]
 
 

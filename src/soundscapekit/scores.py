@@ -67,7 +67,7 @@ def load_scores(path, window_len_s: float = 10.0, duration_s: float | None = Non
     codes: dict = {}  # recording_id -> index in order of first appearance
     rec, starts, scores = [np.empty(0, np.intp)], [np.empty(0)], [np.empty((0, len(class_order)))]  # per block
     try:
-        for ids, start_cells, *score_cells in table.columns():
+        for ids, start_cells, *score_cells in table.columns(numbers=range(1, len(table.header))):
             rec.append(coded(ids, codes))
             value = {cell: float(cell) for cell in set(start_cells)}  # a few distinct starts
             starts.append(floats(start_cells, value.__getitem__))

@@ -801,19 +801,31 @@ class TestBadInputTables:
         assert_table_error(result, manifest, line)
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("start", ["nan", "-5", "inf", "x"])
+    @pytest.mark.parametrize("start", ["nan", "-5", "inf", "x", "1_0.0", " 10.0 ", "\uff110"])  # float() reads the last 3
     @pytest.mark.parametrize("command", ["evaluate", "tune"])
     def test_bad_window_start(self, runner, tmp_path, command, start):
         scores = tmp_path / "scores.csv"
         scores.write_text(
             "recording_id,window_start_s,anthropophony,biophony,geophony\n"
-            f"r0,0.0,0.1,0.9,0.1\nr0,{start},0.1,0.9,0.1\n"
+            f"r0,0.0,0.1,0.9,0.1\nr0,{start},0.1,0.9,0.1\n", encoding="utf-8"
         )
         anns = tmp_path / "annotations.csv"
         write_weak_annotations(anns, {"r0": {"biophony"}})
         out = ["--out", str(tmp_path / ("rep" if command == "evaluate" else "t.json"))]
         result = runner.invoke(main, [command, str(scores), str(anns), *out])
         assert_table_error(result, scores, 3)
+
+    @pytest.mark.parametrize("end", ["1_0", "10\t"])
+    @pytest.mark.parametrize("command", ["evaluate", "tune"])
+    def test_segment_end_spelt_otherwise(self, runner, tmp_path, command, end):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("recording_id,window_start_s,anthropophony,biophony,geophony\nr0,0.0,0.1,0.9,0.1\n")
+        anns = tmp_path / "seg.csv"
+        anns.write_text(f"recording_id,class,start_s,end_s\nr0,biophony,0,5\nr0,geophony,0,{end}\n")
+        out = ["--out", str(tmp_path / ("rep" if command == "evaluate" else "t.json"))]
+        result = runner.invoke(main, [command, str(scores), str(anns), *out])
+        assert_table_error(result, anns, 3)
+        assert f"{anns}:3: expected a number, got {end!r}" in result.output
 
     @pytest.mark.parametrize("start", ["1e9", "60", "60.0"])
     @pytest.mark.parametrize("command", ["evaluate", "tune"])

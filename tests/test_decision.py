@@ -60,6 +60,13 @@ class TestAnnotationSet:
         with pytest.raises(ValueError):
             AnnotationSet("r", 60, {BIOPHONY: [(50, 70)]})
 
+    def test_end_within_the_tolerance_past_the_recording_is_inside(self, tmp_path):
+        ann = AnnotationSet("r", 60, {BIOPHONY: [(0, 60 + 5e-10)]})
+        assert ann.segments[BIOPHONY] == ((0, 60 + 5e-10),)
+        p = tmp_path / "ann.csv"
+        p.write_text(f"recording_id,class,start_s,end_s\nr,biophony,0,{60 + 5e-10!r}\n")
+        assert pda_truth(p, ["r"], 60.0, PdaPolicy()).tolist() == [[False, True, False]]
+
     def test_from_weak_labels(self):
         ann = AnnotationSet.from_weak_labels("r", 60, [ANTHROPOPHONY])
         assert ann.active_classes == frozenset({ANTHROPOPHONY})
@@ -355,18 +362,30 @@ def strong_tables(draw):
     return duration, rows
 
 
-def brute_force_kept(segments, duration, policy):
-    """The PDA rule over raw segments: sort, merge, take the sum or the longest, compare with p * T - 1e-9."""
-    kept = []
+def brute_force_merged(segments):
+    """{class: ((start, end), ...)} of {class: [(start, end), ...]}: sorted, then each segment that starts at
+    or before the end of the last merged one extends it."""
+    merged = {}
     for cls in CLASSES:
-        merged = []
+        out = []
         for start, end in sorted(segments.get(cls, ())):
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
+            if out and start <= out[-1][1]:
+                out[-1] = (out[-1][0], max(out[-1][1], end))
             else:
-                merged.append([start, end])
+                out.append((start, end))
+        merged[cls] = tuple(out)
+    return merged
+
+
+def brute_force_kept(segments, duration, policy):
+    """The PDA rule over raw segments: merge, add the lengths left to right (Python's sum may round otherwise:
+    from 3.12 it compensates) or take the longest, compare with p * T - 1e-9."""
+    kept = []
+    for cls, merged in brute_force_merged(segments).items():
         lengths = [end - start for start, end in merged]
-        measured = sum(lengths) if policy.measure == "sum" else max(lengths, default=0.0)
+        measured = 0.0
+        for length in lengths:
+            measured = measured + length if policy.measure == "sum" else max(measured, length)
         p = policy.fractions.get(cls)
         kept.append(bool(lengths) and (p is None or measured >= p * duration - 1e-9))
     return kept
@@ -412,6 +431,18 @@ class TestAnnotationIO:
                 segments = {cls: [(0.0, duration)] for cls in segments}
             assert pda_kept(ann, policy) == brute_force_kept(segments, duration, policy)
 
+    @settings(max_examples=200, deadline=None)
+    @given(table=strong_tables())
+    def test_segments_are_merged_as_brute_force_merges_them(self, table):
+        """Each recording's AnnotationSet holds its rows' segments sorted and merged, overlaps, abutting and nested
+        segments included, with the ends kept exactly."""
+        duration, rows = table
+        by_recording = {}
+        for rid, cls, start, end in rows:
+            by_recording.setdefault(rid, {}).setdefault(cls, []).append((start, end))
+        for rid, segments in by_recording.items():
+            assert AnnotationSet(rid, duration, segments).segments == brute_force_merged(segments)
+
     @pytest.mark.parametrize("line3, line5, message", [
         ("r0,traffic,0,10", "r1,geophony,0,inf", "unknown class 'traffic'"),
         ("r0,biophony,0,inf", "r1,traffic,0,10", "expected a finite number, got 'inf'"),
@@ -431,8 +462,10 @@ class TestAnnotationIO:
             assert str(err.value) == f"{p}:3: {message}"
 
     def test_sum_adds_lengths_in_start_order(self, tmp_path):
-        """Three segments whose lengths sum one ulp higher in start order than in reverse, with p * T on the
-        higher sum plus 1e-9: the class is kept only when the lengths are added in start order, as pda_kept does."""
+        """Three segments whose lengths sum one ulp higher added one by one in start order than in reverse, with
+        p * T on the higher sum plus 1e-9: the class is kept only when the lengths are added one by one in start
+        order, as the one PDA kernel adds them for pda_kept and pda_truth alike (on every Python: its sum is
+        numpy's, not the builtin sum, which compensates rounding from 3.12)."""
         segments = [(1.248939768477921, 11.788799765695673), (12.046137083765515, 23.858482125263556),
                     (24.06431557306498, 26.388809888206612)]
         a, b, c = (end - start for start, end in segments)

@@ -1,6 +1,7 @@
 """The shared input-table reader and a fuzz test for every loader built on it."""
 
 import csv
+import math
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from soundscapekit import _table
 from soundscapekit._table import Table
 from soundscapekit.cli import _read_diversity_csv, _read_indices_csv
-from soundscapekit.decision import load_annotations, load_decisions
+from soundscapekit.decision import PdaPolicy, load_annotations, load_decisions, pda_truth
 from soundscapekit.errors import SchemaError
 from soundscapekit.labels import CLASSES, SILENCE
 from soundscapekit.scores import load_scores
@@ -88,7 +89,8 @@ class TestTable:
         with pytest.raises(SchemaError, match=r"t\.csv:4: duplicate recording_id 'r1'"):
             list(t.keyed())
 
-    @pytest.mark.parametrize("text", ["", "x", "nan", "inf", "-inf", "1e999", "0x1"])
+    @pytest.mark.parametrize("text", ["", "x", "nan", "inf", "-inf", "1e999", "0x1",
+                                      "1_0", " 20.0 ", "\t1", "1\n", "\x0b1", "\xa01", "\uff11\uff10", "\u0661"])
     def test_number_rejects_non_finite(self, tmp_path, text):
         t = table(tmp_path, "a,b\n")
         with pytest.raises(SchemaError, match=r"t\.csv:7: expected a"):
@@ -98,12 +100,46 @@ class TestTable:
         t = table(tmp_path, "a,b\n")
         assert t.number("-0.25", 2) == -0.25
 
+    @pytest.mark.parametrize("text, value", [("1.", 1.0), (".5", 0.5), ("+1e-3", 1e-3), ("-0", 0.0), ("2E+2", 200.0),
+                                             ("007", 7.0)])
+    def test_number_accepts_the_grammar(self, tmp_path, text, value):
+        assert table(tmp_path, "a,b\n").number(text, 2) == value
+
     @pytest.mark.parametrize("text", ["", "yes", "true", " 1", "1.0", "2", "-0"])
     def test_flag_accepts_only_0_and_1(self, tmp_path, text):
         t = table(tmp_path, "a,b\n")
         assert (t.flag("0", 2), t.flag("1", 2)) == (False, True)
         with pytest.raises(SchemaError, match=r"t\.csv:5: flag must be 0 or 1"):
             t.flag(text, 5)
+
+
+NUMBER_TEXT = st.text(st.sampled_from("0123456789+-.eE_ \t\n\x0b\x0c\r\xa0\uff11\u0661nafiINxX"), max_size=8)
+
+
+@pytest.fixture(scope="module")
+def number_table(tmp_path_factory):
+    p = tmp_path_factory.mktemp("number") / "t.csv"
+    p.write_text("a\n")
+    return Table(p, [["a"]])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(text=NUMBER_TEXT)
+def test_the_column_screen_and_the_cell_rule_agree(number_table, text):
+    """A cell that passes the columns' screen and that float() reads as a finite number is a number by Table.number,
+    of the same value, and the other way round; both are exactly the finite numbers that _NUMBER spells."""
+    try:
+        by_column = float(_table._screened([[text]], [0])[0][0])
+    except ValueError:
+        by_column = None
+    try:
+        by_cell = number_table.number(text, 2)
+    except SchemaError:
+        by_cell = None
+    if by_column is not None and not math.isfinite(by_column):
+        by_column = None  # left to the callers' range checks
+    assert by_column == by_cell
+    assert (by_cell is not None) == bool(_table._NUMBER.fullmatch(text) and math.isfinite(float(text)))
 
 
 # --- columns: the rows as blocks of columns, split directly where plain -------
@@ -223,6 +259,42 @@ def test_the_row_iterator_takes_over_at_the_first_block_that_is_not_plain(tmp_pa
     monkeypatch.setattr(Table, "_rows", lambda self, skip: starts.append(skip) or rows(self, skip))
     columns_or_error(t)
     assert len(starts) == 1 and 1 < starts[0] < 20_002  # the plain blocks before the tail's line are not read again
+
+
+SCORES = "recording_id,window_start_s,anthropophony,biophony,geophony\n{0},0.0,0.1,0.2,0.3\n"
+SEGMENTS = "recording_id,class,start_s,end_s\n{0},biophony,0,5\n"
+#: A table whose line 3 holds a cell that float() reads as a number and _NUMBER does not spell, and the cell.
+SPELLED_OTHERWISE = {
+    "score-start": (load_scores, SCORES + "{0},1_0.0,0.1,0.2,0.3\n", "1_0.0"),
+    "score": (load_scores, SCORES + "{0},10.0,0.1, 0.2,0.3\n", " 0.2"),
+    "segment-end": (lambda p: pda_truth(p, ["r0"], 60.0, PdaPolicy()), SEGMENTS + "{0},biophony,5,1_0\n", "1_0"),
+    "segment-start": (lambda p: load_annotations(p, 60.0), SEGMENTS + "{0},geophony,\uff10,5\n", "\uff10"),
+}
+
+
+@pytest.mark.parametrize("rid", ["r0", '"r0"'], ids=["split", "row-by-row"])
+@pytest.mark.parametrize("name", list(SPELLED_OTHERWISE))
+def test_column_readers_name_a_number_spelt_otherwise(tmp_path, name, rid):
+    """Split into columns or (with a quoted id) read row by row, the table fails at the cell's line."""
+    read, text, cell = SPELLED_OTHERWISE[name]
+    p = tmp_path / "t.csv"
+    p.write_text(text.format(rid), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        read(p)
+    assert str(err.value) == f"{p}:3: expected a number, got {cell!r}"
+
+
+def test_ids_may_hold_what_numbers_may_not(tmp_path):
+    """An id with '_', a space or a character that is not ASCII sends its block to the screen by column,
+    which passes numbers spelt as _NUMBER."""
+    scores, segments = tmp_path / "scores.csv", tmp_path / "segments.csv"
+    ids = ["r_0", "r 1", "caf\u00e9"]
+    scores.write_text(SCORES.format(ids[0]) + "".join(f"{rid},0.0,0.1,0.2,0.3\n" for rid in ids[1:]), encoding="utf-8")
+    segments.write_text(SEGMENTS.format(ids[0]) + "".join(f"{rid},geophony,1.,2E1\n" for rid in ids[1:]),
+                        encoding="utf-8")
+    assert load_scores(scores).recording_ids == ids
+    assert pda_truth(segments, ids, 60.0, PdaPolicy()).tolist() == [[False, True, False], [False, False, True],
+                                                                      [False, False, True]]
 
 
 # --- fuzz: arbitrary tables may only load or raise SchemaError ----------------

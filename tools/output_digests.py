@@ -26,13 +26,14 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
   above the windows of the shortest recording, ``case-study`` with a
   recording missing from the diversity CSV, ``tune`` with a ``nan`` window
   start, ``tune`` with a recording whose window starts are 0, 10, 25 (an
-  error naming the path alone), ``evaluate`` with a score of ``1.5`` (an
-  error naming its line), ``evaluate`` with annotations holding an unknown
-  class on line 3 and an ``inf`` end on line 5 (an error naming line 3),
-  ``evaluate`` with an ``--out`` under a regular
-  file, ``mix`` with ``--count BA=1`` and with ``--count A=-1`` (usage
-  errors, exit 2), ``mix`` of a pool without geophony with
-  ``--count B=2 --count G=1``, ``mix --jobs 2`` of a pool with a geophony
+  error naming the path alone), ``evaluate`` with a window start spelt
+  ``1_0.0``, which ``float`` would take (an error naming its line),
+  ``evaluate`` with a score of ``1.5`` (an error naming its line),
+  ``evaluate`` with annotations holding an unknown class on line 3 and an
+  ``inf`` end on line 5 (an error naming line 3), ``evaluate`` with an
+  ``--out`` under a regular file, ``mix`` with ``--count BA=1`` and with
+  ``--count A=-1`` (usage errors, exit 2), ``mix`` of a pool without
+  geophony with ``--count B=2 --count G=1``, ``mix --jobs 2`` of a pool with a geophony
   entry that is not a WAV, which fails after some files are rendered,
   ``indices`` of a directory holding one
   good WAV and one ``.wav`` file that is not RIFF, and ``indices`` of one
@@ -207,6 +208,12 @@ def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool:
     spacing = scores_with("scores-spacing.csv", 2, rows[2].replace(",20.0,", ",25.0,", 1))  # starts 0, 10, 25, 30
     yield "fail-tune-spacing", ["tune", spacing, fixture[1], "--out", out / "fail-tune-spacing.json"], \
         out / "fail-tune-spacing.json"
+
+    rid, _, scores = rows[1].split(",", 2)
+    underscore = scores_with("scores-underscore-start.csv", 1, f"{rid},1_0.0,{scores}")  # float() reads 10.0
+    yield "fail-evaluate-underscore-start", ["evaluate", underscore, fixture[1],
+                                             "--out", out / "fail-evaluate-underscore-start"], \
+        out / "fail-evaluate-underscore-start"
 
     rid, start, _, scores = rows[1].split(",", 3)
     above_one = scores_with("scores-above-one.csv", 1, f"{rid},{start},1.5,{scores}")
