@@ -130,6 +130,18 @@ class Table:
                     raise self.error(f"unreadable CSV ({exc})", line_no) from None
             yield text
 
+    @contextmanager
+    def checked(self, check):
+        """A block whose SchemaError, KeyError or ValueError becomes the error of the first row, in file order,
+        that check(line, fields) rejects; if every row passes, the block's error broke a rule that spans rows,
+        and its message comes with the path alone."""
+        try:
+            yield
+        except (SchemaError, KeyError, ValueError) as exc:
+            for line, fields in self:
+                check(line, fields)
+            raise exc if isinstance(exc, SchemaError) else self.error(str(exc), None) from None
+
     def keyed(self):
         """The rows of a table with one row per recording_id (column 0); a repeated id is an error."""
         seen = set()

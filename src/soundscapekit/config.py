@@ -17,6 +17,7 @@ from .indices import (
     DEFAULT_ADI_MAX_FREQ_HZ,
     DEFAULT_ANTHRO_BAND_HZ,
     DEFAULT_BIO_BAND_HZ,
+    aci_chunk_frames,
     check_bands,
 )
 from .evaluation import DEFAULT_BOOTSTRAP_RESAMPLES, DEFAULT_CONFIDENCE, MAX_BOOTSTRAP_RESAMPLES
@@ -100,6 +101,8 @@ class RunConfig:
             cfg.indices = params = IndexParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in idx.items()})
             check_bands(params.target_rate_hz / 2.0, (params.adi_band_width_hz, params.adi_max_freq_hz),
                         (params.ndsi_anthro_hz, params.ndsi_bio_hz))
+            if params.aci_chunk_s is not None:
+                aci_chunk_frames(params.aci_chunk_s, params.stft_hop / params.target_rate_hz)
             for count, pmf in d["mixer"]["count_pmfs"].items():
                 if any(p < 0 for p in pmf.values()) or not sum(pmf.values()) > 0:
                     raise ValueError(f"mixer count_pmfs {count} must be probabilities >= 0 with a positive sum, got {pmf}")

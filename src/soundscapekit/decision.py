@@ -16,7 +16,6 @@ from itertools import compress
 import numpy as np
 
 from ._table import Table, coded, floats, write_table
-from .errors import SchemaError
 from .labels import CLASSES, SILENCE
 from .scores import ScoreMatrix
 
@@ -260,7 +259,8 @@ def load_annotations(path, duration_s: float) -> dict:
                 for rid, flags in _flag_rows(table)}
 
     segments = defaultdict(lambda: {c: [] for c in CLASSES})
-    for rec_id, cls, start, end in _segment_rows(table, duration_s):
+    for line, fields in table:
+        rec_id, cls, start, end = _segment_row(table, line, fields, duration_s)
         segments[rec_id][cls].append((start, end))
     return {
         rec_id: AnnotationSet(recording_id=rec_id, duration_s=duration_s, segments=segs)
@@ -295,36 +295,27 @@ def _pda_columns(table, recording_ids, duration_s, policy):
     codes = {rid: k for k, rid in enumerate(recording_ids)}  # recording_id -> row; the other ids follow
     class_codes = {cls: k for k, cls in enumerate(CLASSES)}
     group, bounds = [np.empty(0, np.intp)], [np.empty((2, 0))]  # per block: each row's cell; its start and end
-    try:
+    with table.checked(lambda line, fields: _segment_row(table, line, fields, duration_s)):
         for ids, classes, start_cells, end_cells in table.columns(numbers=(2, 3)):
             cls = np.fromiter(map(class_codes.__getitem__, classes), np.intp, len(classes))  # KeyError: unknown
             group.append(coded(ids, codes) * len(CLASSES) + cls)
             bounds.append(np.array([floats(start_cells), floats(end_cells)]))
-    except (SchemaError, KeyError, ValueError):
-        _raise_first_bad_segment(table, duration_s)
-    starts, ends = np.concatenate(bounds, axis=1)
-    if not _inside(starts, ends, duration_s).all():
-        _raise_first_bad_segment(table, duration_s)
+        starts, ends = np.concatenate(bounds, axis=1)
+        if not _inside(starts, ends, duration_s).all():
+            raise ValueError(f"segments outside [0, {duration_s}]")
     kept = _kept(*_merged(np.concatenate(group), starts, ends), len(codes), duration_s, policy)
     return kept[:len(recording_ids)], list(codes)[len(recording_ids):]
 
 
-def _segment_rows(table, duration_s):
-    """(recording_id, class, start, end) per row of a strong table; a bad row is an error at its line."""
-    for line, (rec_id, cls, start, end) in table:
-        if cls not in CLASSES:
-            raise table.error(f"unknown class {cls!r}", line)
-        start, end = table.number(start, line), table.number(end, line)
-        if not _inside(start, end, duration_s):
-            raise table.error(_outside(start, end, duration_s), line)
-        yield rec_id, cls, start, end
-
-
-def _raise_first_bad_segment(table, duration_s):
-    """Raise the SchemaError of the first bad row of a strong table, with its line."""
-    for _ in _segment_rows(table, duration_s):
-        pass
-    raise SchemaError("file changed while it was read", path=table.path)
+def _segment_row(table, line, fields, duration_s):
+    """(recording_id, class, start, end) of a strong table's row; a bad row is an error at its line."""
+    rec_id, cls, start, end = fields
+    if cls not in CLASSES:
+        raise table.error(f"unknown class {cls!r}", line)
+    start, end = table.number(start, line), table.number(end, line)
+    if not _inside(start, end, duration_s):
+        raise table.error(_outside(start, end, duration_s), line)
+    return rec_id, cls, start, end
 
 
 def _flag_rows(table):

@@ -92,8 +92,9 @@ def macro_f1(per_class_f1) -> float:
     return float(sum(vals) / len(vals))
 
 
-def _flag_arrays(pred, true):
-    """pred and true as bool arrays of one [recordings x CLASSES] shape, with at least one row."""
+def _outcomes(pred, true):
+    """pred as bool flags, and each recording's outcome per class, 0 tn, 1 fp, 2 tp or 3 fn, from
+    pred and true of one [recordings x CLASSES] shape with at least one row."""
     pred, true = np.asarray(pred, dtype=bool), np.asarray(true, dtype=bool)
     if pred.shape != true.shape or pred.ndim != 2 or pred.shape[1] != len(CLASSES):
         raise ValueError(
@@ -101,7 +102,7 @@ def _flag_arrays(pred, true):
         )
     if not len(pred):
         raise ValueError("nothing to evaluate")
-    return pred, true
+    return pred, 2 * true + (pred != true)
 
 
 def evaluate(
@@ -116,20 +117,15 @@ def evaluate(
     pred and true are [recordings x CLASSES] flags with rows aligned: the
     decided classes and the (possibly PDA-filtered) annotated classes.
     """
-    pred, true = _flag_arrays(pred, true)
+    pred, outcome = _outcomes(pred, true)
     if not 1 <= bootstrap_resamples <= MAX_BOOTSTRAP_RESAMPLES:
         raise ValueError(f"need 1 to {MAX_BOOTSTRAP_RESAMPLES} bootstrap resamples, got {bootstrap_resamples}")
 
     n = len(pred)
-    tp_i = pred & true
-    fp_i = pred & ~true
-    fn_i = ~pred & true
-
     per_class = {}
     f1s = []
     for j, cls in enumerate(CLASSES):
-        tp, fp, fn = int(tp_i[:, j].sum()), int(fp_i[:, j].sum()), int(fn_i[:, j].sum())
-        tn = n - tp - fp - fn
+        tn, fp, tp, fn = np.bincount(outcome[:, j], minlength=4).tolist()
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = float(f1_score(tp, fp, fn))
@@ -137,7 +133,7 @@ def evaluate(
         f1s.append(f1)
 
     point = macro_f1(f1s)
-    ci = _bootstrap_macro_ci(tp_i, fp_i, fn_i, point, bootstrap_resamples, confidence, bootstrap_seed)
+    ci = _bootstrap_macro_ci(outcome, point, bootstrap_resamples, confidence, bootstrap_seed)
 
     silence_rate = int((~pred.any(axis=1)).sum()) / n
     return EvalReport(
@@ -152,27 +148,26 @@ def evaluate(
     )
 
 
-def _bootstrap_macro_ci(tp_i, fp_i, fn_i, point, resamples, confidence, seed):
-    macros = _bootstrap_macros(tp_i, fp_i, fn_i, resamples, seed)
+def _bootstrap_macro_ci(outcome, point, resamples, confidence, seed):
+    macros = _bootstrap_macros(outcome, resamples, seed)
     alpha = (1.0 - confidence) / 2.0
     lo, hi = np.quantile(macros, [alpha, 1.0 - alpha])
     # percentile interval, widened if needed so it brackets the point estimate
     return (min(float(lo), point), max(float(hi), point))
 
 
-def _bootstrap_macros(tp_i, fp_i, fn_i, resamples, seed) -> np.ndarray:
-    """Macro F1 of each resample; resample r draws n recordings with replacement
-    from its own stream SeedSequence([seed, r])."""
-    n, k = tp_i.shape
-    # a recording's outcome code: per class 0 tn, 1 tp, 2 fp or 3 fn, in base 4
-    codes = ((tp_i + 2 * fp_i + 3 * fn_i) << 2 * np.arange(k)).sum(axis=1)
+def _bootstrap_macros(outcome, resamples, seed) -> np.ndarray:
+    """Macro F1 of each resample of the [recordings x classes] outcomes (see _outcomes); resample r
+    draws n recordings with replacement from its own stream SeedSequence([seed, r])."""
+    n, k = outcome.shape
+    codes = (outcome << 2 * np.arange(k)).sum(axis=1)  # a recording's outcomes in base 4
     drawn = np.empty((resamples, 4**k), dtype=np.intp)  # per resample: draws of each outcome code
     for r in range(resamples):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
         drawn[r] = np.bincount(codes[rng.integers(0, n, size=n)], minlength=4**k)
     state = np.arange(4**k)[:, None] >> 2 * np.arange(k) & 3  # [codes x classes]
     # [resamples x classes] each of tp, fp and fn: integer counts, exact in float64
-    tp, fp, fn = np.hsplit((drawn @ np.hstack([state == 1, state == 2, state == 3])).astype(float), 3)
+    tp, fp, fn = np.hsplit((drawn @ np.hstack([state == 2, state == 1, state == 3])).astype(float), 3)
     return f1_score(tp, fp, fn).mean(axis=1)
 
 
@@ -314,15 +309,14 @@ def stratify_errors(pred, true) -> StratifiedErrors:
     pred and true are [recordings x CLASSES] flags with rows aligned, as for
     :func:`evaluate`.
     """
-    pred, true = _flag_arrays(pred, true)
-    bits = true << np.arange(len(CLASSES))  # class k annotated sets bit k
+    _, outcome = _outcomes(pred, true)
+    bits = outcome >> 1 << np.arange(len(CLASSES))  # class k annotated (tp or fn) sets bit k
     codes = bits.sum(axis=1)
     combos = [combo_string({c for k, c in enumerate(CLASSES) if code >> k & 1}) for code in range(1 << len(CLASSES))]
     out = StratifiedErrors()
     for j, cls in enumerate(CLASSES):
-        # one bin per (code of the other annotated classes, outcome 0 tn / 1 fp / 2 tp / 3 fn)
-        outcome = 2 * true[:, j] + (pred[:, j] != true[:, j])
-        tallies = np.bincount(4 * (codes - bits[:, j]) + outcome, minlength=4 << len(CLASSES)).reshape(-1, 4)
+        # one bin per (code of the other annotated classes, outcome)
+        tallies = np.bincount(4 * (codes - bits[:, j]) + outcome[:, j], minlength=4 << len(CLASSES)).reshape(-1, 4)
         out.per_class[cls] = {
             combos[code]: ComboTally(fp_count=fp, fn_count=fn, fp_denominator=tn + fp, fn_denominator=tp + fn)
             for code, (tn, fp, tp, fn) in enumerate(tallies.tolist())

@@ -7,6 +7,8 @@ difference (bio - anthro) / (bio + anthro) from a Welch PSD, which is
 built on the same framed-FFT kernel as the STFT.
 """
 
+import sys
+
 import numpy as np
 
 from .audio_io import AudioClip
@@ -51,6 +53,16 @@ def check_bands(nyquist_hz: float, adi_bands=None, ndsi_bands=None) -> int | Non
     return n_bands
 
 
+def aci_chunk_frames(chunk_s: float, frame_hop_s: float) -> int:
+    """The frames in an ACI chunk of chunk_s seconds, or ValueError if fewer than 2; RunConfig checks this too.
+
+    A count past the float range is sys.maxsize: one chunk, as any chunk longer than its clip."""
+    frames = round(min(chunk_s / frame_hop_s, sys.maxsize))
+    if frames < 2:
+        raise ValueError(f"chunk of {chunk_s} s spans fewer than 2 frames")
+    return frames
+
+
 def aci(spec: Spectrogram, chunk_s: float | None = None) -> float:
     """Acoustic Complexity Index over non-overlapping temporal chunks.
 
@@ -64,12 +76,7 @@ def aci(spec: Spectrogram, chunk_s: float | None = None) -> float:
     if n_frames < 2:
         raise ValueError(f"aci needs >= 2 frames, got {n_frames}")
 
-    if chunk_s is None:
-        chunk_len = n_frames
-    else:
-        chunk_len = int(round(chunk_s / spec.frame_hop_s))
-        if chunk_len < 2:
-            raise ValueError(f"chunk of {chunk_s} s spans fewer than 2 frames")
+    chunk_len = n_frames if chunk_s is None else aci_chunk_frames(chunk_s, spec.frame_hop_s)
 
     total = 0.0
     for start in range(0, n_frames, chunk_len):
@@ -104,7 +111,10 @@ def adi(
         raise ValueError(f"adi expects a {SCALE_LINEAR} spectrogram, got {spec.scale}")
     n_bands = check_bands(spec.nyquist_hz, adi_bands=(band_width_hz, max_freq_hz))
 
-    level = (spec.n_bins - 1) / 2.0 * 10.0 ** (db_threshold / 20.0)
+    try:
+        level = (spec.n_bins - 1) / 2.0 * 10.0 ** (db_threshold / 20.0)
+    except OverflowError:  # a level past the float range is above every cell
+        return 0.0
     # bins are ascending, so the bins in (lo, hi] are one column slice
     edges = np.searchsorted(spec.bin_freqs_hz, np.arange(n_bands + 1) * band_width_hz, side="right")
     occupancy = np.zeros(n_bands)

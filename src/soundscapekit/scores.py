@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import Table, coded, floats
-from .errors import SchemaError
 from .labels import CLASSES, SILENCE
 
 _SPACING_TOL = 1e-9
@@ -66,23 +65,18 @@ def load_scores(path, window_len_s: float = 10.0, duration_s: float | None = Non
     class_order = tuple(table.header[2:])
     codes: dict = {}  # recording_id -> index in order of first appearance
     rec, starts, scores = [np.empty(0, np.intp)], [np.empty(0)], [np.empty((0, len(class_order)))]  # per block
-    try:
+    with table.checked(lambda line, fields: _check_row(table, line, fields, duration_s)):
         for ids, start_cells, *score_cells in table.columns(numbers=range(1, len(table.header))):
             rec.append(coded(ids, codes))
             value = {cell: float(cell) for cell in set(start_cells)}  # a few distinct starts
             starts.append(floats(start_cells, value.__getitem__))
             scores.append(np.column_stack([floats(cells) for cells in score_cells]))
-    except (SchemaError, ValueError):
-        _raise_first_bad_row(table, duration_s)
-
-    starts, scores = np.concatenate(starts), np.concatenate(scores)
-    if duration_s is not None and not (starts < duration_s).all():
-        _raise_first_bad_row(table, duration_s)
-
-    rec = np.concatenate(rec)
-    order = np.lexsort((starts, rec))
-    counts = np.bincount(rec, minlength=len(codes))
-    try:
+        starts, scores = np.concatenate(starts), np.concatenate(scores)
+        if duration_s is not None and not (starts < duration_s).all():
+            raise ValueError(f"window starts not inside the {duration_s} s recording")
+        rec = np.concatenate(rec)
+        order = np.lexsort((starts, rec))
+        counts = np.bincount(rec, minlength=len(codes))
         return ScoreTable(
             recording_ids=list(codes),
             window_starts_s=starts[order],
@@ -91,8 +85,6 @@ def load_scores(path, window_len_s: float = 10.0, duration_s: float | None = Non
             class_order=class_order,
             offsets=np.cumsum(counts) - counts,
         )
-    except ValueError as exc:
-        _raise_first_bad_row(table, duration_s, otherwise=str(exc))
 
 
 def _check_row(table, line, fields, duration_s):
@@ -104,13 +96,6 @@ def _check_row(table, line, fields, duration_s):
     for s in scores:
         if not 0.0 <= s <= 1.0:
             raise table.error(f"score {s} outside [0, 1]", line)
-
-
-def _raise_first_bad_row(table, duration_s, otherwise="file changed while it was read"):
-    """Raise the SchemaError of the first row that breaks a rule, with its line, else one of otherwise."""
-    for line, fields in table:
-        _check_row(table, line, fields, duration_s)
-    raise SchemaError(otherwise, path=table.path)
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,9 +41,14 @@ class TestIndicesCommand:
             ({"ndsi_bio_hz": [2000.0]}, "indices ndsi_bio_hz must be a list of 2 numbers, got [2000.0]"),
             ({"adi_band_width_hz": 3000}, "band width 3000 must split (0, 10000.0] into >= 2 bands"),
             ({"stft_windw": 2048}, "unknown key 'stft_windw' in indices"),
+            ({"aci_chunk_s": 0.001}, "chunk of 0.001 s spans fewer than 2 frames"),  # 0.1 frames at the 10 ms hop
+            ({"aci_chunk_s": 0}, "chunk of 0 s spans fewer than 2 frames"),
+            ({"aci_chunk_s": -5}, "chunk of -5 s spans fewer than 2 frames"),
+            ({"aci_chunk_s": 0.014}, "chunk of 0.014 s spans fewer than 2 frames"),  # 1.4 frames, rounded
         ],
     )
     def test_invalid_indices_config_is_one_line_error(self, runner, tmp_path, indices, message):
+        """The error comes before any file is decoded: the output holds no other line."""
         audio = tmp_path / "audio"
         audio.mkdir()
         write_wav_pcm16(audio / "a.wav", AudioClip(samples=tone(4000, 1.0, 32000), sample_rate_hz=32000))
@@ -55,6 +60,28 @@ class TestIndicesCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.output == f"Error: {cfg}: invalid configuration: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("indices", [{"aci_chunk_s": 1e308}, {"adi_db_threshold": 1e308}])
+    def test_config_value_that_overflows_a_float_is_no_traceback(self, tmp_path, indices):
+        """A chunk of 1e308 s is one chunk, as no chunk is given; a threshold of 1e308 dB occupies no band."""
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        write_wav_pcm16(audio / "a.wav", AudioClip(samples=tone(4000, 1.0, 32000, amp=0.3), sample_rate_hz=32000))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"indices": indices}))
+        rows = []
+        for config in ([], ["--config", cfg]):
+            env = dict(os.environ, PYTHONPATH=str(SRC))
+            done = subprocess.run([sys.executable, "-m", "soundscapekit.cli", "indices", audio, *config],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert "Traceback" not in done.stderr
+            rows.append(done.stdout.splitlines()[-1].split(","))
+        default, got = rows
+        if "aci_chunk_s" in indices:
+            assert got == default
+        else:
+            assert got[2] == "0.0" and default[2] != "0.0" and got[1::2] == default[1::2]
 
     def test_empty_directory(self, runner, tmp_path):
         out = tmp_path / "idx.csv"

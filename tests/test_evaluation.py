@@ -179,22 +179,27 @@ def outcome_matrices(draw):
     return pred & true, pred & ~true, ~pred & true
 
 
+def outcome_codes(tp_i, fp_i, fn_i):
+    """The outcome of each recording and class as evaluation codes it: 0 tn, 1 fp, 2 tp or 3 fn."""
+    return 2 * (tp_i | fn_i) + (fp_i | fn_i)
+
+
 class TestBootstrap:
     @settings(max_examples=150, deadline=None)
     @given(outcome_matrices(), st.integers(1, 40), st.integers(0, 2**63 - 1))
     def test_bincount_equals_fancy_index_bit_for_bit(self, outcomes, resamples, seed):
-        got = _bootstrap_macros(*outcomes, resamples, seed)
+        got = _bootstrap_macros(outcome_codes(*outcomes), resamples, seed)
         assert np.array_equal(got, fancy_index_macros(*outcomes, resamples, seed))
 
     @settings(max_examples=150, deadline=None)
     @given(outcome_matrices(), st.integers(1, 50), st.sampled_from([0, 2**31 - 1]) | st.integers(0, 2**63 - 1))
     def test_outcome_codes_equal_the_per_resample_loop_bit_for_bit(self, outcomes, resamples, seed):
-        got = _bootstrap_macros(*outcomes, resamples, seed)
+        got = _bootstrap_macros(outcome_codes(*outcomes), resamples, seed)
         assert np.array_equal(got, bincount_macros(*outcomes, resamples, seed))
 
     def test_all_zero_outcomes(self):
         zeros = np.zeros((5, 3), dtype=bool)
-        assert np.array_equal(_bootstrap_macros(zeros, zeros, zeros, 3, 1), np.zeros(3))
+        assert np.array_equal(_bootstrap_macros(outcome_codes(zeros, zeros, zeros), 3, 1), np.zeros(3))
 
 
 def brute_force_curve(scores, truth, kind):

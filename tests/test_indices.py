@@ -62,6 +62,17 @@ class TestAci:
         with pytest.raises(ValueError):
             aci(make_spec([[1.0]]))
 
+    @pytest.mark.parametrize("chunk_s", [0.001, 0.0, -5.0])
+    def test_chunk_of_fewer_than_2_frames(self, chunk_s):
+        with pytest.raises(ValueError, match=f"chunk of {chunk_s} s spans fewer than 2 frames"):
+            aci(make_spec(np.ones((20, 5))), chunk_s=chunk_s)
+
+    @pytest.mark.parametrize("chunk_s", [1e6, 1e308])
+    def test_chunk_past_the_clip_is_one_chunk(self, chunk_s):
+        """Also a chunk whose frame count overflows a float (1e308 s at a 0.01 s hop)."""
+        values = np.random.default_rng(3).uniform(0, 1, size=(37, 6))
+        assert aci(make_spec(values), chunk_s=chunk_s) == aci(make_spec(values))
+
     @given(scale=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_scale_invariant(self, scale, seed):
@@ -122,6 +133,11 @@ class TestAdi:
         max_freq = nyquist * rng.uniform(0.3, 1.0)
         band_width = max_freq / n_bands
         assert adi(spec, band_width, max_freq, db_threshold) == adi_db_oracle(spec, band_width, max_freq, db_threshold)
+
+    @pytest.mark.parametrize("db_threshold", [1e308, 7000.0])
+    def test_threshold_whose_level_overflows_occupies_nothing(self, db_threshold):
+        spec = occupancy_spec([1.0] * 10)
+        assert adi(spec, 1000, 10_000, db_threshold) == 0.0
 
     def test_uniform_ten_bands(self):
         spec = occupancy_spec([0.2] * 10)

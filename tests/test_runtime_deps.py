@@ -1,5 +1,7 @@
-"""The package runs on numpy and click alone: scipy serves only the tests and the benchmark."""
+"""The package runs on numpy and click alone: scipy serves only the tests and the benchmark; and it holds no
+import or private name that nothing reads."""
 
+import ast
 import json
 import os
 import re
@@ -81,3 +83,27 @@ def test_the_blocker_blocks():
     done = python("-c", NO_SCIPY.replace('runpy.run_module("soundscapekit.cli", run_name="__main__")', "import scipy.signal"))
     assert done.returncode == 1
     assert "scipy is blocked: scipy" in done.stderr
+
+
+def test_every_import_and_private_name_is_used():
+    """Each name that a module of the package imports, or defines at module level as _private, is read in that
+    module or imported from it by another: an import or a helper that a change leaves behind fails here."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted((SRC / "soundscapekit").glob("*.py"))}
+    imported_from = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    unused = []
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        names = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+        names += [name for node in tree.body for name in _defined(node) if name[:1] == "_" and name[:2] != "__"]
+        unused += [f"{module}: {name}" for name in names if name not in read and (module, name) not in imported_from]
+    assert unused == []
+
+
+def _defined(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [target.id for target in targets if isinstance(target, ast.Name)]

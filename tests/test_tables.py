@@ -1,7 +1,9 @@
 """The shared input-table reader and a fuzz test for every loader built on it."""
 
 import csv
+import itertools
 import math
+import re
 from unittest import mock
 
 import pytest
@@ -340,12 +342,21 @@ def csv_text(draw, headers, comments=False):
 
 SCORE_HEADER = ["recording_id", "window_start_s", *CLASSES]
 FLAGS_HEADER = ["recording_id", *CLASSES]
+ANNOTATION_HEADERS = [["recording_id", "class", "start_s", "end_s"], FLAGS_HEADER]
 INDICES_HEADER = ["recording_id", "aci", "adi", "ndsi"]
+
+
+def pda_truth_of_its_ids(p):
+    """pda_truth of the ids in the table's first column, as csv reads them: no id is unknown."""
+    with open(p, newline="", encoding="utf-8") as fh:
+        ids = list(dict.fromkeys(row[0] for row in itertools.islice(csv.reader(fh), 1, None) if row))
+    return pda_truth(p, ids, 60.0, PdaPolicy({"anthropophony": 0.5}))
+
 
 LOADERS = {
     "scores": (lambda p: load_scores(p, window_len_s=10.0), [SCORE_HEADER, SCORE_HEADER + [SILENCE]], False),
-    "annotations": (lambda p: load_annotations(p, 60.0),
-                    [["recording_id", "class", "start_s", "end_s"], FLAGS_HEADER], False),
+    "annotations": (lambda p: load_annotations(p, 60.0), ANNOTATION_HEADERS, False),
+    "pda_truth": (pda_truth_of_its_ids, ANNOTATION_HEADERS, False),
     "decisions": (load_decisions, [FLAGS_HEADER, FLAGS_HEADER + [SILENCE]], False),
     "pool_manifest": (SourcePool.from_manifest, [["file", "class"]], False),
     "indices": (_read_indices_csv, [INDICES_HEADER, INDICES_HEADER + ["wall_s"]], True),
@@ -364,3 +375,89 @@ def test_loader_only_loads_or_raises_schema_error(tmp_path_factory, name, data):
         load(p)
     except SchemaError as exc:
         assert str(exc).startswith(f"{p}:")
+
+
+# --- the first bad row, whichever way a table is read -------------------------
+
+
+@st.composite
+def table_lines(draw, header, odd_cells):
+    """header's line, then rows of GOOD cells, one a line; a row may instead hold one of odd_cells past its id,
+    have the wrong width or have no field (a blank line)."""
+    good = st.tuples(*(GOOD[c] for c in header)).map(list)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        fields = draw(good)
+        kind = draw(st.sampled_from(["good"] * 6 + ["cell", "cell", "width", "blank"]))
+        if kind == "cell":
+            fields[draw(st.integers(1, len(fields) - 1))] = draw(st.sampled_from(odd_cells))
+        elif kind == "width":
+            fields = draw(st.sampled_from([fields[:k] for k in range(1, len(fields))] + [fields + ["0"]]))
+        elif kind == "blank":
+            fields = []
+        lines.append(",".join(fields))
+    return lines
+
+
+def written(tmp_path_factory, name, lines, quoted):
+    """A file of lines; quoted quotes the header's first name, so that the whole table is read row by row."""
+    p = tmp_path_factory.mktemp(name) / f"{name}.csv"
+    text = "\n".join(lines) + "\n"
+    p.write_text('"recording_id"' + text[len("recording_id"):] if quoted and text.startswith("recording_id") else text)
+    return p
+
+
+def error_or_none(read, p):
+    try:
+        read(p)
+    except SchemaError as exc:
+        return str(exc)
+    return None
+
+
+#: Cells put past the id of an annotation row: most break the rule of some column (class, number or flag).
+ODD_ANNOTATION_CELLS = ["A", "silence", "", "x", "nan", "inf", "-5", "1e9", "1_0", " 1", "2", "5.5"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.sampled_from(ANNOTATION_HEADERS).flatmap(lambda h: table_lines(h, ODD_ANNOTATION_CELLS))
+       | csv_text(ANNOTATION_HEADERS).map(str.splitlines), quoted=st.booleans())
+def test_pda_truth_and_the_row_reader_fail_alike(tmp_path_factory, lines, quoted):
+    """Split into columns or read row by row, pda_truth loads what load_annotations loads, and otherwise
+    raises the same path:line: message."""
+    p = written(tmp_path_factory, "annotations", lines, quoted)
+    error = error_or_none(lambda p: load_annotations(p, 60.0), p)
+    assert error_or_none(pda_truth_of_its_ids, p) == error
+    assert error is None or re.match(rf"{re.escape(str(p))}:\d+: ", error)
+
+
+#: The value of each score cell drawn below under FORMATS.md's number rule, None where the rule rejects it.
+SCORE_VALUES = {"0": 0.0, "1": 1.0, "0.0": 0.0, "10.0": 10.0, "20.0": 20.0, "1e1": 10.0, "25": 25.0, "-5": -5.0,
+                "0.5": 0.5, "1.5": 1.5, "": None, "x": None, "nan": None, "inf": None, "1e999": None, "1_0": None,
+                " 1": None}
+
+
+def score_row_ok(line, duration_s):
+    """The rules of one score row, checked cell by cell."""
+    fields = line.split(",")
+    if len(fields) != len(SCORE_HEADER):
+        return False
+    start, *scores = map(SCORE_VALUES.get, fields[1:])
+    return (None not in (start, *scores) and start >= 0 and (duration_s is None or start < duration_s)
+            and all(0 <= s <= 1 for s in scores))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=table_lines(SCORE_HEADER, list(SCORE_VALUES)),
+       quoted=st.booleans(), duration_s=st.sampled_from([None, 15.0]))
+def test_load_scores_reports_the_first_bad_row(tmp_path_factory, lines, quoted, duration_s):
+    """Split into columns or (with a quoted header) read row by row, the error names the first row that breaks
+    a rule of its own, in file order; a table whose rows all pass loads or breaks a rule that spans rows,
+    named with the path alone."""
+    p = written(tmp_path_factory, "scores", lines, quoted)
+    bad = [line for line, text in enumerate(lines[1:], 2) if text and not score_row_ok(text, duration_s)]
+    error = error_or_none(lambda p: load_scores(p, duration_s=duration_s), p)
+    if bad:
+        assert error is not None and error.startswith(f"{p}:{bad[0]}: "), error
+    else:
+        assert error is None or error.startswith(f"{p}: "), error
