@@ -9,7 +9,6 @@ threshold does not activate a class.
 """
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import compress
 
@@ -41,9 +40,7 @@ class AnnotationSet:
         bad = np.flatnonzero(~_inside(starts, ends, self.duration_s))  # in class order, then as given
         if len(bad):
             raise ValueError(f"{self.recording_id}: {_outside(starts[bad[0]], ends[bad[0]], self.duration_s)}")
-        cell, starts, ends = _merged(cell, starts, ends)
-        pairs, bounds = list(zip(starts.tolist(), ends.tolist())), np.searchsorted(cell, range(len(CLASSES) + 1))
-        object.__setattr__(self, "segments", {c: tuple(pairs[a:b]) for c, a, b in zip(CLASSES, bounds, bounds[1:])})
+        object.__setattr__(self, "segments", _split(*_merged(cell, starts, ends), 1)[0])
 
     @property
     def active_classes(self) -> frozenset:
@@ -87,6 +84,15 @@ def _merged(cell, starts, ends):
     closes = np.ones(len(cell), dtype=bool)
     closes[:-1] = opens[1:]
     return cell[opens], starts[opens], reach[closes]
+
+
+def _split(cell, starts, ends, recordings):
+    """Merged (cell, start, end) columns as one {class: ((start, end), ...)} per recording, cell being
+    recording * len(CLASSES) + class."""
+    bounds = np.searchsorted(cell, range(recordings * len(CLASSES) + 1)).tolist()
+    pairs = list(zip(starts.tolist(), ends.tolist()))
+    cells = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [dict(zip(CLASSES, cells[k:k + len(CLASSES)])) for k in range(0, len(cells), len(CLASSES))]
 
 
 @dataclass(frozen=True)
@@ -252,26 +258,26 @@ def load_annotations(path, duration_s: float) -> dict:
     Strong schema: recording_id,class,start_s,end_s (one row per segment).
     Weak schema: recording_id,anthropophony,biophony,geophony (0/1 flags).
     Recordings absent from a strong file simply have no annotated segments.
+    A strong table is read as pda_truth reads it, in one column read and one merge.
     """
     table = Table(path, [_SEGMENTS_HEADER, _FLAGS_HEADER])
     if table.header == _FLAGS_HEADER:
         return {rid: AnnotationSet.from_weak_labels(rid, duration_s, compress(CLASSES, flags))
                 for rid, flags in _flag_rows(table)}
-
-    segments = defaultdict(lambda: {c: [] for c in CLASSES})
-    for line, fields in table:
-        rec_id, cls, start, end = _segment_row(table, line, fields, duration_s)
-        segments[rec_id][cls].append((start, end))
-    return {
-        rec_id: AnnotationSet(recording_id=rec_id, duration_s=duration_s, segments=segs)
-        for rec_id, segs in segments.items()
-    }
+    codes = {}  # recording_id -> code, in order of first appearance
+    segments = _split(*_read_segments(table, codes, duration_s), len(codes))
+    if codes and duration_s <= 0:
+        raise ValueError(f"{next(iter(codes))}: duration must be positive")
+    anns = {rid: object.__new__(AnnotationSet) for rid in codes}  # merged and checked: built without a second merge
+    for ann, rid, segs in zip(anns.values(), codes, segments):
+        ann.__dict__.update(recording_id=rid, duration_s=duration_s, segments=segs)
+    return anns
 
 
 def pda_truth(path, recording_ids, duration_s: float, policy: PdaPolicy) -> np.ndarray:
     """The PDA-filtered truth of an annotation CSV, [recordings x CLASSES] flags in recording_ids order.
 
-    Equals load_annotations plus pda_kept per recording, computed on columns:
+    Equals load_annotations plus pda_kept per recording, from the same column read and merge:
     a recording without rows has no class, and a weak table's flags pass
     through (a flagged class spans the recording, which no p < 1 drops).
     Annotations for a recording not in recording_ids are a ValueError. When a
@@ -284,15 +290,17 @@ def pda_truth(path, recording_ids, duration_s: float, policy: PdaPolicy) -> np.n
         kept = np.array([rows.pop(rid, [False] * len(CLASSES)) for rid in recording_ids], dtype=bool)
         unknown = list(rows)
     else:
-        kept, unknown = _pda_columns(table, recording_ids, duration_s, policy)
+        codes = {rid: k for k, rid in enumerate(recording_ids)}  # recording_id -> row; the other ids follow
+        kept = _kept(*_read_segments(table, codes, duration_s), len(codes), duration_s, policy)
+        kept, unknown = kept[:len(recording_ids)], list(codes)[len(recording_ids):]
     if unknown:
         raise ValueError(f"annotations for recordings without scores: {sorted(unknown)[:5]}")
     return kept.reshape(-1, len(CLASSES))
 
 
-def _pda_columns(table, recording_ids, duration_s, policy):
-    """pda_kept per recording of recording_ids from one read of a strong table, and the table's other ids."""
-    codes = {rid: k for k, rid in enumerate(recording_ids)}  # recording_id -> row; the other ids follow
+def _read_segments(table, codes, duration_s):
+    """The merged (cell, start, end) columns of a strong table from one column read, cell being
+    codes[recording_id] * len(CLASSES) + class; codes gives each id it lacks the next code, in order of appearance."""
     class_codes = {cls: k for k, cls in enumerate(CLASSES)}
     group, bounds = [np.empty(0, np.intp)], [np.empty((2, 0))]  # per block: each row's cell; its start and end
     with table.checked(lambda line, fields: _segment_row(table, line, fields, duration_s)):
@@ -303,19 +311,17 @@ def _pda_columns(table, recording_ids, duration_s, policy):
         starts, ends = np.concatenate(bounds, axis=1)
         if not _inside(starts, ends, duration_s).all():
             raise ValueError(f"segments outside [0, {duration_s}]")
-    kept = _kept(*_merged(np.concatenate(group), starts, ends), len(codes), duration_s, policy)
-    return kept[:len(recording_ids)], list(codes)[len(recording_ids):]
+    return _merged(np.concatenate(group), starts, ends)
 
 
 def _segment_row(table, line, fields, duration_s):
-    """(recording_id, class, start, end) of a strong table's row; a bad row is an error at its line."""
-    rec_id, cls, start, end = fields
+    """The first-bad-row check of a strong table: a row that breaks a rule is an error at its line."""
+    _, cls, start, end = fields
     if cls not in CLASSES:
         raise table.error(f"unknown class {cls!r}", line)
     start, end = table.number(start, line), table.number(end, line)
     if not _inside(start, end, duration_s):
         raise table.error(_outside(start, end, duration_s), line)
-    return rec_id, cls, start, end
 
 
 def _flag_rows(table):

@@ -236,7 +236,9 @@ def _pink_voss_mccartney(n: int, rng: np.random.Generator, rows: int = 16) -> np
     for r in range(rows):
         span = 2 ** (r + 1)
         vals = rng.uniform(-1.0, 1.0, -(-n // span))
-        out += np.repeat(vals, span)[:n]
+        head = out[:n - n % span].reshape(-1, span)  # whole spans, added in place; then the partial last one
+        head += vals[:len(head), None]
+        out[len(head) * span:] += vals[len(head):]
     return out / (rows + 1)
 
 

@@ -59,6 +59,8 @@ class TestAnnotationSet:
             AnnotationSet("r", 60, {BIOPHONY: [(10, 5)]})
         with pytest.raises(ValueError):
             AnnotationSet("r", 60, {BIOPHONY: [(50, 70)]})
+        with pytest.raises(ValueError):
+            AnnotationSet("r", 60, {BIOPHONY: [(5, 5)]})
 
     def test_end_within_the_tolerance_past_the_recording_is_inside(self, tmp_path):
         ann = AnnotationSet("r", 60, {BIOPHONY: [(0, 60 + 5e-10)]})
@@ -433,15 +435,20 @@ class TestAnnotationIO:
 
     @settings(max_examples=200, deadline=None)
     @given(table=strong_tables())
-    def test_segments_are_merged_as_brute_force_merges_them(self, table):
+    def test_segments_are_merged_as_brute_force_merges_them(self, tmp_path_factory, table):
         """Each recording's AnnotationSet holds its rows' segments sorted and merged, overlaps, abutting and nested
-        segments included, with the ends kept exactly."""
+        segments included, with the ends kept exactly, whether it is built alone or read with the whole table."""
         duration, rows = table
         by_recording = {}
         for rid, cls, start, end in rows:
             by_recording.setdefault(rid, {}).setdefault(cls, []).append((start, end))
+        path = tmp_path_factory.mktemp("strong") / "ann.csv"
+        path.write_text("recording_id,class,start_s,end_s\n" + "".join(f"{r},{c},{s!r},{e!r}\n" for r, c, s, e in rows))
+        anns = load_annotations(path, duration)
+        assert list(anns) == list(by_recording)
         for rid, segments in by_recording.items():
             assert AnnotationSet(rid, duration, segments).segments == brute_force_merged(segments)
+            assert anns[rid] == AnnotationSet(rid, duration, segments)
 
     @pytest.mark.parametrize("line3, line5, message", [
         ("r0,traffic,0,10", "r1,geophony,0,inf", "unknown class 'traffic'"),
@@ -449,10 +456,11 @@ class TestAnnotationIO:
         ("r0,biophony,20,10", "r1,biophony,0,x", "segment (20.0, 10.0) outside [0, 60.0]"),
         ("r0,biophony,0,x", "r1,biophony,20,10", "expected a number, got 'x'"),
         ("r0,biophony,0,60.000001", "r1,geophony,0,10", "segment (0.0, 60.000001) outside [0, 60.0]"),
+        ("r0,biophony,10,10", "r1,traffic,0,10", "segment (10.0, 10.0) outside [0, 60.0]"),
         ("r0,traffic,0,10", "r1,geophony,0", "unknown class 'traffic'"),
         ("r0,biophony,0,x", 'r1,"geophony",0,10', "expected a number, got 'x'"),
     ], ids=["class-before-inf", "inf-before-class", "order-before-number", "number-before-order", "end-past-T",
-            "class-before-width", "number-before-quotes"])
+            "zero-length", "class-before-width", "number-before-quotes"])
     def test_first_bad_row_in_file_order_wins(self, tmp_path, line3, line5, message):
         p = tmp_path / "ann.csv"
         p.write_text(f"recording_id,class,start_s,end_s\nr0,biophony,0,10\n{line3}\nr1,geophony,5,20\n{line5}\n")
@@ -516,6 +524,14 @@ class TestAnnotationIO:
         with pytest.raises(SchemaError) as err:
             load_annotations(p, 60.0)
         assert str(err.value) == f"{p}:3: segment (50.0, 70.0) outside [0, 60.0]"
+
+    @pytest.mark.parametrize("text", ["recording_id,class,start_s,end_s\nr0,biophony,0,1e-10\n",
+                                      "recording_id,anthropophony,biophony,geophony\nr0,0,1,0\n"])
+    def test_a_duration_that_is_not_positive_is_a_value_error(self, tmp_path, text):
+        p = tmp_path / "ann.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="^r0: duration must be positive$"):
+            load_annotations(p, 0.0)
 
     def test_weak_flag_validation(self, tmp_path):
         p = tmp_path / "flags.csv"

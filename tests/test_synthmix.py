@@ -305,6 +305,19 @@ class TestNoiseKinds:
 
         assert low_high_ratio(pink) > 4 * low_high_ratio(white)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 65_536, 65_537, 160_000, 160_005])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pink_equals_the_repeated_generators_bit_for_bit(self, n, seed):
+        """The Voss-McCartney bed as 16 generators, each held over its span by np.repeat and added to the white
+        one, then scaled to peak 1: the same draws, sums and bytes."""
+        rng = np.random.default_rng(seed)
+        out = rng.uniform(-1.0, 1.0, n)
+        for r in range(16):
+            span = 2 ** (r + 1)
+            out += np.repeat(rng.uniform(-1.0, 1.0, -(-n // span)), span)[:n]
+        out /= 17
+        assert synth_noise("pink", n, np.random.default_rng(seed)).tobytes() == (out / np.abs(out).max()).tobytes()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             synth_noise("brown", 100, np.random.default_rng(0))

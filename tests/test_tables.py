@@ -301,11 +301,11 @@ def test_ids_may_hold_what_numbers_may_not(tmp_path):
 
 # --- fuzz: arbitrary tables may only load or raise SchemaError ----------------
 
-CELLS = st.one_of(
-    st.sampled_from(["", "nan", "inf", "-inf", "-5", "1e9", "0", "1", "0.5", "10.0", "x", "yes",
-                     "r1", "r2", *CLASSES, "a.wav", "/abs/b.wav", " ", '"', "#"]),
-    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=5),
-)
+#: Cells that break the rule of some column, or of a CSV line.
+ODD_TEXT = ["", "nan", "inf", "-inf", "-5", "1e9", "0", "1", "0.5", "10.0", "x", "yes",
+            "r1", "r2", *CLASSES, "a.wav", "/abs/b.wav", " ", '"', "#"]
+CELLS = st.one_of(st.sampled_from(ODD_TEXT), st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
+                                                     max_size=5))
 
 
 #: Cells that are valid in a column of that name, so that many drawn tables load.
@@ -340,6 +340,25 @@ def csv_text(draw, headers, comments=False):
     return "\n".join(lead + [",".join(header)] + [",".join(r) for r in rows]) + draw(st.sampled_from(["", "\n"]))
 
 
+@st.composite
+def table_lines(draw, header, odd_cells):
+    """header's line, then rows of GOOD cells, one a line; a row may instead hold one of odd_cells past its id,
+    have the wrong width or have no field (a blank line)."""
+    good = st.tuples(*(GOOD[c] for c in header)).map(list)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        fields = draw(good)
+        kind = draw(st.sampled_from(["good"] * 6 + ["cell", "cell", "width", "blank"]))
+        if kind == "cell":
+            fields[draw(st.integers(1, len(fields) - 1))] = draw(st.sampled_from(odd_cells))
+        elif kind == "width":
+            fields = draw(st.sampled_from([fields[:k] for k in range(1, len(fields))] + [fields + ["0"]]))
+        elif kind == "blank":
+            fields = []
+        lines.append(",".join(fields))
+    return lines
+
+
 SCORE_HEADER = ["recording_id", "window_start_s", *CLASSES]
 FLAGS_HEADER = ["recording_id", *CLASSES]
 ANNOTATION_HEADERS = [["recording_id", "class", "start_s", "end_s"], FLAGS_HEADER]
@@ -368,9 +387,11 @@ LOADERS = {
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_loader_only_loads_or_raises_schema_error(tmp_path_factory, name, data):
+    """From csv_text, or from table_lines, which puts one bad cell in a row of the right width far more often."""
     load, headers, comments = LOADERS[name]
     p = tmp_path_factory.mktemp(name) / f"{name}.csv"
-    p.write_text(data.draw(csv_text(headers, comments)))
+    lines = st.sampled_from(headers).flatmap(lambda h: table_lines(h, ODD_TEXT)).map(lambda ls: "\n".join(ls) + "\n")
+    p.write_text(data.draw(csv_text(headers, comments) | lines))
     try:
         load(p)
     except SchemaError as exc:
@@ -378,25 +399,6 @@ def test_loader_only_loads_or_raises_schema_error(tmp_path_factory, name, data):
 
 
 # --- the first bad row, whichever way a table is read -------------------------
-
-
-@st.composite
-def table_lines(draw, header, odd_cells):
-    """header's line, then rows of GOOD cells, one a line; a row may instead hold one of odd_cells past its id,
-    have the wrong width or have no field (a blank line)."""
-    good = st.tuples(*(GOOD[c] for c in header)).map(list)
-    lines = [",".join(header)]
-    for _ in range(draw(st.integers(0, 12))):
-        fields = draw(good)
-        kind = draw(st.sampled_from(["good"] * 6 + ["cell", "cell", "width", "blank"]))
-        if kind == "cell":
-            fields[draw(st.integers(1, len(fields) - 1))] = draw(st.sampled_from(odd_cells))
-        elif kind == "width":
-            fields = draw(st.sampled_from([fields[:k] for k in range(1, len(fields))] + [fields + ["0"]]))
-        elif kind == "blank":
-            fields = []
-        lines.append(",".join(fields))
-    return lines
 
 
 def written(tmp_path_factory, name, lines, quoted):
@@ -415,8 +417,9 @@ def error_or_none(read, p):
     return None
 
 
-#: Cells put past the id of an annotation row: most break the rule of some column (class, number or flag).
-ODD_ANNOTATION_CELLS = ["A", "silence", "", "x", "nan", "inf", "-5", "1e9", "1_0", " 1", "2", "5.5"]
+#: Cells put past the id of an annotation row: most break the rule of some column (class, number or flag), and
+#: 0, 10 and 60 as a start or end may make a segment empty or reversed.
+ODD_ANNOTATION_CELLS = ["A", "silence", "", "x", "nan", "inf", "-5", "1e9", "1_0", " 1", "0", "2", "5.5", "10", "60"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -429,6 +432,45 @@ def test_pda_truth_and_the_row_reader_fail_alike(tmp_path_factory, lines, quoted
     error = error_or_none(lambda p: load_annotations(p, 60.0), p)
     assert error_or_none(pda_truth_of_its_ids, p) == error
     assert error is None or re.match(rf"{re.escape(str(p))}:\d+: ", error)
+
+
+#: The value of each start or end cell drawn for an annotation table under FORMATS.md's number rule; the
+#: rule rejects every other cell drawn.
+ANNOTATION_VALUES = {"0": 0.0, "5.5": 5.5, "10": 10.0, "60": 60.0, "-5": -5.0, "1e9": 1e9, "2": 2.0}
+
+
+def annotation_row_ok(line, strong, earlier_ids):
+    """The rules of one row of a 60 s annotation table, checked cell by cell: four fields, then a strong row's
+    class and 0 <= start < end <= 60, or a weak row's 0/1 flags and an id that no earlier row holds."""
+    fields = line.split(",")
+    if len(fields) != 4:
+        return False
+    rid, *cells = fields
+    if not strong:
+        return rid not in earlier_ids and all(c in ("0", "1") for c in cells)
+    start, end = map(ANNOTATION_VALUES.get, cells[1:])
+    return cells[0] in CLASSES and None not in (start, end) and 0 <= start < end <= 60
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from(ANNOTATION_HEADERS), quoted=st.booleans(), data=st.data())
+def test_annotation_readers_report_the_first_bad_row(tmp_path_factory, header, quoted, data):
+    """Split into columns or (with a quoted header) read row by row, load_annotations and pda_truth name the
+    first row that breaks a rule of its own, in file order, and load a table whose rows all pass."""
+    lines = data.draw(table_lines(header, ODD_ANNOTATION_CELLS))
+    p = written(tmp_path_factory, "annotations", lines, quoted)
+    seen, bad = set(), []
+    for line, text in enumerate(lines[1:], 2):
+        if text:
+            if not annotation_row_ok(text, header[1] == "class", seen):
+                bad.append(line)
+            seen.add(text.split(",")[0])
+    for read in (lambda p: load_annotations(p, 60.0), pda_truth_of_its_ids):
+        error = error_or_none(read, p)
+        if bad:
+            assert error is not None and error.startswith(f"{p}:{bad[0]}: "), error
+        else:
+            assert error is None, error
 
 
 #: The value of each score cell drawn below under FORMATS.md's number rule, None where the rule rejects it.

@@ -1,0 +1,128 @@
+"""Check that the tests catch hand-made faults (mutants) in the code under ``src/``.
+
+Run from anywhere, with the test dependencies installed:
+
+    python3 tools/mutants.py
+
+Each mutant names a file, a text that occurs there exactly once, its
+replacement, and the pytest node ids that must fail once the text is
+replaced. The script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory and runs
+``python -m pytest -q -x -p no:cacheprovider <node ids>`` there, with the
+copy's ``src/`` first on ``PYTHONPATH`` and no bytecode written. First every
+named test runs on the unmutated copy and must pass. Then each mutant is
+applied to the copy, its tests run, and the copy is restored; one line per
+mutant reads ``caught <name>`` or ``SURVIVED <name>``. The working tree is
+only read.
+
+Exit status 1 when a mutant survives, when the named tests fail unmutated,
+or when a mutant's text does not occur exactly once (``STALE``): a stale
+mutant is updated to the code it was written against, not skipped.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs in the file exactly once
+    new: str
+    tests: tuple  # pytest node ids, one of which must fail
+
+
+MUTANTS = [
+    Mutant("the first-bad-row re-scan skips the first row", "src/soundscapekit/_table.py",
+           "for line, fields in self:\n                check(line, fields)",
+           "for line, fields in itertools.islice(self, 1, None):\n                check(line, fields)",
+           ("tests/test_tables.py::test_annotation_readers_report_the_first_bad_row",
+            "tests/test_tables.py::test_load_scores_reports_the_first_bad_row")),
+    Mutant("a segment of zero length is inside the recording", "src/soundscapekit/decision.py",
+           "(start < end)", "(start <= end)",
+           ("tests/test_decision.py::TestAnnotationSet::test_rejects_bad_segment",
+            "tests/test_decision.py::TestAnnotationIO::test_first_bad_row_in_file_order_wins",
+            "tests/test_tables.py::test_annotation_readers_report_the_first_bad_row")),
+    Mutant("abutting segments stay apart", "src/soundscapekit/decision.py",
+           "(starts[1:] > reach[:-1])", "(starts[1:] >= reach[:-1])",
+           ("tests/test_decision.py::TestAnnotationIO::test_segments_are_merged_as_brute_force_merges_them",)),
+    Mutant("the split loses the last segment of each class", "src/soundscapekit/decision.py",
+           "tuple(pairs[a:b])", "tuple(pairs[a:b - 1])",
+           ("tests/test_decision.py::TestAnnotationIO::test_segments_are_merged_as_brute_force_merges_them",)),
+    Mutant("pda_truth drops the ids it was not given", "src/soundscapekit/decision.py",
+           "list(codes)[len(recording_ids):]", "[]",
+           ("tests/test_decision.py::TestAnnotationIO::test_annotations_of_a_recording_not_listed",)),
+    Mutant("the pink noise bed drops its partial last span", "src/soundscapekit/synthmix.py",
+           "        out[len(head) * span:] += vals[len(head):]\n", "",
+           ("tests/test_synthmix.py::TestNoiseKinds::test_pink_equals_the_repeated_generators_bit_for_bit",)),
+]
+
+
+def occurrences(mutant, root=ROOT) -> int:
+    """How often the mutant's text occurs in its file under root."""
+    return (root / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+
+
+def copy_tree(dest, root=ROOT) -> None:
+    """Copy what the tests need from root to dest, without caches."""
+    for name in COPIED:
+        if (root / name).is_dir():
+            shutil.copytree(root / name, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache"))
+        else:
+            shutil.copy2(root / name, dest / name)
+
+
+def applied(mutant, tree):
+    """Replace the mutant's text in tree, a copy made by copy_tree; return the file's original text."""
+    path = tree / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: its text occurs {text.count(mutant.old)} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return text
+
+
+def passes(tree, tests) -> bool:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                          cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main() -> int:
+    stale = [(m, occurrences(m)) for m in MUTANTS if occurrences(m) != 1]
+    for m, n in stale:
+        print(f"STALE {m.name}: its text occurs {n} times in {m.path}")
+    if stale:
+        return 1
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        if not passes(tree, sorted({t for m in MUTANTS for t in m.tests})):
+            print("the named tests fail on the unmutated tree")
+            return 1
+        survived = 0
+        for m in MUTANTS:
+            original = applied(m, tree)
+            try:
+                caught = not passes(tree, m.tests)
+            finally:
+                (tree / m.path).write_text(original, encoding="utf-8")
+            print(f"{'caught' if caught else 'SURVIVED'} {m.name}", flush=True)
+            survived += not caught
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
