@@ -8,8 +8,6 @@ every per-item operation succeeded.
 
 import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -26,6 +24,7 @@ from .decision import (
     window_active,
     window_max,
 )
+from ._runner import run_items
 from ._table import Table, replacing, write_json, write_table
 from .errors import AudioDecodeError, ConfigError, SchemaError, SoundscapeKitError
 from .evaluation import CASE_STUDY_FILTERS, correlate, curve, evaluate, stratify_errors, tune_thresholds
@@ -92,39 +91,30 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
     _log(f"indices: {len(files)} files, seed={cfg.seed}")
 
     def process(path):
-        """The file's CSV row, with wall_s under --timing, or the error that stopped this file."""
+        """The file's CSV row, or the error that stopped this file."""
         if first[path.stem] != path:
             return SoundscapeKitError(f"recording_id {path.stem!r} already taken by {first[path.stem].name}")
         try:  # the bytes of the name, in any locale: its recording_id must read back from the CSV
             os.fsencode(path.name).decode("utf-8")
         except UnicodeDecodeError:
             return SoundscapeKitError("file name is not UTF-8, so its recording_id would not read back")
-        t0 = time.perf_counter()
         try:
             clip = resample(decode_wav(path), p.target_rate_hz)
             spec = stft_magnitude(clip, window_len=p.stft_window, hop=p.stft_hop)
-            row = [path.stem, aci(spec, chunk_s=p.aci_chunk_s),
-                   adi(spec, p.adi_band_width_hz, p.adi_max_freq_hz, p.adi_db_threshold),
-                   ndsi(clip, p.ndsi_anthro_hz, p.ndsi_bio_hz)]
+            return [path.stem, aci(spec, chunk_s=p.aci_chunk_s),
+                    adi(spec, p.adi_band_width_hz, p.adi_max_freq_hz, p.adi_db_threshold),
+                    ndsi(clip, p.ndsi_anthro_hz, p.ndsi_bio_hz)]
         except (SoundscapeKitError, ValueError) as exc:
             return exc
-        return row + [f"{time.perf_counter() - t0:.6f}"] if timing else row
-
-    # results buffered and emitted in input order regardless of worker count
-    if jobs > 1 and files:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(process, files))
-    else:
-        outcomes = list(map(process, files))
 
     rows = []
-    for f, outcome in zip(files, outcomes):
+    for f, (outcome, wall) in zip(files, run_items(process, files, jobs)):
         if isinstance(outcome, AudioDecodeError):  # its message starts with the path
             _log(f"indices: FAILED {outcome}")
         elif isinstance(outcome, Exception):
             _log(f"indices: FAILED {_shown(f)}: {outcome}")
         else:
-            rows.append(outcome)
+            rows.append(outcome + [f"{wall:.6f}"] if timing else outcome)
     failures = len(files) - len(rows)
 
     header = _INDICES_HEADER + (["wall_s"] if timing else [])

@@ -280,17 +280,19 @@ def pda_truth(path, recording_ids, duration_s: float, policy: PdaPolicy) -> np.n
     Equals load_annotations plus pda_kept per recording, from the same column read and merge:
     a recording without rows has no class, and a weak table's flags pass
     through (a flagged class spans the recording, which no p < 1 drops).
-    Annotations for a recording not in recording_ids are a ValueError. When a
+    Annotations for a recording not in recording_ids, or a repeated id, are a ValueError. When a
     row breaks a rule, the file is checked again row by row, so the error is
     the first bad row's in file order, with its line.
     """
+    codes = {rid: k for k, rid in enumerate(recording_ids)}  # recording_id -> row; the other ids follow
+    if len(codes) < len(recording_ids):
+        raise ValueError(f"recording id {next(r for k, r in enumerate(recording_ids) if codes[r] != k)!r} repeated")
     table = Table(path, [_SEGMENTS_HEADER, _FLAGS_HEADER])
     if table.header == _FLAGS_HEADER:
         rows = dict(_flag_rows(table))
         kept = np.array([rows.pop(rid, [False] * len(CLASSES)) for rid in recording_ids], dtype=bool)
         unknown = list(rows)
     else:
-        codes = {rid: k for k, rid in enumerate(recording_ids)}  # recording_id -> row; the other ids follow
         kept = _kept(*_read_segments(table, codes, duration_s), len(codes), duration_s, policy)
         kept, unknown = kept[:len(recording_ids)], list(codes)[len(recording_ids):]
     if unknown:

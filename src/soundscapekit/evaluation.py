@@ -123,17 +123,16 @@ def evaluate(
 
     n = len(pred)
     per_class = {}
-    f1s = []
     for j, cls in enumerate(CLASSES):
         tn, fp, tp, fn = np.bincount(outcome[:, j], minlength=4).tolist()
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = float(f1_score(tp, fp, fn))
-        per_class[cls] = ClassMetrics(precision, recall, f1, tp, fp, fn, tn)
-        f1s.append(f1)
+        per_class[cls] = ClassMetrics(precision, recall, float(f1_score(tp, fp, fn)), tp, fp, fn, tn)
 
-    point = macro_f1(f1s)
-    ci = _bootstrap_macro_ci(outcome, point, bootstrap_resamples, confidence, bootstrap_seed)
+    point = macro_f1(m.f1 for m in per_class.values())
+    alpha = (1.0 - confidence) / 2.0
+    lo, hi = np.quantile(_bootstrap_macros(outcome, bootstrap_resamples, bootstrap_seed), [alpha, 1.0 - alpha])
+    ci = (min(float(lo), point), max(float(hi), point))  # the percentile interval, widened to bracket the point
 
     silence_rate = int((~pred.any(axis=1)).sum()) / n
     return EvalReport(
@@ -146,14 +145,6 @@ def evaluate(
         confidence=confidence,
         bootstrap_seed=bootstrap_seed,
     )
-
-
-def _bootstrap_macro_ci(outcome, point, resamples, confidence, seed):
-    macros = _bootstrap_macros(outcome, resamples, seed)
-    alpha = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(macros, [alpha, 1.0 - alpha])
-    # percentile interval, widened if needed so it brackets the point estimate
-    return (min(float(lo), point), max(float(hi), point))
 
 
 def _bootstrap_macros(outcome, resamples, seed) -> np.ndarray:

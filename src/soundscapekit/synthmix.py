@@ -16,13 +16,13 @@ byte-identically, serial or parallel.
 import hashlib
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._runner import run_items
 from ._table import Table, write_table
 from .audio_io import AudioClip, decode_wav, resample, write_wav_pcm16
 from .labels import CLASSES, COMBOS, SILENCE, SILENCE_COMBO, classes_for_combo
@@ -419,18 +419,6 @@ def render_silence(seed: int) -> MixedClip:
 MANIFEST_HEADER = ("file", "anthropophony", "biophony", "geophony", "silence", "seed", "recipe")
 
 
-def _render_corpus_file(path: Path, pool, index: int, combo: str, master_seed: int, count_pmfs, normalization):
-    fseed = subseed(master_seed, index)
-    if combo == SILENCE_COMBO:
-        mixed = render_silence(fseed)
-    else:
-        recipe = draw_recipe(pool, classes_for_combo(combo), fseed, count_pmfs=count_pmfs)
-        mixed = render_mix(recipe, pool, normalization=normalization)
-    write_wav_pcm16(path, mixed.clip)
-    flags = [int(c in mixed.labels) for c in (*CLASSES, SILENCE)]
-    return (path.name, *flags, fseed, recipe_digest(mixed.recipe))
-
-
 def build_corpus(
     pool: SourcePool,
     counts: dict,
@@ -463,16 +451,21 @@ def build_corpus(
     new_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run(i):
-        return _render_corpus_file(files[i], pool, i, combos[i], seed, count_pmfs, normalization)
+    def render(i):
+        """Write clip i and return its manifest row."""
+        fseed = subseed(seed, i)
+        if combos[i] == SILENCE_COMBO:
+            mixed = render_silence(fseed)
+        else:
+            recipe = draw_recipe(pool, classes_for_combo(combos[i]), fseed, count_pmfs=count_pmfs)
+            mixed = render_mix(recipe, pool, normalization=normalization)
+        write_wav_pcm16(files[i], mixed.clip)
+        flags = [int(c in mixed.labels) for c in (*CLASSES, SILENCE)]
+        return (files[i].name, *flags, fseed, recipe_digest(mixed.recipe))
 
     manifest = out_dir / "manifest.csv"
     try:
-        if jobs > 1 and combos:
-            with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-                rows = list(pool_exec.map(run, range(len(combos))))
-        else:
-            rows = [run(i) for i in range(len(combos))]
+        rows = [row for row, _ in run_items(render, range(len(combos)), jobs)]
         write_table(manifest, MANIFEST_HEADER, rows)
     except BaseException:
         for f in new_files:

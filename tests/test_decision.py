@@ -491,6 +491,16 @@ class TestAnnotationIO:
         with pytest.raises(ValueError, match=r"^annotations for recordings without scores: \['r8', 'r9'\]$"):
             pda_truth(p, ["r0"], 60.0, PdaPolicy())
 
+    @pytest.mark.parametrize("header", ["recording_id,class,start_s,end_s", "recording_id,anthropophony,biophony,geophony"])
+    def test_a_repeated_recording_id_is_an_error_before_the_table_is_read(self, tmp_path, header):
+        """A repeated id would shift the rows: another recording's geophony was folded into 'b'."""
+        p = tmp_path / "ann.csv"
+        p.write_text(f"{header}\nb,biophony,0,30\nc,geophony,0,30\n")  # bad rows for the weak header: not read
+        with pytest.raises(ValueError, match=r"^recording id 'a' repeated$"):
+            pda_truth(p, ["a", "a", "b"], 60.0, PdaPolicy())
+        with pytest.raises(ValueError, match=r"^recording id 'c' repeated$"):
+            pda_truth(p, ["b", "c", "a", "c"], 60.0, PdaPolicy())
+
     def test_strong_schema(self, tmp_path):
         p = tmp_path / "ann.csv"
         p.write_text(

@@ -64,6 +64,33 @@ MUTANTS = [
     Mutant("the pink noise bed drops its partial last span", "src/soundscapekit/synthmix.py",
            "        out[len(head) * span:] += vals[len(head):]\n", "",
            ("tests/test_synthmix.py::TestNoiseKinds::test_pink_equals_the_repeated_generators_bit_for_bit",)),
+    Mutant("pda_truth takes a repeated recording id", "src/soundscapekit/decision.py",
+           "if len(codes) < len(recording_ids):", "if False:",
+           ("tests/test_decision.py::TestAnnotationIO::"
+            "test_a_repeated_recording_id_is_an_error_before_the_table_is_read",)),
+    Mutant("Table.number takes every number float takes", "src/soundscapekit/_table.py",
+           "if not _NUMBER.fullmatch(text):", "if False:",
+           ("tests/test_tables.py::TestTable::test_number_rejects_non_finite",
+            "tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise")),
+    Mutant("the PDA test drops its tolerance", "src/soundscapekit/decision.py",
+           "measured.reshape(-1, len(CLASSES)) + _DUR_TOL >=", "measured.reshape(-1, len(CLASSES)) >=",
+           ("tests/test_decision.py::TestAnnotationIO::test_sum_adds_lengths_in_start_order",)),
+    Mutant("load_scores leaves the window starts out of its numbers", "src/soundscapekit/scores.py",
+           "numbers=range(1, len(table.header))", "numbers=range(2, len(table.header))",
+           ("tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise",
+            "tests/test_cli.py::TestBadInputTables::test_bad_window_start")),
+    Mutant("the runner's one job is a one-thread pool", "src/soundscapekit/_runner.py",
+           "if jobs < 2 or len(items) < 2:", "if len(items) < 2:",
+           ("tests/test_runner.py::test_one_job_runs_every_item_on_the_calling_thread",
+            "tests/test_runner.py::test_serial_run_stops_at_the_first_exception")),
+    Mutant("the runner's pool returns results in completion order", "src/soundscapekit/_runner.py",
+           "        futures = [pool.submit(timed, item) for item in items]\n",
+           "        futures = []\n        [pool.submit(timed, item).add_done_callback(futures.append) for item in items]\n",
+           ("tests/test_runner.py::test_results_come_back_in_input_order_when_later_items_finish_first",)),
+    Mutant("the runner's pool raises before it has drained", "src/soundscapekit/_runner.py",
+           "        futures = [pool.submit(timed, item) for item in items]\n    return [future.result() for future in futures]",
+           "        return list(pool.map(timed, items))",
+           ("tests/test_runner.py::test_pool_raises_the_first_exception_in_input_order_after_every_item_ran",)),
 ]
 
 
