@@ -8,7 +8,8 @@ def run_items(fn, items, jobs: int = 1) -> list:
     """[(fn(item), wall seconds)] for each of a sequence of items, in input order.
 
     One job, or fewer than two items, runs them on the calling thread, and the first exception stops
-    the run; otherwise a pool of jobs threads runs every item, then the first exception in input order is raised.
+    the run; otherwise a pool of jobs threads runs them, and the first exception in input order (or an
+    interrupt) cancels the items still queued and is raised once the running ones have finished.
     """
     def timed(item):
         t0 = time.perf_counter()
@@ -17,5 +18,4 @@ def run_items(fn, items, jobs: int = 1) -> list:
     if jobs < 2 or len(items) < 2:
         return [timed(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(timed, item) for item in items]
-    return [future.result() for future in futures]
+        return list(pool.map(timed, items))

@@ -35,19 +35,30 @@ def test_serial_run_stops_at_the_first_exception():
     assert called == [0, 1]
 
 
-def test_pool_raises_the_first_exception_in_input_order_after_every_item_ran():
-    called = []
-
+def test_pool_raises_the_first_exception_in_input_order():
     def fail_on_one_and_three(item):
-        time.sleep({1: 0.05, 3: 0.0}.get(item, 0.02))  # item 3 fails first, while items 7 to 9 still wait
-        called.append(item)
+        time.sleep({1: 0.05, 3: 0.0}.get(item, 0.02))  # item 3 fails first
         if item in (1, 3):
             raise ValueError(item)
         return item
 
     with pytest.raises(ValueError, match="^1$"):
         run_items(fail_on_one_and_three, range(10), jobs=2)
-    assert sorted(called) == list(range(10))
+
+
+def test_a_pool_failure_cancels_the_queued_items_once_the_running_ones_finish():
+    called = []
+
+    def fail_on_zero(item):
+        if item == 0:
+            raise ValueError(item)
+        time.sleep(0.1 if item == 1 else 0.02)
+        called.append(item)
+
+    with pytest.raises(ValueError):
+        run_items(fail_on_zero, range(40), jobs=2)
+    assert 1 in called  # the item running beside the failure finished before the raise
+    assert len(called) < 39  # the queue was dropped, not run out
 
 
 @pytest.mark.parametrize("items", [[], [0], [0, 1, 2]])

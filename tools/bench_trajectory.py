@@ -2,9 +2,9 @@
 
 Run from anywhere, with the standard library only:
 
-    python3 tools/bench_trajectory.py [BENCH_N.json ...]
+    python3 tools/bench_trajectory.py
 
-Without arguments it reads every ``BENCH_<N>.json`` at the repository root,
+It reads every ``BENCH_<N>.json`` at the repository root,
 in order of N (the change that recorded it). Each file holds sets: one
 workload run as alternating pairs of the parent and the change tree in one
 session, with the medians of each metric. For every set and every end-to-end
@@ -51,8 +51,8 @@ def trajectory(paths, metrics) -> list:
     return lines
 
 
-def main(argv) -> int:
-    paths = [Path(a) for a in argv] or bench_files()
+def main() -> int:
+    paths = bench_files()
     if not paths:
         print("no BENCH_*.json file to read", file=sys.stderr)
         return 1
@@ -61,4 +61,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

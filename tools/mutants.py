@@ -84,13 +84,15 @@ MUTANTS = [
            ("tests/test_runner.py::test_one_job_runs_every_item_on_the_calling_thread",
             "tests/test_runner.py::test_serial_run_stops_at_the_first_exception")),
     Mutant("the runner's pool returns results in completion order", "src/soundscapekit/_runner.py",
-           "        futures = [pool.submit(timed, item) for item in items]\n",
-           "        futures = []\n        [pool.submit(timed, item).add_done_callback(futures.append) for item in items]\n",
+           "return list(pool.map(timed, items))",
+           "return [f.result() for f in __import__('concurrent.futures').futures.as_completed("
+           "[pool.submit(timed, item) for item in items])]",
            ("tests/test_runner.py::test_results_come_back_in_input_order_when_later_items_finish_first",)),
-    Mutant("the runner's pool raises before it has drained", "src/soundscapekit/_runner.py",
-           "        futures = [pool.submit(timed, item) for item in items]\n    return [future.result() for future in futures]",
-           "        return list(pool.map(timed, items))",
-           ("tests/test_runner.py::test_pool_raises_the_first_exception_in_input_order_after_every_item_ran",)),
+    Mutant("the runner's pool runs every queued item after a failure", "src/soundscapekit/_runner.py",
+           "        return list(pool.map(timed, items))\n",
+           "        futures = [pool.submit(timed, item) for item in items]\n"
+           "    return [future.result() for future in futures]\n",
+           ("tests/test_runner.py::test_a_pool_failure_cancels_the_queued_items_once_the_running_ones_finish",)),
 ]
 
 
