@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import os
-import re
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
@@ -17,9 +16,8 @@ from .errors import SchemaError
 
 _BLOCK = 1 << 16  # bytes that Table.columns splits at a time: few enough that their cells add little to peak memory
 
-#: A numeric cell (FORMATS.md, "Reading rules"). Of float()'s other spellings of a finite number, each
-#: holds a character that is not ASCII (a digit) or one of _NOT_NUMBER ('_' between digits, whitespace around).
-_NUMBER = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+#: A numeric cell (FORMATS.md, "Reading rules") is ASCII text that float() reads as a finite number and that
+#: holds none of these: float() also takes '_' between digits and whitespace around the number.
 _NOT_NUMBER = "_ \t\n\r\x0b\x0c"
 
 
@@ -80,7 +78,7 @@ class Table:
         Concatenated, the blocks hold the fields of the rows that iteration
         yields, and the errors are the same, but for one more: ValueError where
         a cell of a column in numbers holds a character that is not ASCII or
-        is in _NOT_NUMBER, which _NUMBER never spells. A plain block of whole
+        is in _NOT_NUMBER, which no number holds. A plain block of whole
         lines is split directly; from the first block that is not plain, the
         rows come from iteration. Plain lines are valid UTF-8 with no '"' or
         NUL, end as the file's first line ends, are not blank, are no longer
@@ -155,14 +153,14 @@ class Table:
         return SchemaError(message, path=self.path, line=line)
 
     def number(self, text, line) -> float:
-        """A cell holding a finite number, spelt as _NUMBER."""
+        """A cell holding a finite number, spelt in ASCII without _NOT_NUMBER."""
         try:
             value = float(text)
         except ValueError:
             raise self.error(f"expected a number, got {text!r}", line) from None
         if not math.isfinite(value):
             raise self.error(f"expected a finite number, got {text!r}", line)
-        if not _NUMBER.fullmatch(text):
+        if not _number_chars(text):
             raise self.error(f"expected a number, got {text!r}", line)
         return value
 
@@ -185,16 +183,13 @@ def _screened(columns, numbers, text=None):
 
 
 def _number_chars(text) -> bool:
-    """Whether text holds no character that is not ASCII or is in _NOT_NUMBER: of the rest, float() reads
-    a number only as _NUMBER spells it."""
+    """Whether text holds no character that is not ASCII or is in _NOT_NUMBER."""
     return text.isascii() and not any(c in text for c in _NOT_NUMBER)
 
 
 def coded(cells, codes) -> np.ndarray:
     """The code of each cell in codes, a dict that first gives each new cell the next code, in order of appearance."""
-    for cell in dict.fromkeys(cells):
-        codes.setdefault(cell, len(codes))
-    return np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))
+    return np.fromiter((codes.setdefault(cell, len(codes)) for cell in cells), np.intp, len(cells))
 
 
 def floats(cells, parse=float) -> np.ndarray:
@@ -232,18 +227,17 @@ def replacing(path, binary=False):
         tmp.unlink(missing_ok=True)
 
 
-def write_table(path, header, rows=(), comments=(), blocks=()) -> None:
-    """CSV after '#' comment lines: the rows, then the blocks of columns; path "-" streams to stdout.
+def write_table(path, header, blocks, comments=()) -> None:
+    """CSV after '#' comment lines: the header, then the blocks of columns; path "-" streams to stdout.
 
     A block is a list of two or more equal-length columns, each a numpy array
-    of numbers or a sequence of str; its rows are written as csv.writer
-    writes them (a number as its repr, a str quoted only where it must be).
+    of numbers or a sequence of values; its rows are written as csv.writer
+    writes them (a number as its repr, None as an empty cell, a str quoted
+    only where it must be).
     """
     with nullcontext(sys.stdout) if path == "-" else replacing(path) as fh:
         fh.writelines(line + "\n" for line in comments)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(_cells(header)) + "\r\n")
         for block in blocks:
             lines = list(map(",".join, zip(*map(_cells, block), strict=True)))
             if lines:
@@ -254,10 +248,11 @@ _QUOTED = ',"\r\n'  # csv.QUOTE_MINIMAL quotes a cell holding one of these
 
 
 def _cells(column) -> list:
-    """The CSV cells of a column: the repr of each number (one repr of the whole list), or each str as csv writes it."""
+    """The CSV cells of a column: the repr of each number in an array (one repr of the whole list), else each
+    value's str ('' for None) as csv writes it."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         return repr(column.tolist())[1:-1].split(", ") if len(column) else []
-    cells = list(column)
+    cells = ["" if v is None else str(v) for v in column]
     joined = "".join(cells)
     if not any(c in joined for c in _QUOTED):
         return cells

@@ -83,15 +83,12 @@ def decode_wav(path) -> AudioClip:
     if data.size == 0:
         raise AudioDecodeError(f"{path}: zero-length audio")
 
-    # one float64 array, scaled in place
-    samples = data.astype(np.float64)
-    if data.dtype.kind == "u":
-        # 8-bit WAV is offset-binary around 128
-        samples -= 128.0
-        samples /= 128.0
+    if data.dtype.kind == "u":  # 8-bit WAV is offset-binary around 128
+        samples = (data - 128.0) / 128.0
     elif data.dtype.kind == "i":
-        samples /= float(2 ** (8 * data.dtype.itemsize - 1))
+        samples = data / float(2 ** (8 * data.dtype.itemsize - 1))
     else:
+        samples = data.astype(np.float64)
         if not np.isfinite(samples).all():
             raise AudioDecodeError(f"{path}: non-finite float samples")
         np.clip(samples, -1.0, 1.0, out=samples)

@@ -124,7 +124,7 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
         f"adi_max_freq_hz={p.adi_max_freq_hz} adi_db_threshold={p.adi_db_threshold}",
         f"# ndsi_anthro_hz={list(p.ndsi_anthro_hz)} ndsi_bio_hz={list(p.ndsi_bio_hz)}",
     ]
-    write_table(out, header, rows, comments=comments)
+    write_table(out, header, [list(zip(*rows))], comments=comments)
     if failures:
         _log(f"indices: {failures} file(s) failed")
         sys.exit(1)
@@ -233,8 +233,9 @@ def _write_evaluation(out, scores, pred, true, report, stratified):
     write_json(out / "report.json", report.to_dict())
     with replacing(out / "report.txt") as fh:
         fh.write(report.to_table() + "\n")
-    write_table(out / "curves.csv", ["class", "kind", "threshold", "x", "y"], blocks=_curve_blocks(scores, true))
-    write_table(out / "stratified.csv", ["target", "combination", "kind", "count", "rate"], stratified.to_rows())
+    write_table(out / "curves.csv", ["class", "kind", "threshold", "x", "y"], _curve_blocks(scores, true))
+    write_table(out / "stratified.csv", ["target", "combination", "kind", "count", "rate"],
+                [list(zip(*stratified.to_rows()))])
     dump_decisions(scores.recording_ids, pred, out / "decisions.csv")
 
 
@@ -331,7 +332,7 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
                 except ValueError as exc:
                     failures += 1
                     rows.append([index_name, fname, source, "", "", str(exc)])
-    write_table(out, ["index", "filter", "source", "n", "r", "note"], rows)
+    write_table(out, ["index", "filter", "source", "n", "r", "note"], [list(zip(*rows))])
     if failures:
         _log(f"case-study: {failures} correlation(s) could not be computed")
         sys.exit(1)

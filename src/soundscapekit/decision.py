@@ -339,7 +339,7 @@ def dump_decisions(recording_ids, flags, path) -> None:
     """Write [recordings x CLASSES] active flags as CSV: 0/1 per class plus the silence flag."""
     flags = np.asarray(flags, dtype=bool)
     columns = np.column_stack((flags, ~flags.any(axis=1))).astype(int).T
-    write_table(path, _DECISIONS_HEADER, blocks=[[recording_ids, *columns]])
+    write_table(path, _DECISIONS_HEADER, [[recording_ids, *columns]])
 
 
 def load_decisions(path) -> dict:

@@ -96,12 +96,8 @@ def framed_rfft(samples: np.ndarray, window: np.ndarray, hop: int, n_frames: int
     frames = np.lib.stride_tricks.sliding_window_view(samples, len(window))[::hop]
     if n_frames > len(frames):
         raise ValueError(f"{len(samples)} samples hold {len(frames)} frames, not {n_frames}")
-    windowed = np.empty((min(_BLOCK_FRAMES, n_frames), len(window)))
     for first in range(0, n_frames, _BLOCK_FRAMES):
-        block = frames[first : min(first + _BLOCK_FRAMES, n_frames)]
-        buf = windowed[: len(block)]
-        np.multiply(block, window, out=buf)
-        yield first, np.fft.rfft(buf, axis=1)
+        yield first, np.fft.rfft(frames[first : min(first + _BLOCK_FRAMES, n_frames)] * window, axis=1)
 
 
 def stft_magnitude(clip: AudioClip, window_len: int = 1024, hop: int = 320) -> Spectrogram:

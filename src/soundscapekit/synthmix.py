@@ -466,7 +466,7 @@ def build_corpus(
     manifest = out_dir / "manifest.csv"
     try:
         rows = [row for row, _ in run_items(render, range(len(combos)), jobs)]
-        write_table(manifest, MANIFEST_HEADER, rows)
+        write_table(manifest, MANIFEST_HEADER, [list(zip(*rows))])
     except BaseException:
         for f in new_files:
             f.unlink(missing_ok=True)

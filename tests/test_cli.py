@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundscapekit import _table, cli, synthmix
 from soundscapekit.audio_io import AudioClip, write_wav_pcm16
@@ -891,6 +893,52 @@ class TestBadInputTables:
         result = runner.invoke(main, [command, str(scores), str(anns), *out])
         assert_table_error(result, anns, 3)
         assert f"{anns}:3: segment (50.0, 70.0) outside [0, 60.0]" in result.output
+
+
+#: What the damage below inserts into a line: cells that float() reads and the format does not take, a BOM, a NUL
+#: and a quote, which sends the table to the row-by-row reader.
+INSERTED = [b"1e308", b"nan", b"inf", b"1_0", "\ufeff".encode(), b"\0", b'"']
+
+
+@st.composite
+def damaged_table(draw, data):
+    """data, the bytes of a table, with one to three of its lines edited, cut, repeated or given an INSERTED token."""
+    lines = data.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        i = draw(st.integers(0, len(line)))
+        kind = draw(st.sampled_from(["edit", "cut", "repeat", "insert"]))
+        if kind == "edit":
+            j = draw(st.integers(i, min(i + 4, len(line))))
+            lines[k] = line[:i] + draw(st.binary(max_size=4)) + line[j:]
+        elif kind == "cut":
+            lines[k] = line[:i]
+        elif kind == "repeat":
+            lines.insert(k, line)
+        else:
+            lines[k] = line[:i] + draw(st.sampled_from(INSERTED)) + line[i:]
+    return b"".join(lines)
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(["tune", "evaluate"]), name=st.sampled_from(["scores.csv", "annotations.csv"]),
+       data=st.data())
+def test_damaged_tables_end_in_one_line_never_a_traceback(tmp_path_factory, command, name, data):
+    """tune and evaluate on the cst_fixture tables, one of them damaged byte by byte: exit 0, or exit 1 with a
+    last line that names the damaged table, a config error or the command's failure."""
+    d = tmp_path_factory.mktemp("damaged")
+    for table in ("scores.csv", "annotations.csv"):
+        raw = (FIXTURES / table).read_bytes()
+        (d / table).write_bytes(data.draw(damaged_table(raw)) if table == name else raw)
+    out = d / ("rep" if command == "evaluate" else "t.json")
+    result = CliRunner().invoke(main, [command, str(d / "scores.csv"), str(d / "annotations.csv"), "--out", str(out)])
+    assert result.exit_code in (0, 1), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code == 1:
+        last = result.output.splitlines()[-1]
+        assert last.startswith((f"{d / name}:", "Error: ", f"{command}: FAILED: ")), result.output
 
 
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}

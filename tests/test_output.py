@@ -1,6 +1,7 @@
 """The shared output writer: exact bytes, and a whole file or none."""
 
 import contextlib
+import csv
 import errno
 import os
 import threading
@@ -31,7 +32,7 @@ def assert_untouched(target):
 
 
 def test_table_bytes(target):
-    write_table(target, ["a", "b"], iter([[1, "x,y"], [2.5, ""]]), comments=["# p=1"])
+    write_table(target, ["a", "b"], [[[1], ["x,y"]], [[2.5], [""]]], comments=["# p=1"])
     assert target.read_bytes() == b'# p=1\na,b\r\n1,"x,y"\r\n2.5,\r\n'
     assert [p.name for p in target.parent.iterdir()] == [target.name]
 
@@ -40,7 +41,7 @@ def test_table_bytes(target):
 def test_table_cells_are_formatted_by_the_writer(tmp_path_factory, x, n):
     """A float is written as its repr, None as an empty cell and an int as its str."""
     p = tmp_path_factory.mktemp("cells") / "t.csv"
-    write_table(p, ["x", "none", "n"], [[x, None, n]])
+    write_table(p, ["x", "none", "n"], [[[x], [None], [n]]])
     assert p.read_bytes() == f"x,none,n\r\n{x!r},,{n}\r\n".encode()
 
 
@@ -51,8 +52,9 @@ CELL_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "0", "é", 
 
 @st.composite
 def column_blocks(draw):
-    """Blocks of columns of one table: float, int and bool arrays and lists of str, 0-8 rows a block."""
-    kinds = draw(st.lists(st.sampled_from(["float", "int", "bool", "str"]), min_size=2, max_size=5))
+    """Blocks of columns of one table, 0-8 rows a block: float, int and bool arrays, lists of str, and lists
+    that mix None, int, float and str, as the columns of rows are."""
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "bool", "str", "mixed"]), min_size=2, max_size=5))
     blocks = []
     for _ in range(draw(st.integers(0, 3))):
         n = draw(st.integers(0, 8))
@@ -61,19 +63,20 @@ def column_blocks(draw):
             "int": st.integers(-(2**62), 2**62),
             "bool": st.booleans(),
             "str": CELL_TEXT,
+            "mixed": st.none() | st.integers() | AWKWARD_FLOATS | CELL_TEXT,
         }
         columns = [draw(st.lists(cells[kind], min_size=n, max_size=n)) for kind in kinds]
-        blocks.append([c if kind == "str" else np.array(c, dtype=kind) for kind, c in zip(kinds, columns)])
+        blocks.append([c if kind in ("str", "mixed") else np.array(c, dtype=kind) for kind, c in zip(kinds, columns)])
     return blocks
 
 
-@given(column_blocks())
-def test_table_columns_are_written_as_csv_writer_writes_their_rows(tmp_path_factory, blocks):
+@given(column_blocks(), st.lists(CELL_TEXT, min_size=2, max_size=5))
+def test_table_columns_are_written_as_csv_writer_writes_their_rows(tmp_path_factory, blocks, header):
     d = tmp_path_factory.mktemp("columns")
-    header = [f"c{k}" for k in range(len(blocks[0]))] if blocks else ["a", "b"]
-    write_table(d / "columns.csv", header, blocks=blocks)
+    write_table(d / "columns.csv", header, blocks)
     rows = [row for block in blocks for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))]
-    write_table(d / "rows.csv", header, rows)
+    with open(d / "rows.csv", "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        csv.writer(fh).writerows([header, *rows])
     assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
 
 
@@ -85,8 +88,8 @@ def test_table_columns_of_unequal_length_are_an_error(target):
 
 def test_table_dash_is_stdout(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    write_table("-", ["a"], [[1]], comments=["# c"])
-    assert capsys.readouterr().out == "# c\na\r\n1\r\n"
+    write_table("-", ["a", "b"], [[[1], [None]]], comments=["# c"])
+    assert capsys.readouterr().out == "# c\na,b\r\n1,\r\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -98,13 +101,13 @@ def test_json_bytes(tmp_path):
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_table_failing_midway_keeps_the_previous_file(target, error):
-    def rows():
+    def blocks():
         for i in range(1000):
-            yield [i, repr(i / 7)]
-        raise error("row 1000")
+            yield [[i], [repr(i / 7)]]
+        raise error("block 1000")
 
     with pytest.raises(error):
-        write_table(target, ["i", "x"], rows())
+        write_table(target, ["i", "x"], blocks())
     assert_untouched(target)
 
 
@@ -182,8 +185,8 @@ def test_fifo_is_written_to_not_replaced(tmp_path):
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    write_table(fifo, ["a"], [[1.5]])
+    write_table(fifo, ["a", "b"], [[np.array([1.5]), ["x"]]])
     reader.join(timeout=10)
-    assert got == [b"a\r\n1.5\r\n"]
+    assert got == [b"a,b\r\n1.5,x\r\n"]
     assert fifo.is_fifo()
     assert [p.name for p in tmp_path.iterdir()] == [fifo.name]

@@ -115,6 +115,9 @@ class TestTable:
             t.flag(text, 5)
 
 
+#: The number grammar of FORMATS.md ("Reading rules"), as a regular expression: the oracle of the character rule
+#: by which the readers take a cell that float() reads as a finite number.
+NUMBER = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 NUMBER_TEXT = st.text(st.sampled_from("0123456789+-.eE_ \t\n\x0b\x0c\r\xa0\uff11\u0661nafiINxX"), max_size=8)
 
 
@@ -129,7 +132,7 @@ def number_table(tmp_path_factory):
 @given(text=NUMBER_TEXT)
 def test_the_column_screen_and_the_cell_rule_agree(number_table, text):
     """A cell that passes the columns' screen and that float() reads as a finite number is a number by Table.number,
-    of the same value, and the other way round; both are exactly the finite numbers that _NUMBER spells."""
+    of the same value, and the other way round; both are exactly the finite numbers that NUMBER spells."""
     try:
         by_column = float(_table._screened([[text]], [0])[0][0])
     except ValueError:
@@ -141,7 +144,7 @@ def test_the_column_screen_and_the_cell_rule_agree(number_table, text):
     if by_column is not None and not math.isfinite(by_column):
         by_column = None  # left to the callers' range checks
     assert by_column == by_cell
-    assert (by_cell is not None) == bool(_table._NUMBER.fullmatch(text) and math.isfinite(float(text)))
+    assert (by_cell is not None) == bool(NUMBER.fullmatch(text) and math.isfinite(float(text)))
 
 
 # --- columns: the rows as blocks of columns, split directly where plain -------
@@ -265,7 +268,7 @@ def test_the_row_iterator_takes_over_at_the_first_block_that_is_not_plain(tmp_pa
 
 SCORES = "recording_id,window_start_s,anthropophony,biophony,geophony\n{0},0.0,0.1,0.2,0.3\n"
 SEGMENTS = "recording_id,class,start_s,end_s\n{0},biophony,0,5\n"
-#: A table whose line 3 holds a cell that float() reads as a number and _NUMBER does not spell, and the cell.
+#: A table whose line 3 holds a cell that float() reads as a number and NUMBER does not spell, and the cell.
 SPELLED_OTHERWISE = {
     "score-start": (load_scores, SCORES + "{0},1_0.0,0.1,0.2,0.3\n", "1_0.0"),
     "score": (load_scores, SCORES + "{0},10.0,0.1, 0.2,0.3\n", " 0.2"),
@@ -288,7 +291,7 @@ def test_column_readers_name_a_number_spelt_otherwise(tmp_path, name, rid):
 
 def test_ids_may_hold_what_numbers_may_not(tmp_path):
     """An id with '_', a space or a character that is not ASCII sends its block to the screen by column,
-    which passes numbers spelt as _NUMBER."""
+    which passes numbers spelt as NUMBER."""
     scores, segments = tmp_path / "scores.csv", tmp_path / "segments.csv"
     ids = ["r_0", "r 1", "caf\u00e9"]
     scores.write_text(SCORES.format(ids[0]) + "".join(f"{rid},0.0,0.1,0.2,0.3\n" for rid in ids[1:]), encoding="utf-8")

@@ -69,7 +69,7 @@ MUTANTS = [
            ("tests/test_decision.py::TestAnnotationIO::"
             "test_a_repeated_recording_id_is_an_error_before_the_table_is_read",)),
     Mutant("Table.number takes every number float takes", "src/soundscapekit/_table.py",
-           "if not _NUMBER.fullmatch(text):", "if False:",
+           "if not _number_chars(text):", "if False:",
            ("tests/test_tables.py::TestTable::test_number_rejects_non_finite",
             "tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise")),
     Mutant("the PDA test drops its tolerance", "src/soundscapekit/decision.py",
@@ -93,6 +93,23 @@ MUTANTS = [
            "        futures = [pool.submit(timed, item) for item in items]\n"
            "    return [future.result() for future in futures]\n",
            ("tests/test_runner.py::test_a_pool_failure_cancels_the_queued_items_once_the_running_ones_finish",)),
+    Mutant("the table writer writes None as 'None'", "src/soundscapekit/_table.py",
+           '["" if v is None else str(v) for v in column]', "[str(v) for v in column]",
+           ("tests/test_output.py::test_table_cells_are_formatted_by_the_writer",
+            "tests/test_output.py::test_table_dash_is_stdout")),
+    Mutant("a number may hold '_' between digits", "src/soundscapekit/_table.py",
+           '_NOT_NUMBER = "_ ', '_NOT_NUMBER = " ',
+           ("tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise",
+            "tests/test_tables.py::test_the_column_screen_and_the_cell_rule_agree")),
+    Mutant("coded numbers the cells in sorted order, not in order of first appearance",
+           "src/soundscapekit/_table.py",
+           "    return np.fromiter((codes.setdefault(cell, len(codes)) for cell in cells), np.intp, len(cells))\n",
+           "    for cell in sorted(set(cells)):\n        codes.setdefault(cell, len(codes))\n"
+           "    return np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))\n",
+           ("tests/test_scores.py::TestLoadScoresColumns::test_equals_row_by_row_reference",)),
+    Mutant("8-bit samples lose their offset of 128", "src/soundscapekit/audio_io.py",
+           "samples = (data - 128.0) / 128.0", "samples = data / 128.0",
+           ("tests/test_audio_io.py::TestDecode::test_uint8_scaling",)),
 ]
 
 
