@@ -39,7 +39,8 @@ _INDICES_HEADER = ["recording_id", "aci", "adi", "ndsi"]
 
 
 def _log(msg: str) -> None:
-    click.echo(msg, err=True)
+    """One stderr line; a byte that is not UTF-8 (a path's surrogate escape) shows as \\xNN in every locale."""
+    click.echo(msg.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace"), err=True)
 
 
 def _load_config(path, thresholds_path=None) -> RunConfig:
@@ -112,7 +113,7 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
         if isinstance(outcome, AudioDecodeError):  # its message starts with the path
             _log(f"indices: FAILED {outcome}")
         elif isinstance(outcome, Exception):
-            _log(f"indices: FAILED {_shown(f)}: {outcome}")
+            _log(f"indices: FAILED {f}: {outcome}")
         else:
             rows.append(outcome + [f"{wall:.6f}"] if timing else outcome)
     failures = len(files) - len(rows)
@@ -128,16 +129,6 @@ def cmd_indices(audio_dir, out, config_path, jobs, timing):
     if failures:
         _log(f"indices: {failures} file(s) failed")
         sys.exit(1)
-
-
-def _shown(path) -> str:
-    """path for a log line; bytes that are not UTF-8 show as \\xNN escapes, the same in every locale."""
-    raw = os.fsencode(path)
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return raw.decode("utf-8", "backslashreplace")
-    return str(path)
 
 
 def _combo_counts(ctx, param, items) -> dict:

@@ -20,7 +20,7 @@ from .indices import (
     aci_chunk_frames,
     check_bands,
 )
-from .evaluation import DEFAULT_BOOTSTRAP_RESAMPLES, DEFAULT_CONFIDENCE, MAX_BOOTSTRAP_RESAMPLES
+from .evaluation import DEFAULT_BOOTSTRAP_RESAMPLES, DEFAULT_CONFIDENCE, check_bootstrap
 from .labels import CLASSES
 from .scores import WindowSpec
 from .synthmix import DEFAULT_COUNT_PMFS, NORMALIZATION_MODES, TARGET_RATE_HZ
@@ -112,11 +112,7 @@ class RunConfig:
                 raise ValueError(f"unknown mixer normalization {cfg.mixer_normalization!r}")
             cfg.bootstrap_resamples = d["bootstrap"]["resamples"]
             cfg.bootstrap_confidence = d["bootstrap"]["confidence"]
-            if not 1 <= cfg.bootstrap_resamples <= MAX_BOOTSTRAP_RESAMPLES:
-                raise ValueError(f"bootstrap resamples must be in [1, {MAX_BOOTSTRAP_RESAMPLES}], "
-                                 f"got {cfg.bootstrap_resamples}")
-            if not 0 < cfg.bootstrap_confidence < 1:
-                raise ValueError(f"bootstrap confidence must be in (0, 1), got {cfg.bootstrap_confidence}")
+            check_bootstrap(cfg.bootstrap_resamples, cfg.bootstrap_confidence)
             return cfg
         except ConfigError:
             raise

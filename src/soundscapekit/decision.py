@@ -258,14 +258,10 @@ def load_annotations(path, duration_s: float) -> dict:
     Strong schema: recording_id,class,start_s,end_s (one row per segment).
     Weak schema: recording_id,anthropophony,biophony,geophony (0/1 flags).
     Recordings absent from a strong file simply have no annotated segments.
-    A strong table is read as pda_truth reads it, in one column read and one merge.
+    Either table is read as pda_truth reads it, in one read and one merge.
     """
-    table = Table(path, [_SEGMENTS_HEADER, _FLAGS_HEADER])
-    if table.header == _FLAGS_HEADER:
-        return {rid: AnnotationSet.from_weak_labels(rid, duration_s, compress(CLASSES, flags))
-                for rid, flags in _flag_rows(table)}
     codes = {}  # recording_id -> code, in order of first appearance
-    segments = _split(*_read_segments(table, codes, duration_s), len(codes))
+    segments = _split(*_read_truth(Table(path, [_SEGMENTS_HEADER, _FLAGS_HEADER]), codes, duration_s), len(codes))
     if codes and duration_s <= 0:
         raise ValueError(f"{next(iter(codes))}: duration must be positive")
     anns = {rid: object.__new__(AnnotationSet) for rid in codes}  # merged and checked: built without a second merge
@@ -278,31 +274,31 @@ def pda_truth(path, recording_ids, duration_s: float, policy: PdaPolicy) -> np.n
     """The PDA-filtered truth of an annotation CSV, [recordings x CLASSES] flags in recording_ids order.
 
     Equals load_annotations plus pda_kept per recording, from the same column read and merge:
-    a recording without rows has no class, and a weak table's flags pass
-    through (a flagged class spans the recording, which no p < 1 drops).
-    Annotations for a recording not in recording_ids, or a repeated id, are a ValueError. When a
-    row breaks a rule, the file is checked again row by row, so the error is
-    the first bad row's in file order, with its line.
+    a recording without rows has no class. A repeated id in recording_ids is a ValueError. The first
+    row in file order that breaks a rule is an error at its line; in a table without one, so is the
+    first row of a recording not in recording_ids.
     """
     codes = {rid: k for k, rid in enumerate(recording_ids)}  # recording_id -> row; the other ids follow
     if len(codes) < len(recording_ids):
         raise ValueError(f"recording id {next(r for k, r in enumerate(recording_ids) if codes[r] != k)!r} repeated")
     table = Table(path, [_SEGMENTS_HEADER, _FLAGS_HEADER])
+    truth = _read_truth(table, codes, duration_s)
+    unscored = list(codes)[len(recording_ids):]  # in file order
+    if unscored:
+        line = next(line for line, fields in table if fields[0] == unscored[0])
+        raise table.error(f"recording {unscored[0]!r} has no scores", line)
+    return _kept(*truth, len(codes), duration_s, policy)
+
+
+def _read_truth(table, codes, duration_s):
+    """The merged (cell, start, end) columns of an annotation table of either schema from one read, cell being
+    codes[recording_id] * len(CLASSES) + class; codes gives each id it lacks the next code, in order of appearance.
+    A weak table's flagged class is one segment (0, duration_s)."""
     if table.header == _FLAGS_HEADER:
-        rows = dict(_flag_rows(table))
-        kept = np.array([rows.pop(rid, [False] * len(CLASSES)) for rid in recording_ids], dtype=bool)
-        unknown = list(rows)
-    else:
-        kept = _kept(*_read_segments(table, codes, duration_s), len(codes), duration_s, policy)
-        kept, unknown = kept[:len(recording_ids)], list(codes)[len(recording_ids):]
-    if unknown:
-        raise ValueError(f"annotations for recordings without scores: {sorted(unknown)[:5]}")
-    return kept.reshape(-1, len(CLASSES))
-
-
-def _read_segments(table, codes, duration_s):
-    """The merged (cell, start, end) columns of a strong table from one column read, cell being
-    codes[recording_id] * len(CLASSES) + class; codes gives each id it lacks the next code, in order of appearance."""
+        rows = list(_flag_rows(table))
+        row, cls = np.nonzero(np.array([flags for _, flags in rows], bool).reshape(-1, len(CLASSES)))
+        cell = coded([rid for rid, _ in rows], codes)[row] * len(CLASSES) + cls
+        return _merged(cell, np.zeros(len(cell)), np.full(len(cell), float(duration_s)))
     class_codes = {cls: k for k, cls in enumerate(CLASSES)}
     group, bounds = [np.empty(0, np.intp)], [np.empty((2, 0))]  # per block: each row's cell; its start and end
     with table.checked(lambda line, fields: _segment_row(table, line, fields, duration_s)):

@@ -118,8 +118,7 @@ def evaluate(
     decided classes and the (possibly PDA-filtered) annotated classes.
     """
     pred, outcome = _outcomes(pred, true)
-    if not 1 <= bootstrap_resamples <= MAX_BOOTSTRAP_RESAMPLES:
-        raise ValueError(f"need 1 to {MAX_BOOTSTRAP_RESAMPLES} bootstrap resamples, got {bootstrap_resamples}")
+    check_bootstrap(bootstrap_resamples, confidence)
 
     n = len(pred)
     per_class = {}
@@ -145,6 +144,14 @@ def evaluate(
         confidence=confidence,
         bootstrap_seed=bootstrap_seed,
     )
+
+
+def check_bootstrap(resamples, confidence) -> None:
+    """Raise ValueError unless resamples is in [1, MAX_BOOTSTRAP_RESAMPLES] and confidence in (0, 1)."""
+    if not 1 <= resamples <= MAX_BOOTSTRAP_RESAMPLES:
+        raise ValueError(f"bootstrap resamples must be in [1, {MAX_BOOTSTRAP_RESAMPLES}], got {resamples}")
+    if not 0 < confidence < 1:
+        raise ValueError(f"bootstrap confidence must be in (0, 1), got {confidence}")
 
 
 def _bootstrap_macros(outcome, resamples, seed) -> np.ndarray:

@@ -512,11 +512,8 @@ class TestEvaluateCommand:
         write_weak_annotations(anns, {"r0": set(), "ghost": {"biophony"}})
         for command, out in (("evaluate", tmp_path / "rep"), ("tune", tmp_path / "t.json")):
             result = runner.invoke(main, [command, str(scores), str(anns), "--out", str(out)])
-            assert result.exit_code == 1
-            assert "ghost" in result.output
-            assert failed_lines(result, command) == [
-                f"{command}: FAILED: annotations for recordings without scores: ['ghost']"
-            ]
+            assert failed_lines(result, command) == []
+            assert result.output.splitlines()[-1] == f"{anns}:3: recording 'ghost' has no scores"
             assert not out.exists()
 
 
@@ -926,7 +923,8 @@ def damaged_table(draw, data):
        data=st.data())
 def test_damaged_tables_end_in_one_line_never_a_traceback(tmp_path_factory, command, name, data):
     """tune and evaluate on the cst_fixture tables, one of them damaged byte by byte: exit 0, or exit 1 with a
-    last line that names the damaged table, a config error or the command's failure."""
+    last line that starts with the path of one of the two tables (a damaged score id leaves an annotated recording
+    without scores, an error of the annotation table)."""
     d = tmp_path_factory.mktemp("damaged")
     for table in ("scores.csv", "annotations.csv"):
         raw = (FIXTURES / table).read_bytes()
@@ -938,7 +936,7 @@ def test_damaged_tables_end_in_one_line_never_a_traceback(tmp_path_factory, comm
     assert "Traceback" not in result.output
     if result.exit_code == 1:
         last = result.output.splitlines()[-1]
-        assert last.startswith((f"{d / name}:", "Error: ", f"{command}: FAILED: ")), result.output
+        assert last.startswith((f"{d / 'scores.csv'}:", f"{d / 'annotations.csv'}:")), result.output
 
 
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
@@ -989,7 +987,8 @@ class TestNonUtf8Locale:
 
     @staticmethod
     def check_name_that_is_not_utf8(tmp_path, locale):
-        """The failed file is named with its byte as a \\xNN escape, the same in every locale."""
+        """The failed file is named with its byte as a \\xNN escape, the same in every locale, whether the byte is
+        in its own name or in its directory's."""
         audio = tmp_path / "audio"
         audio.mkdir()
         for name in ("a.wav", "b.wav"):
@@ -1002,3 +1001,13 @@ class TestNonUtf8Locale:
         assert failed == [b"indices: FAILED " + os.fsencode(audio) + b"/caf\\xe9.wav: file name is not UTF-8, "
                           b"so its recording_id would not read back"]
         assert [row.split(b",")[0] for row in out.read_bytes().splitlines()[4:]] == [b"a"]
+
+        odd = os.fsencode(tmp_path) + b"/dir\xe9"
+        os.mkdir(odd)
+        with open(odd + b"/a.wav", "wb") as fh:
+            fh.write(b"not a RIFF header")
+        done = run_in_locale(locale, "indices", os.fsdecode(odd), "--out", "-")
+        assert done.returncode == 1
+        assert [ln for ln in done.stderr.splitlines() if b"FAILED" in ln] == [
+            b"indices: FAILED " + os.fsencode(tmp_path) + b"/dir\\xe9/a.wav: not a decodable linear-PCM WAV "
+            b"(not a RIFF or RIFX WAVE file)"]

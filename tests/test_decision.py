@@ -486,10 +486,15 @@ class TestAnnotationIO:
         assert pda_truth(p, ["r0"], duration, policy).tolist() == [[False, True, False]]
 
     def test_annotations_of_a_recording_not_listed(self, tmp_path):
+        """The first row, in file order, of a recording without scores is named at its line; a weak row needs no flag."""
         p = tmp_path / "ann.csv"
-        p.write_text("recording_id,class,start_s,end_s\nr9,biophony,0,10\nr0,biophony,0,10\nr8,geophony,0,1\n")
-        with pytest.raises(ValueError, match=r"^annotations for recordings without scores: \['r8', 'r9'\]$"):
-            pda_truth(p, ["r0"], 60.0, PdaPolicy())
+        for text in ("recording_id,class,start_s,end_s\nr0,biophony,0,10\nr9,biophony,0,10\nr8,geophony,0,1\n"
+                     "r9,geophony,0,1\n",
+                     "recording_id,anthropophony,biophony,geophony\nr0,0,1,0\nr9,0,0,0\nr8,0,0,1\n"):
+            p.write_text(text)
+            with pytest.raises(SchemaError) as err:
+                pda_truth(p, ["r0"], 60.0, PdaPolicy())
+            assert str(err.value) == f"{p}:3: recording 'r9' has no scores"
 
     @pytest.mark.parametrize("header", ["recording_id,class,start_s,end_s", "recording_id,anthropophony,biophony,geophony"])
     def test_a_repeated_recording_id_is_an_error_before_the_table_is_read(self, tmp_path, header):

@@ -93,8 +93,16 @@ class TestEvaluate:
     @pytest.mark.parametrize("resamples", [0, MAX_BOOTSTRAP_RESAMPLES + 1, 10**12])
     def test_resample_count_outside_the_bound_is_rejected_before_drawing(self, resamples):
         pred = true = flags([{BIOPHONY}, set()])
-        with pytest.raises(ValueError, match=f"need 1 to {MAX_BOOTSTRAP_RESAMPLES} bootstrap resamples, got {resamples}"):
+        message = f"bootstrap resamples must be in [1, {MAX_BOOTSTRAP_RESAMPLES}], got {resamples}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             evaluate(pred, true, bootstrap_resamples=resamples)
+
+    @pytest.mark.parametrize("confidence", [-0.2, 0.0, 1.0, 1.7, float("nan")])
+    def test_confidence_outside_the_open_unit_interval_is_rejected(self, confidence):
+        """The config's rule holds for evaluate too: -0.2 would give a zero-width interval."""
+        pred = true = flags([{BIOPHONY}, set()])
+        with pytest.raises(ValueError, match=re.escape(f"bootstrap confidence must be in (0, 1), got {confidence}")):
+            evaluate(pred, true, confidence=confidence)
 
     def test_id_mismatch(self):
         one_by_two_rows = (flags([set()]), flags([set(), set()]))

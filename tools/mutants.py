@@ -59,8 +59,9 @@ MUTANTS = [
            "tuple(pairs[a:b])", "tuple(pairs[a:b - 1])",
            ("tests/test_decision.py::TestAnnotationIO::test_segments_are_merged_as_brute_force_merges_them",)),
     Mutant("pda_truth drops the ids it was not given", "src/soundscapekit/decision.py",
-           "list(codes)[len(recording_ids):]", "[]",
-           ("tests/test_decision.py::TestAnnotationIO::test_annotations_of_a_recording_not_listed",)),
+           "unscored = list(codes)[len(recording_ids):]", "unscored = []",
+           ("tests/test_decision.py::TestAnnotationIO::test_annotations_of_a_recording_not_listed",
+            "tests/test_cli.py::TestEvaluateCommand::test_annotations_without_scores_rejected")),
     Mutant("the pink noise bed drops its partial last span", "src/soundscapekit/synthmix.py",
            "        out[len(head) * span:] += vals[len(head):]\n", "",
            ("tests/test_synthmix.py::TestNoiseKinds::test_pink_equals_the_repeated_generators_bit_for_bit",)),
@@ -110,6 +111,62 @@ MUTANTS = [
     Mutant("8-bit samples lose their offset of 128", "src/soundscapekit/audio_io.py",
            "samples = (data - 128.0) / 128.0", "samples = data / 128.0",
            ("tests/test_audio_io.py::TestDecode::test_uint8_scaling",)),
+    Mutant("a plain block may hold a quote", "src/soundscapekit/_table.py",
+           """if ('"' in text or "\\0" in text""", """if ("\\0" in text""",
+           ("tests/test_tables.py::test_the_row_iterator_takes_over_at_the_first_block_that_is_not_plain",)),
+    Mutant("a plain block may hold another line end", "src/soundscapekit/_table.py",
+           """                        or any("\\r" in s or "\\n" in s for s in (flat, *head))"""
+           """  # another line end\n""", "",
+           ("tests/test_tables.py::test_columns_of_a_table_past_one_block",
+            "tests/test_tables.py::test_the_row_iterator_takes_over_at_the_first_block_that_is_not_plain")),
+    Mutant("a plain block may hold a blank line", "src/soundscapekit/_table.py",
+           """ or "" in rows\n""", "\n",
+           ("tests/test_tables.py::test_columns_skip_blank_lines_of_a_one_column_table",)),
+    Mutant("a plain block may hold a row of another field count", "src/soundscapekit/_table.py",
+           """\n                        or set(map(str.count, rows, itertools.repeat(","))) - {width - 1}):""", "):",
+           ("tests/test_tables.py::test_columns_of_a_table_past_one_block",
+            "tests/test_tables.py::test_the_row_iterator_takes_over_at_the_first_block_that_is_not_plain")),
+    Mutant("a plain block may hold a line past the field size limit", "src/soundscapekit/_table.py",
+           "\n                        or max(map(len, rows), default=0) > limit", "",
+           ("tests/test_tables.py::test_columns_of_a_field_over_the_csv_limit",)),
+    Mutant("the row iterator resumes at the lines split, the header's ignored", "src/soundscapekit/_table.py",
+           "self._rows(max(done, self._skip))", "self._rows(done)",
+           ("tests/test_tables.py::test_columns_skip_blank_lines_of_a_one_column_table",
+            "tests/test_tables.py::test_annotation_readers_report_the_first_bad_row")),
+    Mutant("Table.checked lets a SchemaError of its block through", "src/soundscapekit/_table.py",
+           "except (SchemaError, KeyError, ValueError) as exc:", "except (KeyError, ValueError) as exc:",
+           ("tests/test_decision.py::TestAnnotationIO::test_first_bad_row_in_file_order_wins",
+            "tests/test_scores.py::TestLoadScoresColumns::test_first_bad_row_in_file_order_is_reported")),
+    Mutant("a failure without a message prints nothing after FAILED", "src/soundscapekit/cli.py",
+           "{str(exc) or type(exc).__name__}", "{str(exc)}",
+           ("tests/test_cli.py::test_out_of_memory_or_stack_is_one_line_error",)),
+    Mutant("a JSON document too deep is not a config error", "src/soundscapekit/config.py",
+           "except (RecursionError, ValueError) as exc:", "except ValueError as exc:",
+           ("tests/test_config.py::test_json_nested_too_deep_is_a_config_error",
+            "tests/test_cli.py::TestEvaluateCommand::test_config_nested_too_deep_is_one_line_error")),
+    Mutant("the merge sorts by end before start", "src/soundscapekit/decision.py",
+           "np.lexsort((ends, starts, cell))", "np.lexsort((starts, ends, cell))",
+           ("tests/test_decision.py::TestAnnotationIO::test_segments_are_merged_as_brute_force_merges_them",)),
+    Mutant("a segment's end has no tolerance past the recording", "src/soundscapekit/decision.py",
+           "(end <= duration_s + _DUR_TOL)", "(end <= duration_s)",
+           ("tests/test_decision.py::TestAnnotationSet::test_end_within_the_tolerance_past_the_recording_is_inside",)),
+    Mutant("a number may hold characters that are not ASCII", "src/soundscapekit/_table.py",
+           "return text.isascii() and not any(", "return not any(",
+           ("tests/test_tables.py::TestTable::test_number_rejects_non_finite",
+            "tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise")),
+    Mutant("the weak reader drops rows without flags", "src/soundscapekit/decision.py",
+           "rows = list(_flag_rows(table))", "rows = [row for row in _flag_rows(table) if any(row[1])]",
+           ("tests/test_decision.py::TestAnnotationIO::test_weak_schema",
+            "tests/test_decision.py::TestAnnotationIO::test_annotations_of_a_recording_not_listed")),
+    Mutant("log lines keep bytes that are not UTF-8 as the locale shows them", "src/soundscapekit/cli.py",
+           'click.echo(msg.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace"), err=True)',
+           "click.echo(msg, err=True)",
+           ("tests/test_cli.py::TestNonUtf8Locale::test_file_name_that_is_not_utf8_fails_alone",
+            "tests/test_cli.py::TestNonUtf8Locale::test_file_name_that_is_not_utf8_fails_alone_in_a_utf8_locale")),
+    Mutant("evaluate takes any bootstrap size and confidence", "src/soundscapekit/evaluation.py",
+           "    check_bootstrap(bootstrap_resamples, confidence)\n", "",
+           ("tests/test_evaluation.py::TestEvaluate::test_confidence_outside_the_open_unit_interval_is_rejected",
+            "tests/test_evaluation.py::TestEvaluate::test_resample_count_outside_the_bound_is_rejected_before_drawing")),
 ]
 
 

@@ -30,15 +30,21 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
   ``1_0.0``, which ``float`` would take (an error naming its line),
   ``evaluate`` with a score of ``1.5`` (an error naming its line),
   ``evaluate`` with annotations holding an unknown class on line 3 and an
-  ``inf`` end on line 5 (an error naming line 3), ``evaluate`` with an
-  ``--out`` under a regular file, ``mix`` with ``--count BA=1`` and with
+  ``inf`` end on line 5 (an error naming line 3), ``evaluate`` with the
+  fixture's scores less the ``rec03`` rows and ``tune`` with a weak table
+  holding one id more than the fixture's scores (errors naming the
+  annotation table's line of the recording without scores), ``evaluate``
+  with an ``--out`` under a regular file, ``mix`` with ``--count BA=1`` and with
   ``--count A=-1`` (usage errors, exit 2), ``mix`` of a pool without
   geophony with ``--count B=2 --count G=1``, ``mix --jobs 2`` of a pool with a geophony
   entry that is not a WAV, which fails after some files are rendered,
   ``indices`` of a directory holding one
   good WAV and one ``.wav`` file that is not RIFF, and ``indices`` of one
   good WAV and an 8-sample WAV at 200 003 Hz, whose resampling filter is
-  past the tap limit (both CSVs go to standard output, which is not kept).
+  past the tap limit, and ``indices`` of one good WAV and one ``.wav`` file
+  that is not RIFF in a directory whose name holds the byte ``\\xe9``, which
+  is not UTF-8 and shows as that escape in every locale (the three CSVs go
+  to standard output, which is not kept).
 
 Each output line is ``<sha256>  <variant>/<file>``, sorted, after one
 ``# exit <code> <variant>`` line per command, so the listings of two
@@ -220,6 +226,18 @@ def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool:
     yield "fail-evaluate-above-one", ["evaluate", above_one, fixture[1], "--out", out / "fail-evaluate-above-one"], \
         out / "fail-evaluate-above-one"
 
+    without_rec03 = work / "in" / "scores-without-rec03.csv"  # rec03 stays annotated
+    without_rec03.write_text("".join([header, *(r for r in rows if not r.startswith("rec03,"))]))
+    yield "fail-evaluate-unscored", ["evaluate", without_rec03, fixture[1], "--out", out / "fail-evaluate-unscored"], \
+        out / "fail-evaluate-unscored"
+
+    ids = list(dict.fromkeys(r.split(",", 1)[0] for r in rows))
+    weak_extra = work / "in" / "weak-extra-id.csv"  # rec99, on line 4, has no scores
+    write_flags(weak_extra, [*ids[:2], "rec99", *ids[2:]],
+                [LABEL_CYCLE[k % len(LABEL_CYCLE)] for k in range(len(ids) + 1)], silence=False)
+    yield "fail-tune-unscored-weak", ["tune", fixture[0], weak_extra, "--out", out / "fail-tune-unscored-weak.json"], \
+        out / "fail-tune-unscored-weak.json"
+
     ann_order = work / "in" / "annotations-order.csv"  # two bad rows: the first in file order is named
     ann_order.write_text("recording_id,class,start_s,end_s\nrec00,biophony,0,10\nrec00,traffic,0,10\n"
                          "rec01,geophony,5,20\nrec01,geophony,0,inf\n")
@@ -256,6 +274,12 @@ def failures(work: Path, diversity: Path, labels: Path, indices_csv: Path, pool:
         w.setframerate(200_003)
         w.writeframes(bytes(16))
     yield "fail-indices-odd-rate", ["indices", odd_rate, "--out", "-"], out / "fail-indices-odd-rate.csv"
+
+    odd_dir = Path(os.fsdecode(os.fsencode(work / "in") + b"/indices-dir\xe9"))
+    odd_dir.mkdir()
+    shutil.copyfile(wav, odd_dir / "a.wav")
+    (odd_dir / "b.wav").write_bytes(b"not a RIFF header")
+    yield "fail-indices-non-utf8-dir", ["indices", odd_dir, "--out", "-"], out / "fail-indices-non-utf8-dir.csv"
 
 
 def main(argv=None) -> int:
