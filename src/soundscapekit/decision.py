@@ -262,8 +262,6 @@ def load_annotations(path, duration_s: float) -> dict:
     """
     codes = {}  # recording_id -> code, in order of first appearance
     segments = _split(*_read_truth(Table(path, [_SEGMENTS_HEADER, _FLAGS_HEADER]), codes, duration_s), len(codes))
-    if codes and duration_s <= 0:
-        raise ValueError(f"{next(iter(codes))}: duration must be positive")
     anns = {rid: object.__new__(AnnotationSet) for rid in codes}  # merged and checked: built without a second merge
     for ann, rid, segs in zip(anns.values(), codes, segments):
         ann.__dict__.update(recording_id=rid, duration_s=duration_s, segments=segs)
@@ -293,7 +291,11 @@ def pda_truth(path, recording_ids, duration_s: float, policy: PdaPolicy) -> np.n
 def _read_truth(table, codes, duration_s):
     """The merged (cell, start, end) columns of an annotation table of either schema from one read, cell being
     codes[recording_id] * len(CLASSES) + class; codes gives each id it lacks the next code, in order of appearance.
-    A weak table's flagged class is one segment (0, duration_s)."""
+    A weak table's flagged class is one segment (0, duration_s). A table with a row needs a positive duration_s:
+    else ValueError, naming the first row's id."""
+    first = duration_s <= 0 and next(iter(table), None)
+    if first:
+        raise ValueError(f"{first[1][0]}: duration must be positive")
     if table.header == _FLAGS_HEADER:
         rows = list(_flag_rows(table))
         row, cls = np.nonzero(np.array([flags for _, flags in rows], bool).reshape(-1, len(CLASSES)))

@@ -540,13 +540,18 @@ class TestAnnotationIO:
             load_annotations(p, 60.0)
         assert str(err.value) == f"{p}:3: segment (50.0, 70.0) outside [0, 60.0]"
 
+    @pytest.mark.parametrize("read", [load_annotations,
+                                      lambda p, duration: pda_truth(p, ["r0"], duration, PdaPolicy()),
+                                      lambda p, duration: pda_truth(p, ["r0"], duration, PdaPolicy({BIOPHONY: 0.5}))],
+                             ids=["load_annotations", "pda_truth", "pda_truth-fraction"])
+    @pytest.mark.parametrize("duration", [0.0, -5.0])
     @pytest.mark.parametrize("text", ["recording_id,class,start_s,end_s\nr0,biophony,0,1e-10\n",
                                       "recording_id,anthropophony,biophony,geophony\nr0,0,1,0\n"])
-    def test_a_duration_that_is_not_positive_is_a_value_error(self, tmp_path, text):
+    def test_a_duration_that_is_not_positive_is_a_value_error(self, tmp_path, text, duration, read):
         p = tmp_path / "ann.csv"
         p.write_text(text)
         with pytest.raises(ValueError, match="^r0: duration must be positive$"):
-            load_annotations(p, 0.0)
+            read(p, duration)
 
     def test_weak_flag_validation(self, tmp_path):
         p = tmp_path / "flags.csv"

@@ -92,7 +92,7 @@ class TestTable:
             list(t.keyed())
 
     @pytest.mark.parametrize("text", ["", "x", "nan", "inf", "-inf", "1e999", "0x1",
-                                      "1_0", " 20.0 ", "\t1", "1\n", "\x0b1", "\xa01", "\uff11\uff10", "\u0661"])
+                                      "1_0", " 20.0 ", "\t1", "1\n", "\x0b1", "\x0c1", "\xa01", "\uff11\uff10", "\u0661"])
     def test_number_rejects_non_finite(self, tmp_path, text):
         t = table(tmp_path, "a,b\n")
         with pytest.raises(SchemaError, match=r"t\.csv:7: expected a"):

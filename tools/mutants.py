@@ -167,6 +167,24 @@ MUTANTS = [
            "    check_bootstrap(bootstrap_resamples, confidence)\n", "",
            ("tests/test_evaluation.py::TestEvaluate::test_confidence_outside_the_open_unit_interval_is_rejected",
             "tests/test_evaluation.py::TestEvaluate::test_resample_count_outside_the_bound_is_rejected_before_drawing")),
+    Mutant("the resampler drops the product of a group's inputs past the stride", "src/soundscapekit/audio_io.py",
+           "                if b is not None:\n                    out += rows[1:, : len(b)] @ b\n", "",
+           ("tests/test_audio_io.py::test_polyphase_matches_resample_poly",)),
+    Mutant("the resampler's zero-padded copy is one sample late", "src/soundscapekit/audio_io.py",
+           "out[lo - start : hi - start] = x[lo:hi]", "out[lo - start + 1 : hi - start] = x[lo : hi - 1]",
+           ("tests/test_audio_io.py::test_polyphase_matches_resample_poly",)),
+    Mutant("a number may hold a form feed", "src/soundscapekit/_table.py",
+           '_NOT_NUMBER = "_ \\t\\n\\r\\x0b\\x0c"', '_NOT_NUMBER = "_ \\t\\n\\r\\x0b"',
+           ("tests/test_tables.py::TestTable::test_number_rejects_non_finite",)),
+    Mutant("AnnotationSet takes a segment outside the recording", "src/soundscapekit/decision.py",
+           "        if len(bad):\n", "        if False:\n",
+           ("tests/test_decision.py::TestAnnotationSet::test_rejects_bad_segment",)),
+    Mutant("the annotation reader leaves the segment ends out of its numbers", "src/soundscapekit/decision.py",
+           "table.columns(numbers=(2, 3))", "table.columns(numbers=(2,))",
+           ("tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise",)),
+    Mutant("the annotation readers take a duration of zero", "src/soundscapekit/decision.py",
+           "first = duration_s <= 0 and", "first = duration_s < 0 and",
+           ("tests/test_decision.py::TestAnnotationIO::test_a_duration_that_is_not_positive_is_a_value_error",)),
 ]
 
 
