@@ -248,11 +248,9 @@ _QUOTED = ',"\r\n'  # csv.QUOTE_MINIMAL quotes a cell holding one of these
 
 
 def _cells(column) -> list:
-    """The CSV cells of a column: the repr of each number in an array (one repr of the whole list), else each
-    value's str ('' for None) as csv writes it."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        return repr(column.tolist())[1:-1].split(", ") if len(column) else []
-    cells = ["" if v is None else str(v) for v in column]
+    """The CSV cells of a column as csv writes them: each value's str ('' for None), an array's through tolist()."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    cells = ["" if v is None else str(v) for v in values]
     joined = "".join(cells)
     if not any(c in joined for c in _QUOTED):
         return cells

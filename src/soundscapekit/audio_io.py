@@ -210,28 +210,20 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
 
 
 def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
-    """The ceil(len(x) * up / down) samples of resample_poly(x, up, down) (see _polyphase_plan)."""
+    """The ceil(len(x) * up / down) samples of resample_poly(x, up, down) (see _polyphase_plan), block by block."""
     stride, cols, first, last, block_rows, groups = _polyphase_plan(up, down)
     n_out = -(-len(x) * up // down)
     n_rows = -(-n_out // cols)
     y = np.empty((n_rows, cols))
-    # rows [lo, hi) read only samples of x; the rows before and after read a zero-padded copy
-    lo = max(0, min(n_rows, -(first // stride)))
-    hi = min(n_rows, (len(x) - last) // stride - 1)
-    for r0, r1 in ((0, lo), (lo, hi), (hi, n_rows)) if lo < hi else ((0, n_rows),):
-        if r0 == r1:
-            continue
-        origin = first + r0 * stride
-        src = _zero_padded(x, origin, last + (r1 + 1) * stride)
-        for b0 in range(r0, r1, block_rows):
-            b1 = min(b0 + block_rows, r1)
-            for q0, q1, lead, a, b in groups:
-                start = lead + b0 * stride - origin
-                rows = src[start : start + (b1 - b0 + 1) * stride].reshape(-1, stride)
-                out = rows[:-1, : len(a)] @ a
-                if b is not None:
-                    out += rows[1:, : len(b)] @ b
-                y[b0:b1, q0:q1] = out
+    for b0 in range(0, n_rows, block_rows):
+        b1 = min(b0 + block_rows, n_rows)
+        src = _zero_padded(x, first + b0 * stride, last + (b1 + 1) * stride)
+        for q0, q1, lead, a, b in groups:
+            rows = src[lead - first : lead - first + (b1 - b0 + 1) * stride].reshape(-1, stride)
+            out = rows[:-1, : len(a)] @ a
+            if b is not None:
+                out += rows[1:, : len(b)] @ b
+            y[b0:b1, q0:q1] = out
     return y.reshape(-1)[:n_out]
 
 
@@ -240,9 +232,8 @@ def _zero_padded(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     if 0 <= start and stop <= len(x):
         return x[start:stop]
     out = np.zeros(stop - start)
-    lo, hi = max(start, 0), min(stop, len(x))
-    if lo < hi:
-        out[lo - start : hi - start] = x[lo:hi]
+    lo, hi = (min(max(i, 0), len(x)) for i in (start, stop))
+    out[lo - start : hi - start] = x[lo:hi]
     return out
 
 

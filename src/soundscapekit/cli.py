@@ -268,13 +268,14 @@ def cmd_tune(scores_csv, annotations_csv, objective, config_path, grid, out_path
 
 
 def _read_indices_csv(path):
-    """{recording_id: [aci, adi, ndsi]}, NaN for an empty (undefined) NDSI cell."""
+    """The indices table and its rows as (line, recording_id, [aci, adi, ndsi]), NaN for an empty (undefined)
+    NDSI cell."""
     table = Table(path, [_INDICES_HEADER, _INDICES_HEADER + ["wall_s"]], comments=True)
-    out = {}
+    rows = []
     for line, (rec_id, aci_cell, adi_cell, ndsi_cell, *_) in table.keyed():
         ndsi_val = table.number(ndsi_cell, line) if ndsi_cell else np.nan
-        out[rec_id] = [table.number(aci_cell, line), table.number(adi_cell, line), ndsi_val]
-    return out
+        rows.append((line, rec_id, [table.number(aci_cell, line), table.number(adi_cell, line), ndsi_val]))
+    return table, rows
 
 
 def _read_diversity_csv(path):
@@ -293,7 +294,7 @@ def _read_diversity_csv(path):
 @click.option("--out", type=click.Path(dir_okay=False), default="-")
 def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, filters, out):
     """Correlate acoustic indices with species richness on filtered recordings."""
-    index_by_id = _read_indices_csv(indices_csv)
+    index_table, index_rows = _read_indices_csv(indices_csv)
     diversity = _read_diversity_csv(diversity_csv)
     label_files = {"truth": labels_csv, "model": model_labels_csv}
     sources = {s: load_decisions(p) for s, p in label_files.items() if p}
@@ -303,15 +304,18 @@ def cmd_case_study(indices_csv, diversity_csv, labels_csv, model_labels_csv, fil
         if name not in CASE_STUDY_FILTERS:
             raise SoundscapeKitError(f"unknown filter {name!r} (known: {sorted(CASE_STUDY_FILTERS)})")
 
-    missing = [rid for rid in index_by_id if rid not in diversity]
-    missing += [rid for src in sources.values() for rid in index_by_id if rid not in src]
-    if missing:
-        raise SoundscapeKitError(f"recordings missing diversity or labels: {sorted(set(missing))[:5]}")
-
-    # columns in the indices file's row order
-    values = np.array(list(index_by_id.values()), dtype=float).reshape(-1, 3)
-    species = np.array([diversity[rid] for rid in index_by_id], dtype=float)
-    labels = {s: np.array([flags[rid] for rid in index_by_id], dtype=bool) for s, flags in sources.items()}
+    # each table's row of each indices row, in file order; the first indices row whose id a table lacks is an
+    # error at its line, the tables taken in argument order
+    tables = [(diversity_csv, diversity), *((label_files[s], flags) for s, flags in sources.items())]
+    joined = [[] for _ in tables]
+    for line, rid, _ in index_rows:
+        for (path, by_id), column in zip(tables, joined):
+            if rid not in by_id:
+                raise index_table.error(f"recording {rid!r} has no row in {path}", line)
+            column.append(by_id[rid])
+    values = np.array([row for *_, row in index_rows], dtype=float).reshape(-1, 3)
+    species = np.array(joined[0], dtype=float)
+    labels = {s: np.array(column, dtype=bool) for s, column in zip(sources, joined[1:])}
     rows = []
     failures = 0
     for j, index_name in enumerate(("aci", "adi", "ndsi")):

@@ -131,16 +131,17 @@ def pda_kept(ann: AnnotationSet, policy: PdaPolicy) -> list:
 def _kept(cell, starts, ends, recordings, duration_s, policy):
     """The PDA rule over merged segments: [recordings x CLASSES] flags, cell being recording * len(CLASSES) + class.
 
-    The sum adds a cell's lengths one by one in the given (ascending start) order."""
+    The sum adds a cell's lengths one by one in the given (ascending start) order. Merged segments have start < end,
+    so a cell is annotated exactly when its measured duration is positive."""
     cells, lengths = recordings * len(CLASSES), ends - starts
     if policy.measure == "sum":
         measured = np.bincount(cell, weights=lengths, minlength=cells)
     else:
         measured = np.zeros(cells)
         np.maximum.at(measured, cell, lengths)
+    measured = measured.reshape(-1, len(CLASSES))
     min_dur = [policy.min_duration_s(c, duration_s) for c in CLASSES]
-    long_enough = measured.reshape(-1, len(CLASSES)) + _DUR_TOL >= [-np.inf if m is None else m for m in min_dur]
-    return (np.bincount(cell, minlength=cells) > 0).reshape(-1, len(CLASSES)) & long_enough
+    return (measured > 0) & (measured + _DUR_TOL >= [-np.inf if m is None else m for m in min_dur])
 
 
 def apply_pda(ann: AnnotationSet, policy: PdaPolicy) -> AnnotationSet:

@@ -23,6 +23,9 @@ LOG_MEL_EPS = 1e-10
 
 _SCALES = (SCALE_LINEAR, SCALE_LOG_MEL)
 
+#: The Slaney mel scale: Hz per mel below the break, the break in Hz and in mel, and the log step per mel above it.
+_F_SP, _BRK_HZ, _BRK_MEL, _LOGSTEP = 200.0 / 3.0, 1000.0, 15.0, np.log(6.4) / 27.0
+
 #: Frames per FFT block in framed_rfft. For a 1024-sample window a block's
 #: windowed frames and spectrum take about 1 MB, small enough to stay in cache.
 _BLOCK_FRAMES = 64
@@ -130,18 +133,12 @@ def stft_magnitude(clip: AudioClip, window_len: int = 1024, hop: int = 320) -> S
 def _hz_to_mel(f):
     """Slaney mel scale: linear below 1 kHz, logarithmic above."""
     f = np.asarray(f, dtype=np.float64)
-    f_sp = 200.0 / 3.0
-    brk_hz, brk_mel = 1000.0, 15.0
-    logstep = np.log(6.4) / 27.0
-    return np.where(f < brk_hz, f / f_sp, brk_mel + np.log(np.maximum(f, brk_hz) / brk_hz) / logstep)
+    return np.where(f < _BRK_HZ, f / _F_SP, _BRK_MEL + np.log(np.maximum(f, _BRK_HZ) / _BRK_HZ) / _LOGSTEP)
 
 
 def _mel_to_hz(m):
     m = np.asarray(m, dtype=np.float64)
-    f_sp = 200.0 / 3.0
-    brk_hz, brk_mel = 1000.0, 15.0
-    logstep = np.log(6.4) / 27.0
-    return np.where(m < brk_mel, m * f_sp, brk_hz * np.exp(logstep * (m - brk_mel)))
+    return np.where(m < _BRK_MEL, m * _F_SP, _BRK_HZ * np.exp(_LOGSTEP * (m - _BRK_MEL)))
 
 
 def mel_filterbank(n_mels: int, bin_freqs_hz: np.ndarray, fmin_hz: float, fmax_hz: float) -> np.ndarray:

@@ -15,6 +15,7 @@ byte-identically, serial or parallel.
 
 import hashlib
 import json
+import os
 import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -126,14 +127,16 @@ class SourcePool:
 
     @classmethod
     def from_manifest(cls, path) -> "SourcePool":
-        """Load a pool manifest CSV with header ``file,class``."""
+        """Load a pool manifest CSV with header ``file,class``; a row naming no file is an error at its line."""
         files = {c: [] for c in CLASSES}
         base = Path(path).parent
         table = Table(path, [["file", "class"]])
         for line, (name, class_name) in table:
             if class_name not in files:
                 raise table.error(f"unknown class {class_name!r}", line)
-            files[class_name].append(base / name)  # an absolute name replaces base
+            if not os.path.isfile(base / name):  # an absolute name replaces base
+                raise table.error(f"file {str(base / name)!r} not found", line)
+            files[class_name].append(base / name)
         return cls(files=files)
 
 

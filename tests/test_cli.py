@@ -2,8 +2,10 @@ import csv
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +14,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soundscapekit import _table, cli, synthmix
+from soundscapekit import _table, audio_io, cli, synthmix
 from soundscapekit.audio_io import AudioClip, write_wav_pcm16
 from soundscapekit.cli import main
 from soundscapekit.labels import CLASSES
 
 from conftest import tone
+from test_audio_io import EDGE_FIELDS
+from test_tables import ODD_TEXT, table_lines
 
 FIXTURES = Path(__file__).parent / "data" / "cst_fixture"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -178,14 +182,14 @@ class TestIndicesCommand:
         assert header.endswith(",wall_s")
 
 
-def write_pool(tmp_path):
-    """A pool manifest with one 2 s tone per class; returns its path."""
+def write_pool(tmp_path, seconds=2.0, rate_hz=32000):
+    """A pool manifest with one tone per class; returns its path."""
     pool_dir = tmp_path / "pool"
     pool_dir.mkdir()
     rows = []
     for cls in CLASSES:
         p = pool_dir / f"{cls}.wav"
-        write_wav_pcm16(p, AudioClip(samples=tone(400, 2.0, 32000, amp=0.4), sample_rate_hz=32000))
+        write_wav_pcm16(p, AudioClip(samples=tone(400, seconds, rate_hz, amp=0.4), sample_rate_hz=rate_hz))
         rows.append((p.name, cls))
     manifest = pool_dir / "pool.csv"
     with open(manifest, "w", newline="") as fh:
@@ -245,6 +249,17 @@ class TestMixCommand:
         lines = failed_lines(runner.invoke(main, args), "mix")
         assert lines == [f"mix: FAILED: {manifest.parent / 'bad.wav'}: not a decodable linear-PCM WAV "
                          "(not a RIFF or RIFX WAVE file)"]
+        assert not (tmp_path / "new").exists()
+
+    def test_pool_file_that_is_not_there_is_an_error_at_its_line(self, runner, tmp_path):
+        """The manifest's row is named before any clip is rendered, so nothing is created."""
+        manifest = write_pool(tmp_path)
+        with open(manifest, "a", newline="") as fh:
+            fh.write("gone.wav,geophony\r\n")
+        out_dir = tmp_path / "new" / "corpus"
+        result = runner.invoke(main, ["mix", str(manifest), str(out_dir), "--count", "B=1"])
+        assert_table_error(result, manifest, 5)
+        assert result.output.splitlines()[-1] == f"{manifest}:5: file {str(manifest.parent / 'gone.wav')!r} not found"
         assert not (tmp_path / "new").exists()
 
     def test_failed_render_keeps_what_was_there(self, runner, tmp_path):
@@ -635,7 +650,29 @@ class TestCaseStudyCommand:
         result = runner.invoke(main, ["case-study", str(indices), str(diversity), str(labels),
                                       "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 1
-        assert "missing" in result.output
+        assert result.output.splitlines() == [f"{indices}:3: recording 'r1' has no row in {diversity}"]
+
+    @pytest.mark.parametrize("lacking, named", [
+        ({"diversity": "r4", "labels": "r2"}, "labels"),
+        ({"diversity": "r3", "model": "r1"}, "model"),
+        ({"model": "r2", "labels": "r2", "diversity": "r2"}, "diversity"),
+    ], ids=["labels-first", "model-first", "one-row-in-every-table"])
+    def test_first_indices_row_that_a_table_lacks_is_named(self, runner, tmp_path, lacking, named):
+        """Tables that each lack a recording: the error is at the earliest such indices row, and names the first
+        table, in argument order, that lacks it."""
+        paths = dict(zip(("indices", "diversity", "labels"), write_case_study_inputs(tmp_path)))
+        paths["model"] = tmp_path / "model.csv"
+        write_weak_annotations(paths["model"], {f"r{i}": {"biophony"} for i in range(6)})
+        for table, rid in lacking.items():
+            lines = paths[table].read_text().splitlines(keepends=True)
+            paths[table].write_text("".join(ln for ln in lines if not ln.startswith(f"{rid},")))
+        out = tmp_path / "c.csv"
+        args = [*(str(paths[t]) for t in ("indices", "diversity", "labels")), "--model-labels", str(paths["model"])]
+        result = runner.invoke(main, ["case-study", *args, "--out", str(out)])
+        rid = lacking[named]
+        assert_table_error(result, paths["indices"], 2 + int(rid[1:]))
+        assert result.output.splitlines()[-1].endswith(f": recording {rid!r} has no row in {paths[named]}")
+        assert not out.exists()
 
     def test_unknown_filter_is_one_line_error(self, runner, tmp_path):
         args = [*map(str, write_case_study_inputs(tmp_path)), "--filters", "all,X", "--out", str(tmp_path / "c.csv")]
@@ -1011,3 +1048,101 @@ class TestNonUtf8Locale:
         assert [ln for ln in done.stderr.splitlines() if b"FAILED" in ln] == [
             b"indices: FAILED " + os.fsencode(tmp_path) + b"/dir\\xe9/a.wav: not a decodable linear-PCM WAV "
             b"(not a RIFF or RIFX WAVE file)"]
+
+
+# --- one property per remaining command: damaged inputs end in one line, never a traceback ---------------------
+
+
+def ends_in_one_line(result, tables, failed=()):
+    """Exit 0, 1 or 2 without a traceback; after a failure the last line is `path:line: ...` of one of tables,
+    `Error: ...`, or matches one of the failed patterns."""
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code:
+        last = result.output.splitlines()[-1]
+        at_a_line = any(re.match(rf"{re.escape(str(t))}:\d+: ", last) for t in tables)
+        assert at_a_line or last.startswith("Error: ") or any(re.fullmatch(f, last) for f in failed), result.output
+
+
+def damaged_header(raw):
+    """raw, a 44-byte-header WAV, with one to three fields past its RIFF header written over, as
+    tests/test_audio_io.py's fuzz writes them."""
+    field = st.one_of(st.binary(min_size=1, max_size=4), st.sampled_from(EDGE_FIELDS))
+
+    def written(edits):
+        out = bytearray(raw)
+        for offset, data in edits:
+            out[offset:offset + len(data)] = data
+        return bytes(out)
+    return st.lists(st.tuples(st.integers(12, 43), field), min_size=1, max_size=3).map(written)
+
+
+@contextmanager
+def small_resampler_filters():
+    """The resampler's tap limit lowered to 2 001 (up and down at most 100), so that a damaged rate costs little
+    time and memory: 1 600 samples resample to at most 160 000."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audio_io, "RESAMPLE_MAX_TAPS", 2001)
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), jobs=st.sampled_from(["1", "2"]))
+def test_indices_on_a_damaged_wav_ends_in_one_line(tmp_path_factory, data, jobs):
+    """indices of a good 0.1 s WAV and a copy with its header damaged: each failed file has its own FAILED line,
+    and the run ends in the count of failed files."""
+    d = tmp_path_factory.mktemp("indices")
+    audio = d / "audio"
+    audio.mkdir()
+    write_wav_pcm16(audio / "a.wav", AudioClip(samples=tone(2000, 0.1, 16000), sample_rate_hz=16000))
+    (audio / "b.wav").write_bytes(data.draw(damaged_header((audio / "a.wav").read_bytes())))
+    with small_resampler_filters():
+        result = CliRunner().invoke(main, ["indices", str(audio), "--jobs", jobs, "--out", str(d / "i.csv")])
+    ends_in_one_line(result, [], [r"indices: 1 file\(s\) failed"])
+    failed = [ln for ln in result.output.splitlines() if "FAILED" in ln]
+    assert all(ln.startswith(f"indices: FAILED {audio / 'b.wav'}: ") for ln in failed), result.output
+    assert len(failed) == result.exit_code
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["pool.csv", *(f"{c}.wav" for c in CLASSES)]),
+       jobs=st.sampled_from(["1", "2"]))
+def test_mix_on_a_damaged_pool_ends_in_one_line_and_leaves_nothing(tmp_path_factory, data, target, jobs):
+    """mix of a pool of 0.1 s tones, its manifest damaged (bytes, or a bad cell at the right field count) or one
+    source's header damaged: a failure names a manifest line, a pool file or a class without files, and leaves
+    no file or directory it created."""
+    d = tmp_path_factory.mktemp("mix")
+    manifest = write_pool(d, seconds=0.1, rate_hz=16000)
+    raw = (manifest.parent / target).read_bytes()
+    if target == "pool.csv":
+        lines = table_lines(["file", "class"], ODD_TEXT).map(lambda ls: "\r\n".join(ls).encode() + b"\r\n")
+        raw = data.draw(damaged_table(raw) | lines)
+    else:
+        raw = data.draw(damaged_header(raw))
+    (manifest.parent / target).write_bytes(raw)
+    args = ["mix", str(manifest), str(d / "new" / "corpus"), "--count", "B=1", "--count", "AG=1", "--count", "S=1",
+            "--seed", "3", "--jobs", jobs]
+    with small_resampler_filters():
+        result = CliRunner().invoke(main, args)
+    ends_in_one_line(result, [manifest], [rf"mix: FAILED: {re.escape(str(manifest.parent))}/.+",
+                                          r"mix: FAILED: source pool has no files for class '\w+'"])
+    assert result.exit_code == 0 or not (d / "new").exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["indices", "diversity", "labels", "model"]))
+def test_case_study_on_a_damaged_table_ends_in_one_line(tmp_path_factory, data, target):
+    """case-study with model labels, one of its four tables damaged (bytes, or a bad cell at the right field
+    count): a failure names a line of one of the tables, or counts the correlations it could not compute."""
+    d = tmp_path_factory.mktemp("case-study")
+    paths = dict(zip(("indices", "diversity", "labels"), write_case_study_inputs(d)))
+    paths["model"] = d / "model.csv"
+    write_weak_annotations(paths["model"], {f"r{i}": {"biophony", "geophony"} for i in range(6)})
+    raw = paths[target].read_bytes()
+    header = raw.decode().splitlines()[0].split(",")
+    lines = table_lines(header, ODD_TEXT).map(lambda ls: "\n".join(ls).encode() + b"\n")
+    paths[target].write_bytes(data.draw(damaged_table(raw) | lines))
+    args = [*(str(paths[t]) for t in ("indices", "diversity", "labels")), "--model-labels", str(paths["model"])]
+    result = CliRunner().invoke(main, ["case-study", *args, "--out", str(d / "c.csv")])
+    ends_in_one_line(result, paths.values(), [r"case-study: \d+ correlation\(s\) could not be computed"])

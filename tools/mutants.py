@@ -74,7 +74,7 @@ MUTANTS = [
            ("tests/test_tables.py::TestTable::test_number_rejects_non_finite",
             "tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise")),
     Mutant("the PDA test drops its tolerance", "src/soundscapekit/decision.py",
-           "measured.reshape(-1, len(CLASSES)) + _DUR_TOL >=", "measured.reshape(-1, len(CLASSES)) >=",
+           "(measured + _DUR_TOL >=", "(measured >=",
            ("tests/test_decision.py::TestAnnotationIO::test_sum_adds_lengths_in_start_order",)),
     Mutant("load_scores leaves the window starts out of its numbers", "src/soundscapekit/scores.py",
            "numbers=range(1, len(table.header))", "numbers=range(2, len(table.header))",
@@ -95,7 +95,7 @@ MUTANTS = [
            "    return [future.result() for future in futures]\n",
            ("tests/test_runner.py::test_a_pool_failure_cancels_the_queued_items_once_the_running_ones_finish",)),
     Mutant("the table writer writes None as 'None'", "src/soundscapekit/_table.py",
-           '["" if v is None else str(v) for v in column]', "[str(v) for v in column]",
+           '["" if v is None else str(v) for v in values]', "[str(v) for v in values]",
            ("tests/test_output.py::test_table_cells_are_formatted_by_the_writer",
             "tests/test_output.py::test_table_dash_is_stdout")),
     Mutant("a number may hold '_' between digits", "src/soundscapekit/_table.py",
@@ -168,7 +168,7 @@ MUTANTS = [
            ("tests/test_evaluation.py::TestEvaluate::test_confidence_outside_the_open_unit_interval_is_rejected",
             "tests/test_evaluation.py::TestEvaluate::test_resample_count_outside_the_bound_is_rejected_before_drawing")),
     Mutant("the resampler drops the product of a group's inputs past the stride", "src/soundscapekit/audio_io.py",
-           "                if b is not None:\n                    out += rows[1:, : len(b)] @ b\n", "",
+           "            if b is not None:\n                out += rows[1:, : len(b)] @ b\n", "",
            ("tests/test_audio_io.py::test_polyphase_matches_resample_poly",)),
     Mutant("the resampler's zero-padded copy is one sample late", "src/soundscapekit/audio_io.py",
            "out[lo - start : hi - start] = x[lo:hi]", "out[lo - start + 1 : hi - start] = x[lo : hi - 1]",
@@ -185,6 +185,37 @@ MUTANTS = [
     Mutant("the annotation readers take a duration of zero", "src/soundscapekit/decision.py",
            "first = duration_s <= 0 and", "first = duration_s < 0 and",
            ("tests/test_decision.py::TestAnnotationIO::test_a_duration_that_is_not_positive_is_a_value_error",)),
+    Mutant("a PDA cell without segments counts as annotated", "src/soundscapekit/decision.py",
+           "(measured > 0) &", "(measured >= 0) &",
+           ("tests/test_decision.py::TestPda::test_kept_flags_match_apply_pda",)),
+    Mutant("a resampler block reads its span of x one stride late", "src/soundscapekit/audio_io.py",
+           "_zero_padded(x, first + b0 * stride, last + (b1 + 1) * stride)",
+           "_zero_padded(x, first + (b0 + 1) * stride, last + (b1 + 2) * stride)",
+           ("tests/test_audio_io.py::test_polyphase_matches_resample_poly",)),
+    Mutant("the table writer writes an array's numbers as floats", "src/soundscapekit/_table.py",
+           "values = column.tolist() if", "values = column.astype(float).tolist() if",
+           ("tests/test_output.py::test_table_columns_are_written_as_csv_writer_writes_their_rows",)),
+    Mutant("case-study checks an indices row against the tables in reverse order", "src/soundscapekit/cli.py",
+           "for (path, by_id), column in zip(tables, joined):",
+           "for (path, by_id), column in reversed(list(zip(tables, joined))):",
+           ("tests/test_cli.py::TestCaseStudyCommand::test_first_indices_row_that_a_table_lacks_is_named",)),
+    Mutant("the column reader counts one header line fewer", "src/soundscapekit/_table.py",
+           "header = max(self._skip - done, 0)", "header = max(self._skip - done - 1, 0)",
+           ("tests/test_tables.py::test_columns_equal_the_rows_with_the_same_errors",)),
+    Mutant("the command group lets running out of memory or stack through", "src/soundscapekit/cli.py",
+           "except (SoundscapeKitError, ValueError, OSError, MemoryError, RecursionError) as exc:",
+           "except (SoundscapeKitError, ValueError, OSError) as exc:",
+           ("tests/test_cli.py::test_out_of_memory_or_stack_is_one_line_error",)),
+    Mutant("the merge takes a plain running max of ends across cells", "src/soundscapekit/decision.py",
+           "reach = values[np.maximum.accumulate(cell * len(values) + rank) - cell * len(values)]",
+           "reach = np.maximum.accumulate(ends)",
+           ("tests/test_decision.py::TestAnnotationIO::test_segments_are_merged_as_brute_force_merges_them",)),
+    Mutant("the column reader screens no number column", "src/soundscapekit/_table.py",
+           'if not _number_chars("".join(columns[k])):', "if False:",
+           ("tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise",)),
+    Mutant("the column reader skips the screen of every plain block", "src/soundscapekit/_table.py",
+           "if text is None or not _number_chars(text):", "if text is None:",
+           ("tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise",)),
 ]
 
 
