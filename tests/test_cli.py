@@ -251,17 +251,6 @@ class TestMixCommand:
                          "(not a RIFF or RIFX WAVE file)"]
         assert not (tmp_path / "new").exists()
 
-    def test_pool_file_that_is_not_there_is_an_error_at_its_line(self, runner, tmp_path):
-        """The manifest's row is named before any clip is rendered, so nothing is created."""
-        manifest = write_pool(tmp_path)
-        with open(manifest, "a", newline="") as fh:
-            fh.write("gone.wav,geophony\r\n")
-        out_dir = tmp_path / "new" / "corpus"
-        result = runner.invoke(main, ["mix", str(manifest), str(out_dir), "--count", "B=1"])
-        assert_table_error(result, manifest, 5)
-        assert result.output.splitlines()[-1] == f"{manifest}:5: file {str(manifest.parent / 'gone.wav')!r} not found"
-        assert not (tmp_path / "new").exists()
-
     def test_failed_render_keeps_what_was_there(self, runner, tmp_path):
         manifest = self.pool_with_a_bad_source(tmp_path)
         out_dir = tmp_path / "corpus"
@@ -854,8 +843,9 @@ class TestBadInputTables:
         args, paths = self.case_study(tmp_path, diversity="recording_id,species_count\nr0,2\nr0,3\n")
         assert_table_error(runner.invoke(main, args), paths["diversity"], 3)
 
-    @pytest.mark.parametrize("text, line", [("file,class\na.wav,traffic\n", 2), ("path,label\na.wav,biophony\n", 1)],
-                             ids=["unknown-class", "wrong-header"])
+    @pytest.mark.parametrize("text, line", [("file,class\na.wav,traffic\n", 2), ("path,label\na.wav,biophony\n", 1),
+                                            ("file,class\n\ngone.wav,biophony\n", 3)],
+                             ids=["unknown-class", "wrong-header", "file-not-there"])
     def test_pool_manifest(self, runner, tmp_path, text, line):
         manifest = tmp_path / "pool.csv"
         manifest.write_text(text)

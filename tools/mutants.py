@@ -199,6 +199,9 @@ MUTANTS = [
            "for (path, by_id), column in zip(tables, joined):",
            "for (path, by_id), column in reversed(list(zip(tables, joined))):",
            ("tests/test_cli.py::TestCaseStudyCommand::test_first_indices_row_that_a_table_lacks_is_named",)),
+    Mutant("a pool manifest row may name a file that is not there", "src/soundscapekit/synthmix.py",
+           "if not os.path.isfile(base / name):", "if False:",
+           ("tests/test_cli.py::TestBadInputTables::test_pool_manifest",)),
     Mutant("the column reader counts one header line fewer", "src/soundscapekit/_table.py",
            "header = max(self._skip - done, 0)", "header = max(self._skip - done - 1, 0)",
            ("tests/test_tables.py::test_columns_equal_the_rows_with_the_same_errors",)),
