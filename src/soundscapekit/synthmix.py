@@ -304,27 +304,26 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _fit_length(x: np.ndarray, n: int, rate: int, rng: np.random.Generator) -> np.ndarray:
-    """Crop at a random offset, or loop with a short crossfade, to exactly n samples.
+    """Crop at a random offset, or loop with a short crossfade, to exactly n samples, as a new array.
 
-    Only reads x (which may be a read-only cached source) and always returns
-    a new array that the caller may scale in place.
+    A loop is x[:body], `repeats` periods (the seam fading x[body:] into x[:fade], then x[fade:body])
+    and x[body:], cut to n, in time linear in n. Only reads x, which may be a read-only cached source.
     """
-    if len(x) == n:
-        return x.copy()
     if len(x) > n:
         off = int(rng.integers(0, len(x) - n + 1))
         return x[off : off + n].copy()
 
-    # cap the fade so every loop iteration extends by at least half the source
+    # at most half of x, so the seam's two ends stay apart and each period adds body >= 1 samples
     fade = min(int(round(CROSSFADE_S * rate)), len(x) // 2)
-    if fade <= 0:
-        reps = -(-n // len(x))
-        return np.tile(x, reps)[:n]
+    body = len(x) - fade
     ramp = np.linspace(0.0, 1.0, fade)
-    out = x.copy()
-    while len(out) < n:
-        seam = out[-fade:] * (1.0 - ramp) + x[:fade] * ramp
-        out = np.concatenate([out[:-fade], seam, x[fade:]])
+    repeats = -(-(n - len(x)) // body)
+    out = np.empty(len(x) + repeats * body)
+    out[:body] = x[:body]
+    periods = out[body : body + repeats * body].reshape(repeats, body)
+    periods[:, :fade] = x[body:] * (1.0 - ramp) + x[:fade] * ramp
+    periods[:, fade:] = x[fade:body]
+    out[body + repeats * body :] = x[body:]
     return out[:n]
 
 

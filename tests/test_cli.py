@@ -347,6 +347,20 @@ def test_negative_config_seed_is_one_line_error(runner, tmp_path):
     assert not (tmp_path / "rep").exists()
 
 
+def test_evaluate_seed_option_overrides_the_config_seed(runner, tmp_path):
+    reports = {}
+    for name, config_seed, option in (("option", 3, ["--seed", "11"]), ("config", 11, [])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"seed": config_seed}))
+        out = tmp_path / name
+        result = invoke(runner, ["evaluate", str(FIXTURES / "scores.csv"), str(FIXTURES / "annotations.csv"),
+                                 "--config", str(cfg), *option, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports[name] = (out / "report.json").read_text()
+    assert json.loads(reports["option"])["bootstrap"]["seed"] == 11
+    assert reports["option"] == reports["config"]
+
+
 def write_weak_annotations(path, truth_by_id):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -297,6 +297,7 @@ def test_formats_config_block_is_the_schema():
         ({"pda_measure": None}, "invalid configuration: pda_measure must be a string, got None"),
         ({"indices": {"ndsi_anthro_hz": [1000.0, True]}},
          "invalid configuration: indices ndsi_anthro_hz must be a list of 2 numbers, got [1000.0, True]"),
+        ({"thresholds": [0.5]}, "invalid threshold policy: thresholds must be an object, got [0.5]"),
     ],
 )
 def test_values_of_another_json_type_rejected_on_load(tmp_path, data, message):
@@ -305,6 +306,31 @@ def test_values_of_another_json_type_rejected_on_load(tmp_path, data, message):
     with pytest.raises(ConfigError) as err:
         RunConfig.load(p)
     assert str(err.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"recording_duration_s": 0}, "invalid configuration: recording_duration_s must be positive"),
+        ({"recording_duration_s": -1.5}, "invalid configuration: recording_duration_s must be positive"),
+        ({"mixer": {"normalization": "loudness"}}, "invalid configuration: unknown mixer normalization 'loudness'"),
+    ],
+)
+def test_values_outside_their_range_rejected_on_load(tmp_path, data, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as err:
+        RunConfig.load(p)
+    assert str(err.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("data", [{}, [1], {"seed": 1}])
+def test_fragment_without_a_thresholds_section_rejected(tmp_path, data):
+    p = tmp_path / "fragment.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as err:
+        load_threshold_fragment(p)
+    assert str(err.value) == f"{p}: missing 'thresholds' section"
 
 
 PER_CLASS = {ANTHROPOPHONY: 0.5, BIOPHONY: 0.5, GEOPHONY: 0.5}

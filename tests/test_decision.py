@@ -62,6 +62,11 @@ class TestAnnotationSet:
         with pytest.raises(ValueError):
             AnnotationSet("r", 60, {BIOPHONY: [(5, 5)]})
 
+    @pytest.mark.parametrize("duration", [0.0, -5.0])
+    def test_rejects_a_duration_that_is_not_positive(self, duration):
+        with pytest.raises(ValueError, match="^r: duration must be positive$"):
+            AnnotationSet("r", duration, {})
+
     def test_end_within_the_tolerance_past_the_recording_is_inside(self, tmp_path):
         ann = AnnotationSet("r", 60, {BIOPHONY: [(0, 60 + 5e-10)]})
         assert ann.segments[BIOPHONY] == ((0, 60 + 5e-10),)
@@ -319,6 +324,19 @@ def test_threshold_policy_mode():
 def test_threshold_policy_rejects_a_mode_it_does_not_fit(thresholds, mode, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         ThresholdPolicy(thresholds, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "thresholds, counts, message",
+    [
+        (dict.fromkeys(CLASSES[:2], 0.5), None, f"missing threshold for {CLASSES[2]}"),
+        (dict.fromkeys(CLASSES, 0.5), {BIOPHONY: 0}, f"count for {BIOPHONY} must be >= 1, got 0"),
+    ],
+    ids=["missing-class", "count-below-one"],
+)
+def test_threshold_policy_rejects_a_missing_class_or_a_count_below_one(thresholds, counts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ThresholdPolicy(thresholds, counts)
 
 
 class TestCountForFraction:

@@ -305,6 +305,15 @@ class TestCurve:
         with pytest.raises(ValueError):
             curve([0.2, 0.4], [True, True], "ROC")
 
+    @pytest.mark.parametrize("scores, truth, kind, message", [
+        ([], [], "PR", "PR: scores and truth must be equal-length and non-empty"),
+        ([0.2, 0.4], [True], "ROC", "ROC: scores and truth must be equal-length and non-empty"),
+        ([0.2, 0.4], [True, False], "AUC", "kind must be 'PR' or 'ROC', got 'AUC'"),
+    ], ids=["empty", "unequal", "unknown-kind"])
+    def test_rejects_input_it_cannot_sweep(self, scores, truth, kind, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            curve(scores, truth, kind)
+
     def test_tie_breaks_toward_higher_threshold(self):
         # F1 is flat between 0.3 and 0.5; the returned threshold must be 0.5
         scores = [0.9, 0.8, 0.5, 0.3]

@@ -209,6 +209,11 @@ class TestMelFilterbank:
         assert (fb.sum(axis=1) > 0).all()
         assert ((fb > 0).sum(axis=0) <= 2).all()
 
+    @pytest.mark.parametrize("n_mels", [0, -1])
+    def test_rejects_fewer_than_one_filter(self, n_mels):
+        with pytest.raises(ValueError, match=f"^n_mels must be >= 1, got {n_mels}$"):
+            mel_filterbank(n_mels, np.linspace(0, 16000, 513), 0, 16000)
+
 
 class TestSpectrogramValidation:
     def test_rejects_unknown_scale(self):
@@ -222,6 +227,11 @@ class TestSpectrogramValidation:
     def test_rejects_negative_magnitudes(self):
         with pytest.raises(ValueError, match="negative"):
             Spectrogram(np.array([[-1.0]]), 0.01, np.array([1.0]), SCALE_LINEAR)
+
+    @pytest.mark.parametrize("hop", [0.0, -0.01])
+    def test_rejects_a_hop_that_is_not_positive(self, hop):
+        with pytest.raises(ValueError, match=f"^frame_hop_s must be positive, got {hop}$"):
+            Spectrogram(np.zeros((2, 1)), hop, np.array([1.0]), SCALE_LINEAR)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="bins"):

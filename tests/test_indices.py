@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.signal import welch
 
 from soundscapekit.audio_io import AudioClip
-from soundscapekit.features import SCALE_LINEAR, Spectrogram
+from soundscapekit.features import SCALE_LINEAR, SCALE_LOG_MEL, Spectrogram
 from soundscapekit.indices import adi, aci, band_power, ndsi, ndsi_from_powers, welch_psd
 
 from conftest import tone
@@ -30,6 +30,13 @@ def aci_oracle(values, chunk_len):
             if den > 0:
                 total += np.abs(np.diff(col)).sum() / den
     return total
+
+
+@pytest.mark.parametrize("index", [aci, adi])
+def test_a_log_mel_spectrogram_is_rejected(index):
+    spec = Spectrogram(np.full((4, 3), -20.0), 0.01, np.array([100.0, 200.0, 300.0]), SCALE_LOG_MEL)
+    with pytest.raises(ValueError, match=f"^{index.__name__} expects a {SCALE_LINEAR} spectrogram, got {SCALE_LOG_MEL}$"):
+        index(spec)
 
 
 class TestAci:

@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -115,6 +116,17 @@ class TestScoreTable:
         scores[3, 1] = score
         with pytest.raises(ValueError, match=f"^b: {message}$"):
             ScoreTable(["a", "b"], np.array([0.0, 10.0, *starts]), 10.0, scores, CLASSES, np.array([0, 2]))
+
+    @pytest.mark.parametrize("ids, offsets, class_order, columns, message", [
+        ("ab", [0, 3], ("biophony", "anthropophony", "geophony"), 3,
+         "unexpected class order ('biophony', 'anthropophony', 'geophony')"),
+        ("ab", [0, 3], CLASSES, 4, "score table: score matrix shape (6, 4) does not match 6 windows x 3 classes"),
+        ("a", [0], CLASSES + ("silence",), 3, "a: score matrix shape (6, 3) does not match 6 windows x 4 classes"),
+    ], ids=["class-order", "shape", "shape-of-one-recording"])
+    def test_rejects_a_class_order_or_shape_it_cannot_read(self, ids, offsets, class_order, columns, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScoreTable(list(ids), np.arange(6) * 10.0, 10.0, np.full((6, columns), 0.5), class_order,
+                       np.array(offsets, int))
 
     @pytest.mark.parametrize("ids, offsets", [("ab", [2, 4]), ("abc", [0, 5, 3]), ("ab", [0]), ("", [])])
     def test_offsets_must_split_the_rows(self, ids, offsets):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 import threading
 from collections import Counter
@@ -14,6 +15,7 @@ from soundscapekit import synthmix
 from soundscapekit.audio_io import AudioClip, decode_wav, resample, write_wav_pcm16
 from soundscapekit.labels import ANTHROPOPHONY, BIOPHONY, CLASSES, COMBOS, GEOPHONY, SILENCE_COMBO, classes_for_combo
 from soundscapekit.synthmix import (
+    MixedClip,
     MixRecipe,
     NoisePlan,
     SilenceRecipe,
@@ -75,6 +77,24 @@ def eager_render(recipe, pool, normalization):
     return mix
 
 
+def looped_reference(x, n, rate, rng):
+    """The mixer's fitting rule as a crop or a loop that grows one crossfaded seam at a time (quadratic in n)."""
+    if len(x) == n:
+        return x.copy()
+    if len(x) > n:
+        off = int(rng.integers(0, len(x) - n + 1))
+        return x[off : off + n].copy()
+    fade = min(int(round(synthmix.CROSSFADE_S * rate)), len(x) // 2)
+    if fade <= 0:
+        return np.tile(x, -(-n // len(x)))[:n]
+    ramp = np.linspace(0.0, 1.0, fade)
+    out = x.copy()
+    while len(out) < n:
+        seam = out[-fade:] * (1.0 - ramp) + x[:fade] * ramp
+        out = np.concatenate([out[:-fade], seam, x[fade:]])
+    return out[:n]
+
+
 def counting_decodes(monkeypatch):
     """Count synthmix's decode_wav calls per path (thread-safe)."""
     calls, lock = Counter(), threading.Lock()
@@ -126,6 +146,10 @@ class TestDrawRecipe:
         empty = SourcePool(files={ANTHROPOPHONY: [], BIOPHONY: [], GEOPHONY: []})
         with pytest.raises(ValueError, match="no files"):
             draw_recipe(empty, {ANTHROPOPHONY}, 0)
+
+    def test_no_active_class_rejected(self, pool):
+        with pytest.raises(ValueError, match="^need at least one active class$"):
+            draw_recipe(pool, set(), 0)
 
 
 class TestRenderMix:
@@ -213,13 +237,100 @@ class TestRenderMix:
         assert len(layers) == len(recipe.layers) + (recipe.noise is not None)
         assert np.allclose(np.sum(layers, axis=0), mixed.clip.samples, atol=1e-12)
 
+    def test_rms_mode_caps_the_peak_of_a_high_crest_source(self, tmp_path):
+        """One click in 5 s of silence: scaling it to -20 dBFS RMS would put its peak far above MIX_PEAK."""
+        x = np.zeros(160_000)
+        x[80_000] = 0.5
+        write_wav_pcm16(tmp_path / "click.wav", AudioClip(samples=x, sample_rate_hz=32000))
+        one_click = SourcePool(files={BIOPHONY: [tmp_path / "click.wav"]})
+        recipe = MixRecipe(frozenset({BIOPHONY}), {BIOPHONY: 1}, ((BIOPHONY, 0),), (0.0,), (), None, seed=1)
+        out = render_mix(recipe, one_click, normalization="rms").clip.samples
+        assert np.abs(out).max() == pytest.approx(synthmix.MIX_PEAK, abs=1e-12)
+        assert np.abs(out).max() <= synthmix.MIX_PEAK
+        assert rms(out) < synthmix.MIX_RMS / 10
+
     def test_unknown_normalization_rejected(self, pool):
         recipe = draw_recipe(pool, {BIOPHONY}, 1)
         with pytest.raises(ValueError, match="normalization"):
             render_mix(recipe, pool, normalization="loudness")
 
 
+#: Rates up to 50 Hz round the 10 ms crossfade to no sample (round(0.5) is 0), and 51-149 Hz to one.
+FIT_RATES = st.one_of(st.integers(1, 49), st.integers(50, 150), st.sampled_from([8000, 32000, 44100]))
+
+
+class TestFitLength:
+    @given(data=st.data(), length=st.integers(1, 400), rate=FIT_RATES, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_seam_by_seam_loop(self, data, length, rate, seed):
+        """A source no longer than the clip (so the rng is not drawn from), looped to n."""
+        x = np.random.default_rng(seed).standard_normal(length)
+        x.flags.writeable = False  # as the pool caches it
+        n = data.draw(st.integers(length, 3000), label="n")
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synthmix._fit_length(x, n, rate, rng)
+        assert np.array_equal(got, looped_reference(x, n, rate, reference_rng))
+        assert got.dtype == np.float64 and len(got) == n
+        assert got.flags.writeable and not np.shares_memory(got, x)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @given(length=st.integers(2, 4000), data=st.data(), rate=FIT_RATES, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_a_longer_source_is_cropped_with_one_draw(self, length, data, rate, seed):
+        x = np.random.default_rng(seed).standard_normal(length)
+        x.flags.writeable = False
+        n = data.draw(st.integers(1, length - 1), label="n")
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synthmix._fit_length(x, n, rate, rng)
+        assert np.array_equal(got, looped_reference(x, n, rate, reference_rng))
+        assert got.flags.writeable and not np.shares_memory(got, x)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state  # the reference draws one integer
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 20])
+    def test_a_source_of_a_few_samples_repeats_one_period_over_a_whole_clip(self, length):
+        x = np.random.default_rng(length).standard_normal(length)
+        got = synthmix._fit_length(x, 160_000, 32000, np.random.default_rng(0))
+        fade = length // 2  # the 10 ms fade, capped at half the source
+        body = period = length - fade
+        ramp = np.linspace(0.0, 1.0, fade)
+        assert len(got) == 160_000
+        assert np.array_equal(got[:body], x[:body])
+        assert np.array_equal(got[body : body + fade], x[body:] * (1.0 - ramp) + x[:fade] * ramp)
+        assert np.array_equal(got[body : 160_000 - fade - period], got[body + period : 160_000 - fade])
+
+
+VALID_RECIPE = dict(active_classes=frozenset({BIOPHONY, GEOPHONY}), per_class_file_counts={BIOPHONY: 1, GEOPHONY: 2},
+                    layers=((BIOPHONY, 0), (GEOPHONY, 1), (GEOPHONY, 0)), per_file_gain_db=(0.0, -3.0, -6.0),
+                    layer_snr_db=(0.0, 1.0), noise=NoisePlan(kind="pink", snr_db=0.0), seed=0)
+
+
 class TestRecipeValidation:
+    def test_the_base_recipe_is_valid(self):
+        MixRecipe(**VALID_RECIPE)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"active_classes": frozenset()}, "a mix needs at least one active class"),
+        ({"per_class_file_counts": {BIOPHONY: 1, GEOPHONY: 4}},
+         "per-class file count out of range for 2 active classes"),
+        ({"per_class_file_counts": {BIOPHONY: 0, GEOPHONY: 2}},
+         "per-class file count out of range for 2 active classes"),
+        ({"layer_snr_db": (0.0, 5.5)}, "layer SNR 5.5 dB outside (-5.0, 5.0)"),
+        ({"noise": NoisePlan(kind="brown", snr_db=0.0)}, "unknown noise kind 'brown'"),
+        ({"layer_snr_db": (0.0,)}, "need one SNR per layer after the first"),
+    ], ids=["no-class", "count-above-cap", "count-below-one", "layer-snr", "noise-kind", "snr-count"])
+    def test_rejects_each_rule(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MixRecipe(**{**VALID_RECIPE, **change})
+
+    @pytest.mark.parametrize("samples, message", [
+        (np.zeros(159_999), "rendered clip has 159999 samples, expected 160000"),
+        (np.full(160_000, -1.5), "rendered clip peak 1.5 exceeds 1"),
+    ], ids=["length", "peak"])
+    def test_mixed_clip_rejects_a_wrong_length_or_a_peak_above_one(self, samples, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MixedClip(AudioClip(samples=samples, sample_rate_hz=32000), frozenset({BIOPHONY}),
+                      MixRecipe(**VALID_RECIPE))
+
     def test_gain_out_of_range(self):
         with pytest.raises(ValueError, match="gain"):
             MixRecipe(

@@ -49,6 +49,8 @@ class TestTable:
             ("a,b\n1,2\n\n3\n", False, r"t\.csv:4: expected 2 fields, got 1"),
             ("a,b\n1,2,3\n", False, r"t\.csv:2: expected 2 fields, got 3"),
             ("a,b\n# p=1\n", True, r"t\.csv:2: expected 2 fields, got 1"),
+            ("x" * 200_000 + ",b\n", False, r"t\.csv:1: unreadable CSV \(field larger than field limit \(131072\)\)$"),
+            ("# p=1\n" + "x" * 200_000 + ",b\n", True, r"t\.csv:2: unreadable CSV \(field larger than field limit"),
         ],
     )
     def test_violations_name_path_and_line(self, tmp_path, text, comments, message):

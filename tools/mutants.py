@@ -219,6 +219,21 @@ MUTANTS = [
     Mutant("the column reader skips the screen of every plain block", "src/soundscapekit/_table.py",
            "if text is None or not _number_chars(text):", "if text is None:",
            ("tests/test_tables.py::test_column_readers_name_a_number_spelt_otherwise",)),
+    Mutant("the loop's crossfade ramps the wrong way", "src/soundscapekit/synthmix.py",
+           "x[body:] * (1.0 - ramp) + x[:fade] * ramp", "x[body:] * ramp + x[:fade] * (1.0 - ramp)",
+           ("tests/test_synthmix.py::TestFitLength::test_equals_the_seam_by_seam_loop",)),
+    Mutant("the loop is one period short", "src/soundscapekit/synthmix.py",
+           "repeats = -(-(n - len(x)) // body)", "repeats = max(-(-(n - len(x)) // body) - 1, 0)",
+           ("tests/test_synthmix.py::TestFitLength::test_equals_the_seam_by_seam_loop",)),
+    Mutant("the loop ends in zeros, not the source's tail", "src/soundscapekit/synthmix.py",
+           "out[body + repeats * body :] = x[body:]", "out[body + repeats * body :] = 0.0",
+           ("tests/test_synthmix.py::TestFitLength::test_equals_the_seam_by_seam_loop",)),
+    Mutant("rms normalisation lets the peak past MIX_PEAK", "src/soundscapekit/synthmix.py",
+           "if peak > MIX_PEAK:", "if False:",
+           ("tests/test_synthmix.py::TestRenderMix::test_rms_mode_caps_the_peak_of_a_high_crest_source",)),
+    Mutant("evaluate ignores --seed", "src/soundscapekit/cli.py",
+           "    if seed is not None:\n        cfg.seed = seed\n    _log(f\"evaluate:", "    _log(f\"evaluate:",
+           ("tests/test_cli.py::test_evaluate_seed_option_overrides_the_config_seed",)),
 ]
 
 

@@ -12,6 +12,9 @@ runs the CLI in a fresh process with ``--src`` (default: this checkout's
 
 - ``indices`` serial and ``--jobs 2``;
 - ``mix`` serial and ``--jobs 2``, with ``peak`` and with ``rms`` normalisation;
+- ``mix`` serial and ``--jobs 2`` of a pool that holds, per class, a
+  1-sample, a 21-sample and an exactly 5 s WAV at 32 kHz, so that sources
+  are looped without a crossfade, looped with one, and used as they are;
 - ``tune`` with ``f1`` and ``youden``, each with and without ``--grid``;
 - ``evaluate`` with the config's policy and with the tuned ``f1`` fragment;
 - both of the above on ``bench-quoted``: the bench score and annotation
@@ -110,6 +113,23 @@ def quoted_ids(src: Path, dst: Path) -> Path:
     return dst
 
 
+def tiny_pool(seed: int, root: Path) -> Path:
+    """A pool manifest whose every class holds a 1-sample, a 21-sample and a 160 000-sample WAV of noise at 32 kHz."""
+    root.mkdir(parents=True)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
+    rows = ["file,class\n"]
+    for cls in inputs.CLASSES:
+        for n in (1, 21, 160_000):
+            with wave.open(str(root / f"{cls}-{n}.wav"), "wb") as w:
+                w.setnchannels(1)
+                w.setsampwidth(2)
+                w.setframerate(32000)
+                w.writeframes(rng.integers(-16000, 16000, n).astype("<i2").tobytes())
+            rows.append(f"{cls}-{n}.wav,{cls}\n")
+    (root / "pool.csv").write_text("".join(rows))
+    return root / "pool.csv"
+
+
 def variants(seed: int, work: Path):
     """(variant name, CLI args, output path) in run order; later commands may read earlier outputs."""
     ind = inputs.make_indices_inputs(seed, work / "in" / "indices")
@@ -129,6 +149,12 @@ def variants(seed: int, work: Path):
             name = f"mix-{norm}-jobs{jobs}"
             yield name, ["mix", mix.pool_manifest, out / name, "--seed", mix.seed, *counts, "--config", cfg,
                          "--jobs", jobs], out / name
+
+    tiny = tiny_pool(seed, work / "in" / "mix-tiny")
+    for jobs in (1, 2):
+        name = f"mix-tiny-jobs{jobs}"
+        yield name, ["mix", tiny, out / name, "--seed", seed, "--count", "A=2", "--count", "B=2", "--count", "G=2",
+                     "--count", "ABG=2", "--jobs", jobs], out / name
 
     sets = {name: (s.scores, s.annotations, ["--config", s.config]) for name, s in tune_sets.items()}
     bench = tune_sets["bench"]
